@@ -23,10 +23,12 @@ import sys
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .errors import GhcalcError, ParseError
 from .interval import Interval
 from .ivector import IVector, WMapConfig
-from .ivf import Grid, Ivf
+from .ivf import Ivf
 from .subgrad import (
     SubgradientCandidate,
     is_subgradient,
@@ -130,17 +132,17 @@ def cmd_eval(args) -> int:
     prob = parse_problem_file(args.file)
     f = prob.ivf
     if args.points:
-        pts = [_parse_point(p, f.arity) for p in args.points]
+        pts = np.array([_parse_point(p, f.arity) for p in args.points])
     elif args.on_grid:
-        pts = [tuple(float(v) for v in row) for row in f.grid(args.grid).points()]
+        pts = f.grid(args.grid).points()
     else:
-        pts = []
+        pts = np.empty((0, f.arity))
     cols = [f"x{i + 1}" for i in range(f.arity)]
     lines = [",".join(cols) + ",f_lo,f_hi"]
-    for p in pts:
-        value = f.eval(p)
+    lo, hi = f.eval_many(pts)
+    for p, v_lo, v_hi in zip(pts.tolist(), lo.tolist(), hi.tolist()):
         xs = ",".join(f"{v!r}" for v in p)
-        lines.append(f"{xs},{value.lo!r},{value.hi!r}")
+        lines.append(f"{xs},{v_lo!r},{v_hi!r}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -249,8 +251,6 @@ def _add_common(sp, with_w: bool = False) -> None:
                     help="samples per axis (default 201)")
     sp.add_argument("--tol", type=float, default=1e-10,
                     help="dominance slack (default 1e-10)")
-    sp.add_argument("--seed", type=int, default=None,
-                    help="seed for randomized diagnostics")
     sp.add_argument("--out", default=None, help="write CSV here, not stdout")
     if with_w:
         sp.add_argument("--w", type=float, default=0.5,

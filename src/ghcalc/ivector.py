@@ -6,9 +6,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .errors import InvalidInterval, LengthMismatch
 from .interval import Interval, dominates

@@ -13,10 +13,9 @@ non-differentiable rather than silently averaged.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -301,28 +300,63 @@ def _max_feasible_step(f: Ivf, x: np.ndarray, h: np.ndarray) -> float:
 # --------------------------------------------------------------------------
 
 
-def is_convex_sampled(f: Ivf, grid: Grid,
-                      lambdas: Sequence[float] = (0.25, 0.5, 0.75),
-                      tol: float = 1e-10):
+# Mixture weights of the convexity check, in quarters: the mixture of two
+# nodes of a grid is then a node of the grid refined 4x per axis.
+_MIX_QUARTERS = (1, 2, 3)
+
+# Pair enumerations walk the upper triangle in blocks of whole rows of at
+# most this many entries, so their memory does not grow with the grid.
+_PAIR_BLOCK = 1 << 18
+
+
+def _row_blocks(n: int):
+    """Cover the pairs i < j of n nodes with row blocks, in np.triu_indices
+    order.  Yields slices (rows, cols) of i and j; the block's pairs are
+    the entries of the rows x cols rectangle kept by np.triu."""
+    rows_per_block = max(1, _PAIR_BLOCK // n)
+    for r0 in range(0, n - 1, rows_per_block):
+        yield slice(r0, min(r0 + rows_per_block, n - 1)), slice(r0 + 1, n)
+
+
+def is_convex_sampled(f: Ivf, grid: Grid, tol: float = 1e-10):
     """Sampled convexity check of F(lam*x1 + lam'*x2) against the mixture.
 
-    Returns (True, None) or (False, (x1, x2, lam)) with a violating triple.
-    Sampled evidence only, not a proof.
+    Every pair of grid nodes is tested at the fixed weights lam = 1/4, 1/2
+    and 3/4.  Those mixtures are nodes of the grid refined 4x per axis, so
+    F is evaluated once on that lattice and each mixture value is read
+    from it by index.  Returns (True, None) or (False, (x1, x2, lam)) with
+    the first violating triple, taking lam in increasing order and pairs
+    in np.triu_indices order.  Sampled evidence only, not a proof.
     """
-    pts = grid.points()
-    lo, hi = f.eval_many(pts)
-    n = pts.shape[0]
-    ii, jj = np.triu_indices(n, k=1)
-    for lam in lambdas:
-        lam_p = 1.0 - lam
-        mix = lam * pts[ii] + lam_p * pts[jj]
-        mix_lo, mix_hi = f.eval_many(mix, check_domain=False)
-        rhs_lo = lam * lo[ii] + lam_p * lo[jj]
-        rhs_hi = lam * hi[ii] + lam_p * hi[jj]
-        bad = (mix_lo > rhs_lo + tol) | (mix_hi > rhs_hi + tol)
-        if bad.any():
-            k = int(np.argmax(bad))
-            return False, (pts[ii[k]].tolist(), pts[jj[k]].tolist(), lam)
+    fine = Grid(grid.lower, grid.upper, tuple(4 * (c - 1) + 1 for c in grid.counts))
+    fine_lo, fine_hi = f.eval_many(fine.points())
+    # s = flat index in the refined grid of each grid node, divided by 4;
+    # the mixture (k/4)*x_i + (1 - k/4)*x_j sits at k*s_i + (4 - k)*s_j
+    s = np.ravel_multi_index(np.indices(grid.counts).reshape(grid.dim, -1), fine.counts)
+    lo, hi = fine_lo[4 * s], fine_hi[4 * s]
+    witness = [None] * len(_MIX_QUARTERS)
+    for i, j in _row_blocks(s.size):
+        for m, k in enumerate(_MIX_QUARTERS):
+            if witness[m] is not None:
+                continue
+            lam = k / 4
+            lam_p = 1.0 - lam
+            mix = (k * s[i])[:, None] + ((4 - k) * s[j])[None, :]
+            bad = ((fine_lo[mix] > (lam * lo[i])[:, None] + (lam_p * lo[j])[None, :] + tol)
+                   | (fine_hi[mix] > (lam * hi[i])[:, None] + (lam_p * hi[j])[None, :] + tol))
+            if bad.any():
+                # below np.triu the block holds pairs (j, i) with j < i at
+                # weight 1 - lam, and j == i; drop them before picking a witness
+                bad = np.triu(bad)
+                if bad.any():
+                    a, b = np.unravel_index(int(np.argmax(bad)), bad.shape)
+                    witness[m] = (i.start + a, j.start + b)
+        if witness[0] is not None:
+            break
+    for k, pair in zip(_MIX_QUARTERS, witness):
+        if pair is not None:
+            pts = grid.points()
+            return False, (pts[pair[0]].tolist(), pts[pair[1]].tolist(), k / 4)
     return True, None
 
 
@@ -363,8 +397,19 @@ def lipschitz_estimate(f: Ivf, grid: Grid) -> float:
     """
     pts = grid.points()
     lo, hi = f.eval_many(pts)
-    n = pts.shape[0]
-    ii, jj = np.triu_indices(n, k=1)
-    num = np.maximum(np.abs(lo[ii] - lo[jj]), np.abs(hi[ii] - hi[jj]))
-    den = np.linalg.norm(pts[ii] - pts[jj], axis=1)
-    return float(np.max(num / den))
+    block_max = []
+    for i, j in _row_blocks(pts.shape[0]):
+        # in-place arithmetic keeps few block-sized arrays alive at once
+        num = np.abs(lo[i, None] - lo[None, j])
+        np.maximum(num, np.abs(hi[i, None] - hi[None, j]), out=num)
+        den = np.zeros(num.shape)
+        for d in range(pts.shape[1]):
+            diff = pts[i, None, d] - pts[None, j, d]
+            den += diff * diff
+        np.sqrt(den, out=den)
+        # below np.triu the block repeats pairs (j, i) with j < i, whose
+        # quotient is the same; only the entries with j == i are no pair
+        k = np.arange(1, den.shape[0])
+        den[k, k - 1] = 1.0
+        block_max.append(np.max(np.divide(num, den, out=num)))
+    return float(np.max(block_max))

@@ -91,6 +91,35 @@ def test_eval_on_grid_writes_csv(slab_file, tmp_path):
     assert lines[3] == "0.0,0.0,0.0"
 
 
+PLANE = """\
+arity=2
+domain=[-1,1]
+domain=[-0.5,2]
+objective=[1,2]*pow2(x1) + [0,1]*abs(x2 - 0.3) + [1,3]*x1*x2
+"""
+
+
+def test_eval_csv_matches_the_per_point_values(tmp_path, capsys):
+    path = tmp_path / "plane.prob"
+    path.write_text(PLANE)
+    f = parse_problem_text(PLANE).ivf
+
+    def per_point(points):
+        lines = ["x1,x2,f_lo,f_hi"]
+        for p in points:
+            value = f.eval(p)
+            lines.append(",".join(f"{v!r}" for v in (*p, value.lo, value.hi)))
+        return "\n".join(lines) + "\n"
+
+    grid_pts = [tuple(float(v) for v in row) for row in f.grid(13).points()]
+    assert main(["eval", str(path), "--on-grid", "--grid", "13"]) == 0
+    assert capsys.readouterr().out == per_point(grid_pts)
+    given = ["0.1,0.2", "1,2", "0.3333333333333333,-0.5", "0.0,1e-17"]
+    assert main(["eval", str(path), *given]) == 0
+    assert capsys.readouterr().out == per_point(
+        [tuple(float(v) for v in p.split(",")) for p in given])
+
+
 def test_eval_without_points_prints_header_only(slab_file, capsys):
     assert main(["eval", slab_file]) == 0
     assert capsys.readouterr().out == "x1,f_lo,f_hi\n"
