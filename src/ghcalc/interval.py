@@ -106,9 +106,7 @@ ZERO = Interval(0.0, 0.0)
 class Dominance(Enum):
     """Outcome of comparing two intervals under the endpoint-wise order."""
 
-    DOMINATES = "dominates"
     STRICTLY_DOMINATES = "strictly_dominates"
-    DOMINATED = "dominated"
     STRICTLY_DOMINATED = "strictly_dominated"
     EQUAL = "equal"
     INCOMPARABLE = "incomparable"
@@ -127,46 +125,20 @@ def strictly_dominates(a: Interval, b: Interval) -> bool:
 def compare(a: Interval, b: Interval) -> Dominance:
     """Classify the order relation between a and b.
 
-    Exactly one kind is returned.  Since non-strict dominance plus
-    inequality already forces a strict endpoint, the reachable kinds are
-    EQUAL, STRICTLY_DOMINATES, STRICTLY_DOMINATED and INCOMPARABLE; the
-    plain DOMINATES/DOMINATED kinds are kept for predicate queries.
+    Exactly one kind is returned.  Non-strict dominance plus inequality
+    already forces a strict endpoint, so dominance of unequal intervals is
+    always strict.
     """
     ab = dominates(a, b)
     ba = dominates(b, a)
     if ab and ba:
         return Dominance.EQUAL
     if ab:
-        return Dominance.STRICTLY_DOMINATES if strictly_dominates(a, b) else Dominance.DOMINATES
+        return Dominance.STRICTLY_DOMINATES
     if ba:
-        return Dominance.STRICTLY_DOMINATED if strictly_dominates(b, a) else Dominance.DOMINATED
+        return Dominance.STRICTLY_DOMINATED
     return Dominance.INCOMPARABLE
-
-
-# Functional aliases mirroring the operation table.
-def add(a: Interval, b: Interval) -> Interval:
-    return a + b
-
-
-def sub(a: Interval, b: Interval) -> Interval:
-    return a - b
-
-
-def mul(a: Interval, b: Interval) -> Interval:
-    return a * b
-
-
-def div(a: Interval, b: Interval) -> Interval:
-    return a / b
 
 
 def gh_diff(a: Interval, b: Interval) -> Interval:
     return a.gh_sub(b)
-
-
-def scalar_mul(lam: Real, a: Interval) -> Interval:
-    return a.scale(lam)
-
-
-def norm(a: Interval) -> float:
-    return a.norm

@@ -39,10 +39,14 @@ from .ivf import (
     is_convex_sampled,
 )
 from .subgrad import (
+    _DOM_SLACK,
     SubgradientCandidate,
+    _GridValues,
+    _dominance_check,
+    _evaluate,
     _feasible_box_1d,
+    _grid_values,
     _pairing_lo_hi,
-    is_subgradient,
 )
 
 
@@ -111,9 +115,12 @@ def efficient_on_grid(p: Iop, grid: Optional[Grid] = None) -> EfficiencyReport:
     """Flag each grid point no other grid point strictly dominates."""
     if grid is None:
         grid = p.objective.grid()
-    pts = grid.points()
-    lo, hi = p.objective.eval_many(pts)
-    return EfficiencyReport(pts, lo, hi, _pareto_flags(lo, hi), grid.step)
+    return _efficiency(_grid_values(p.objective, grid), grid)
+
+
+def _efficiency(values: _GridValues, grid: Grid) -> EfficiencyReport:
+    return EfficiencyReport(values.pts, values.lo, values.hi,
+                            _pareto_flags(values.lo, values.hi), grid.step)
 
 
 def _pareto_flags(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -157,13 +164,12 @@ def optimality_zero_condition(p: Iop, x_bar, grid: Optional[Grid] = None) -> boo
     if not f.contains(x):
         raise OutOfDomain(f"{x.tolist()} is outside the domain")
     cand = SubgradientCandidate(IVector.zero(f.arity), tuple(x))
-    ok, _ = is_subgradient(f, cand, grid)
-    if ok:
-        report = efficient_on_grid(p, grid)
-        if not report.is_flagged_near(x):
-            raise GhcalcError(
-                "zero-subgradient point was not flagged efficient; "
-                "sufficiency violated at grid resolution")
+    values, base, f0 = _evaluate(f, cand, grid)
+    ok, _ = _dominance_check(values, base, f0, cand.g, _DOM_SLACK)
+    if ok and not _efficiency(values, grid or f.grid()).is_flagged_near(x):
+        raise GhcalcError(
+            "zero-subgradient point was not flagged efficient; "
+            "sufficiency violated at grid resolution")
     return ok
 
 
@@ -176,20 +182,18 @@ def optimality_nprec_condition(p: Iop, x_bar, cand: SubgradientCandidate,
     """
     f = p.objective
     x = np.asarray(x_bar, dtype=float).ravel()
-    ok, witness = is_subgradient(f, cand, grid)
+    values, base, f0 = _evaluate(f, cand, grid)
+    ok, witness = _dominance_check(values, base, f0, cand.g, _DOM_SLACK)
     if not ok:
         raise CandidateNotSubgradient(
             f"candidate fails the subgradient test, witness {witness}")
-    pts = (grid or f.grid()).points()
-    lhs_lo, lhs_hi = _pairing_lo_hi(pts - x[None, :], cand.g)
+    lhs_lo, lhs_hi = _pairing_lo_hi(values.pts - x[None, :], cand.g)
     precedes_zero = (lhs_lo <= 0.0) & (lhs_hi <= 0.0) & ((lhs_lo < 0.0) | (lhs_hi < 0.0))
     holds = not bool(precedes_zero.any())
-    if holds:
-        report = efficient_on_grid(p, grid)
-        if not report.is_flagged_near(x):
-            raise GhcalcError(
-                "nonpreceding-product point was not flagged efficient; "
-                "sufficiency violated at grid resolution")
+    if holds and not _efficiency(values, grid or f.grid()).is_flagged_near(x):
+        raise GhcalcError(
+            "nonpreceding-product point was not flagged efficient; "
+            "sufficiency violated at grid resolution")
     return holds
 
 
@@ -234,9 +238,10 @@ def _default_schedule(k: int) -> float:
     return 0.1 / math.sqrt(k + 1)
 
 
-def _subgradient_at(f: Ivf, x: np.ndarray, grid: Grid,
-                    cfg: WMapConfig) -> IVector:
-    """Gradient when it exists, else a kink subgradient.
+def _subgradient_at(f: Ivf, x: np.ndarray, values: _GridValues,
+                    fx: Tuple[float, float]) -> IVector:
+    """Gradient when it exists, else a kink subgradient, verified against
+    F on the grid (`values`) with fx = F(x).
 
     At a kink the feasible (g_lo, g_hi) box is derived analytically from
     the grid constraints and the feasible candidate closest to the zero
@@ -247,7 +252,7 @@ def _subgradient_at(f: Ivf, x: np.ndarray, grid: Grid,
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", OneSidedDifferenceWarning)
             grad = gh_gradient(f, x)
-        ok, _ = is_subgradient(f, SubgradientCandidate(grad, tuple(x)), grid)
+        ok, _ = _dominance_check(values, x, fx, grad, _DOM_SLACK)
         if ok:
             return grad
     except NonFiniteDerivative:
@@ -256,7 +261,7 @@ def _subgradient_at(f: Ivf, x: np.ndarray, grid: Grid,
         raise NoSubgradientFound(
             "no verified subgradient at a multivariate kink")
     x0 = float(x[0])
-    p_lb, p_ub, q_lb, q_ub = _feasible_box_1d(f, x0, grid, tol=1e-10)
+    p_lb, p_ub, q_lb, q_ub = _feasible_box_1d(values, x0, fx, tol=1e-10)
     if p_lb > p_ub or q_lb > q_ub or p_lb > q_ub:
         raise NoSubgradientFound(f"empty feasible region at {x0}")
     # feasible candidate closest to the zero vector: clip per endpoint,
@@ -266,12 +271,12 @@ def _subgradient_at(f: Ivf, x: np.ndarray, grid: Grid,
     if p > q:
         t = min(max(0.0, max(p_lb, q_lb)), min(p_ub, q_ub))
         p = q = t
-    cand = SubgradientCandidate(IVector.of(Interval(p, q)), (x0,))
-    ok, witness = is_subgradient(f, cand, grid, tol=2e-10)
+    g = IVector.of(Interval(p, q))
+    ok, witness = _dominance_check(values, x, fx, g, 2e-10)
     if not ok:
         raise NoSubgradientFound(
             f"kink candidate failed verification at {witness}")
-    return cand.g
+    return g
 
 
 def scalarized_descent(p: Iop, x0, cfg: WMapConfig = WMapConfig(),
@@ -284,7 +289,9 @@ def scalarized_descent(p: Iop, x0, cfg: WMapConfig = WMapConfig(),
     domain box.  Stops early when the scalarized subgradient vanishes.
     Returns the dominance-minimal trace iterate (scalarized value breaks
     ties among mutually incomparable candidates) plus its efficiency
-    flag and the full trace.
+    flag and the full trace.  F is evaluated on the grid once per call;
+    each iteration evaluates it only at the iterate and its gradient
+    stencil.
     """
     f = p.objective
     if step_schedule is None:
@@ -296,11 +303,12 @@ def scalarized_descent(p: Iop, x0, cfg: WMapConfig = WMapConfig(),
         raise OutOfDomain(f"{x.tolist()} is outside the domain")
     lower = np.array([l for l, _ in f.domain])
     upper = np.array([u for _, u in f.domain])
+    values = _grid_values(f, grid)
     trace: List[TraceRecord] = []
     for k in range(iters):
         value = f.eval(x)
         scalar = cfg.w * value.lo + cfg.w_prime * value.hi
-        g = _subgradient_at(f, x, grid, cfg)
+        g = _subgradient_at(f, x, values, (value.lo, value.hi))
         direction = np.array(w_map(g, cfg))
         step = step_schedule(k)
         trace.append(TraceRecord(k, tuple(float(v) for v in x), value,
@@ -309,8 +317,7 @@ def scalarized_descent(p: Iop, x0, cfg: WMapConfig = WMapConfig(),
             break
         x = np.clip(x - step * direction, lower, upper)
     best = _dominance_minimal(trace)
-    report = efficient_on_grid(p, grid)
-    flagged = report.is_flagged_near(best.x)
+    flagged = _efficiency(values, grid).is_flagged_near(best.x)
     return DescentResult(best.x, best.value, flagged, tuple(trace))
 
 

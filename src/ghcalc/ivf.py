@@ -396,7 +396,11 @@ def lipschitz_estimate(f: Ivf, grid: Grid) -> float:
     A lower bound on the true Lipschitz constant.
     """
     pts = grid.points()
-    lo, hi = f.eval_many(pts)
+    return _lipschitz_max(pts, *f.eval_many(pts))
+
+
+def _lipschitz_max(pts: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> float:
+    """Max over pairs of samples of the gH-difference norm over the distance."""
     block_max = []
     for i, j in _row_blocks(pts.shape[0]):
         # in-place arithmetic keeps few block-sized arrays alive at once

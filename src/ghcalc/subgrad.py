@@ -35,7 +35,14 @@ from .errors import (
 from .expr import BinOp, Const, Norm
 from .interval import Interval
 from .ivector import IVector, dot
-from .ivf import Grid, Ivf, directional_gh_derivative, gh_gradient, lipschitz_estimate
+from .ivf import (
+    Grid,
+    Ivf,
+    _lipschitz_max,
+    directional_gh_derivative,
+    gh_gradient,
+    lipschitz_estimate,  # noqa: F401  (callers import it from this module too)
+)
 
 _DOM_SLACK = 1e-10
 
@@ -118,10 +125,51 @@ def _pairing_lo_hi(dx: np.ndarray, g: IVector) -> Tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def _grid_samples(f: Ivf, grid: Optional[Grid]) -> np.ndarray:
-    if grid is None:
-        grid = f.grid()
-    return grid.points()
+@dataclass(frozen=True)
+class _GridValues:
+    """F evaluated once at the grid samples; every sampled check of the
+    subgradient inequality at any base point reads its values from here."""
+
+    pts: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+    def rhs(self, f0: Tuple[float, float], tol: float) -> Tuple[np.ndarray, np.ndarray]:
+        """Endpoints of F(x) gh- F(x_bar) at every sample, each plus the
+        slack tol, given F(x_bar) as (lo, hi)."""
+        d_lo = self.lo - f0[0]
+        d_hi = self.hi - f0[1]
+        return np.minimum(d_lo, d_hi) + tol, np.maximum(d_lo, d_hi) + tol
+
+
+def _grid_values(f: Ivf, grid: Optional[Grid]) -> _GridValues:
+    pts = (f.grid() if grid is None else grid).points()
+    return _GridValues(pts, *f.eval_many(pts))
+
+
+def _evaluate(f: Ivf, cand: SubgradientCandidate, grid: Optional[Grid]):
+    """F on the grid, the candidate's base point and F there as (lo, hi)."""
+    x_bar = np.asarray(cand.base_point, dtype=float)
+    if not f.contains(x_bar):
+        raise OutOfDomain(f"{cand.base_point} is outside the domain")
+    values = _grid_values(f, grid)
+    f0_lo, f0_hi = f.eval_many(x_bar[None, :])
+    return values, x_bar, (f0_lo[0], f0_hi[0])
+
+
+def _dominance_check(values: _GridValues, x_bar: np.ndarray,
+                     f0: Tuple[float, float], g: IVector, tol: float):
+    """(True, None), or (False, witness) with the first sample in grid order
+    where (x - x_bar)^T (.) G fails to precede F(x) gh- F(x_bar)."""
+    rhs_lo, rhs_hi = values.rhs(f0, tol)
+    lhs_lo, lhs_hi = _pairing_lo_hi(values.pts - x_bar[None, :], g)
+    return _verdict(values.pts, (lhs_lo > rhs_lo) | (lhs_hi > rhs_hi))
+
+
+def _verdict(pts: np.ndarray, bad: np.ndarray):
+    if bad.any():
+        return False, pts[int(np.argmax(bad))].tolist()
+    return True, None
 
 
 def is_subgradient(f: Ivf, cand: SubgradientCandidate,
@@ -129,24 +177,10 @@ def is_subgradient(f: Ivf, cand: SubgradientCandidate,
                    tol: float = _DOM_SLACK):
     """Check the subgradient dominance at every grid sample.
 
-    Returns (True, None) or (False, witness) with the first violating
-    sample in grid order.
+    F is evaluated on the grid once per call.  Returns (True, None) or
+    (False, witness) with the first violating sample in grid order.
     """
-    x_bar = np.asarray(cand.base_point, dtype=float)
-    if not f.contains(x_bar):
-        raise OutOfDomain(f"{cand.base_point} is outside the domain")
-    pts = _grid_samples(f, grid)
-    lo, hi = f.eval_many(pts)
-    f0_lo, f0_hi = f.eval_many(x_bar[None, :])
-    d_lo = lo - f0_lo[0]
-    d_hi = hi - f0_hi[0]
-    rhs_lo = np.minimum(d_lo, d_hi)
-    rhs_hi = np.maximum(d_lo, d_hi)
-    lhs_lo, lhs_hi = _pairing_lo_hi(pts - x_bar[None, :], cand.g)
-    bad = (lhs_lo > rhs_lo + tol) | (lhs_hi > rhs_hi + tol)
-    if bad.any():
-        return False, pts[int(np.argmax(bad))].tolist()
-    return True, None
+    return _dominance_check(*_evaluate(f, cand, grid), cand.g, tol)
 
 
 def is_subgradient_strict_variant(f: Ivf, cand: SubgradientCandidate,
@@ -157,17 +191,10 @@ def is_subgradient_strict_variant(f: Ivf, cand: SubgradientCandidate,
     Far more restrictive than the gh-difference form; returns (bool,
     witness) the same way as is_subgradient.
     """
-    x_bar = np.asarray(cand.base_point, dtype=float)
-    if not f.contains(x_bar):
-        raise OutOfDomain(f"{cand.base_point} is outside the domain")
-    pts = _grid_samples(f, grid)
-    lo, hi = f.eval_many(pts)
-    f0_lo, f0_hi = f.eval_many(x_bar[None, :])
-    lhs_lo, lhs_hi = _pairing_lo_hi(pts - x_bar[None, :], cand.g)
-    bad = (lhs_lo + f0_lo[0] > lo + tol) | (lhs_hi + f0_hi[0] > hi + tol)
-    if bad.any():
-        return False, pts[int(np.argmax(bad))].tolist()
-    return True, None
+    values, x_bar, (f0_lo, f0_hi) = _evaluate(f, cand, grid)
+    lhs_lo, lhs_hi = _pairing_lo_hi(values.pts - x_bar[None, :], cand.g)
+    return _verdict(values.pts, (lhs_lo + f0_lo > values.lo + tol)
+                    | (lhs_hi + f0_hi > values.hi + tol))
 
 
 # --------------------------------------------------------------------------
@@ -175,23 +202,18 @@ def is_subgradient_strict_variant(f: Ivf, cand: SubgradientCandidate,
 # --------------------------------------------------------------------------
 
 
-def _feasible_box_1d(f: Ivf, x_bar: float, grid: Optional[Grid],
+def _feasible_box_1d(values: _GridValues, x_bar: float, f0: Tuple[float, float],
                      tol: float) -> Tuple[float, float, float, float]:
-    """Analytic (p_lb, p_ub, q_lb, q_ub) bounds on feasible (g_lo, g_hi).
+    """Analytic (p_lb, p_ub, q_lb, q_ub) bounds on feasible (g_lo, g_hi):
+    the projection of the sample constraints of _dominance_check.
 
     For a displacement d > 0 the dominance at that sample reads
     p*d <= rhs_lo + tol and q*d <= rhs_hi + tol; for d < 0 the endpoints
     swap roles.  Dividing by d gives upper bounds from the d > 0 samples
     and lower bounds from the d < 0 samples; samples with d = 0 are void.
     """
-    pts = _grid_samples(f, grid)
-    lo, hi = f.eval_many(pts)
-    f0 = f.eval([x_bar])
-    d_lo = lo - f0.lo
-    d_hi = hi - f0.hi
-    rhs_lo = np.minimum(d_lo, d_hi) + tol
-    rhs_hi = np.maximum(d_lo, d_hi) + tol
-    d = pts[:, 0] - x_bar
+    rhs_lo, rhs_hi = values.rhs(f0, tol)
+    d = values.pts[:, 0] - x_bar
     pos = d > 0.0
     neg = d < 0.0
     p_ub = float(np.min(rhs_lo[pos] / d[pos])) if pos.any() else math.inf
@@ -226,7 +248,8 @@ def subdiff_scan_1d(f: Ivf, x_bar: float,
                     (deriv.hi - 3.0, deriv.hi + 3.0))
     p_vals = np.linspace(g_bounds[0][0], g_bounds[0][1], steps[0])
     q_vals = np.linspace(g_bounds[1][0], g_bounds[1][1], steps[1])
-    box = _feasible_box_1d(f, float(x_bar), grid, tol)
+    values = _grid_values(f, grid)
+    box = _feasible_box_1d(values, float(x_bar), f.boundary([x_bar]), tol)
     p_lb, p_ub, q_lb, q_ub = box
     p_ok = (p_vals >= p_lb) & (p_vals <= p_ub)
     q_ok = (q_vals >= q_lb) & (q_vals <= q_ub)
@@ -240,14 +263,10 @@ def subdiff_scan_1d(f: Ivf, x_bar: float,
 def _scan_candidates_2d(f: Ivf, x_bar: np.ndarray, bounds, steps,
                         grid: Optional[Grid], tol: float) -> np.ndarray:
     """Brute-force feasible (p1, q1, p2, q2) tuples for a two-variable f."""
-    pts = _grid_samples(f, grid)
-    lo, hi = f.eval_many(pts)
+    values = _grid_values(f, grid)
     f0_lo, f0_hi = f.eval_many(x_bar[None, :])
-    d_lo = lo - f0_lo[0]
-    d_hi = hi - f0_hi[0]
-    rhs_lo = np.minimum(d_lo, d_hi) + tol
-    rhs_hi = np.maximum(d_lo, d_hi) + tol
-    dx = pts - x_bar[None, :]
+    rhs_lo, rhs_hi = values.rhs((f0_lo[0], f0_hi[0]), tol)
+    dx = values.pts - x_bar[None, :]
     dpos = np.maximum(dx, 0.0)
     dneg = np.minimum(dx, 0.0)
     axes = [np.linspace(b[0], b[1], s) for b, s in zip(bounds, steps)]
@@ -479,39 +498,51 @@ def union_boundedness_probe(f: Ivf, grid: Optional[Grid] = None,
     the boundedness probe.  Every extreme candidate contributing to the
     sup is re-verified against the full sample set, which also exercises
     closedness: the feasible region is cut out by non-strict
-    inequalities, so its frontier points must themselves pass.
+    inequalities, so its frontier points must themselves pass.  F is
+    evaluated on the grid once, and once more at each base point.
+    `on_empty` is "skip" (ignore base points with no feasible candidate)
+    or "raise" (raise EmptySubdifferentialEncountered).
     """
+    return _boundedness_probe(f, grid, scan_bounds, tol, on_empty)[0]
+
+
+def _boundedness_probe(f: Ivf, grid: Optional[Grid], scan_bounds, tol: float,
+                       on_empty: str) -> Tuple[float, _GridValues]:
+    """union_boundedness_probe's sup, and the grid values it was read from."""
+    if on_empty not in ("skip", "raise"):
+        raise ValueError(f"on_empty must be 'skip' or 'raise', got {on_empty!r}")
     if f.arity != 1:
         raise ValueError("the boundedness probe supports one variable only")
     if grid is None:
         grid = f.grid()
-    xs = grid.axes()[0]
+    values = _grid_values(f, grid)
     sup = 0.0
-    for x_bar in xs[1:-1]:
-        box = _feasible_box_1d(f, float(x_bar), grid, tol)
-        local, verts = _box_norm_sup(box, scan_bounds)
+    for x_bar in grid.axes()[0][1:-1]:
+        x = np.array([float(x_bar)])
+        f0 = f.boundary(x)
+        local, verts = _box_norm_sup(_feasible_box_1d(values, x[0], f0, tol), scan_bounds)
         if not verts:
             if on_empty == "raise":
                 raise EmptySubdifferentialEncountered(
                     f"no feasible candidate at base point {x_bar}")
             continue
         for p, q in verts:
-            if p > q:  # pragma: no cover - filtered above
-                continue
-            cand = SubgradientCandidate(IVector.of(Interval(p, q)), (float(x_bar),))
-            ok, witness = is_subgradient(f, cand, grid, tol=tol + 1e-12)
+            ok, witness = _dominance_check(values, x, f0, IVector.of(Interval(p, q)),
+                                           tol + 1e-12)
             if not ok:  # pragma: no cover - frontier is feasible by construction
                 raise EmptySubdifferentialEncountered(
                     f"frontier candidate failed re-verification at {witness}")
         sup = max(sup, local)
-    return sup
+    return sup, values
 
 
 def lipschitz_from_subgradients_check(f: Ivf, grid: Optional[Grid] = None,
                                       scan_bounds=None,
                                       tol: float = 1e-6) -> bool:
-    """Check the sampled Lipschitz quotient against the subgradient sup."""
-    if grid is None:
-        grid = f.grid()
-    sup = union_boundedness_probe(f, grid, scan_bounds, on_empty="raise")
-    return lipschitz_estimate(f, grid) <= sup + tol
+    """Check the sampled Lipschitz quotient against the subgradient sup.
+
+    The probe and the Lipschitz quotient share one evaluation of F on the
+    grid.
+    """
+    sup, values = _boundedness_probe(f, grid, scan_bounds, _DOM_SLACK, "raise")
+    return _lipschitz_max(values.pts, values.lo, values.hi) <= sup + tol

@@ -20,7 +20,7 @@ from ghcalc.problems import (
     quartic_ivf,
     smooth_parabolic_ivf,
 )
-from ghcalc.subgrad import SubgradientCandidate
+from ghcalc.subgrad import SubgradientCandidate, union_boundedness_probe
 
 
 def test_iop_rejects_nonconvex_objectives():
@@ -130,3 +130,25 @@ def test_descent_respects_the_weight_config():
     r = scalarized_descent(p, [1.5], WMapConfig(1.0, 0.0), iters=200,
                            grid=p.objective.grid(201))
     assert abs(r.x_best[0]) < 0.1
+
+
+@pytest.mark.parametrize("call", ["descent", "probe"])
+def test_one_full_grid_evaluation_per_call(monkeypatch, call):
+    f = piecewise_vee_ivf()
+    p, grid = Iop(f), f.grid(201)
+    sizes = []
+    eval_many = Ivf.eval_many
+
+    def counted(self, xs, check_domain=True):
+        sizes.append(len(xs))
+        return eval_many(self, xs, check_domain)
+
+    monkeypatch.setattr(Ivf, "eval_many", counted)
+    if call == "descent":
+        scalarized_descent(p, [-2.0], grid=grid)
+    else:
+        union_boundedness_probe(f, grid)
+    # one per iteration or base point, all far smaller than the grid
+    assert len(sizes) > 100
+    assert sizes.count(len(grid.points())) == 1
+    assert sorted(sizes)[-2] < 10

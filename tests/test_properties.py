@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghcalc import Interval, IVector, ZERO, compare, Dominance, dominates, strictly_dominates
-from ghcalc.interval import add, gh_diff, sub
+from ghcalc.interval import gh_diff
 from ghcalc.ivector import Star, dot, gh_distance, vec_norm, vec_op, w_map
 from ghcalc.ivf import Grid
 from ghcalc.problems import abs_slab_ivf
@@ -41,7 +41,7 @@ def test_gh_difference_cancels_exactly(a):
 
 @given(intervals(), intervals())
 def test_moore_subtraction_is_addition_of_the_negation(a, b):
-    assert sub(a, b) == add(a, b.scale(-1.0))
+    assert a - b == a + b.scale(-1.0)
 
 
 @given(intervals())

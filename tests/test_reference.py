@@ -1,30 +1,63 @@
-"""The fast grid kernels against the plain all-pairs definitions they replace.
+"""The fast grid kernels against the plain definitions they replace.
 
 The references below enumerate every pair of grid nodes (convexity,
 Lipschitz quotient) or build the N x N strict-dominance matrix
 (efficiency).  They are quadratic in time and memory, so the grids here
 stay small, but some are large enough to span several row blocks of the
-blocked pair walk.
+blocked pair walk.  The subgradient references evaluate F on the whole
+grid at every check, where the library evaluates it once per verdict and
+shares the values between checks.
 """
+
+import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ghcalc import Interval, Ivf
+from ghcalc import Interval, IVector, Ivf, WMapConfig, w_map
+from ghcalc.cli import parse_problem_file
+from ghcalc.errors import (
+    EmptySubdifferentialEncountered,
+    NonFiniteDerivative,
+    NoSubgradientFound,
+)
 from ghcalc.iop import (
+    DescentResult,
     Iop,
     TraceRecord,
     _dominance_minimal,
     _pareto_flags,
     efficient_on_grid,
+    scalarized_descent,
 )
-from ghcalc.ivf import _row_blocks, is_convex_sampled, lipschitz_estimate
+from ghcalc.ivf import (
+    OneSidedDifferenceWarning,
+    _row_blocks,
+    gh_gradient,
+    is_convex_sampled,
+    lipschitz_estimate,
+)
 from ghcalc.problems import (
     abs_slab_ivf,
     piecewise_vee_ivf,
     quartic_ivf,
     smooth_parabolic_ivf,
 )
+from ghcalc.subgrad import (
+    SubgradientCandidate,
+    _box_norm_sup,
+    _feasible_box_1d,
+    _grid_values,
+    _pairing_lo_hi,
+    is_subgradient,
+    is_subgradient_strict_variant,
+    lipschitz_from_subgradients_check,
+    union_boundedness_probe,
+)
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
 def convexity_reference(f, grid, tol=1e-10):
@@ -183,3 +216,186 @@ def test_dominance_minimal_keeps_the_scalarized_then_iteration_tie_break():
              for k, ((lo, hi), scal) in enumerate(zip(values, [1, 2, 2, 2, 2, 5, 0]))]
     best = _dominance_minimal(trace)
     assert best.iteration == 1
+
+
+# --------------------------------------------------------------------------
+# Subgradient checks with F evaluated on the whole grid at every call
+# --------------------------------------------------------------------------
+
+
+def subgradient_reference(f, cand, grid, tol=1e-10, strict=False):
+    """(ok, witness) of is_subgradient, or of the strict variant."""
+    x_bar = np.asarray(cand.base_point, dtype=float)
+    pts = grid.points()
+    lo, hi = f.eval_many(pts)
+    f0_lo, f0_hi = f.eval_many(x_bar[None, :])
+    lhs_lo, lhs_hi = _pairing_lo_hi(pts - x_bar[None, :], cand.g)
+    if strict:
+        bad = (lhs_lo + f0_lo[0] > lo + tol) | (lhs_hi + f0_hi[0] > hi + tol)
+    else:
+        d_lo = lo - f0_lo[0]
+        d_hi = hi - f0_hi[0]
+        bad = ((lhs_lo > np.minimum(d_lo, d_hi) + tol)
+               | (lhs_hi > np.maximum(d_lo, d_hi) + tol))
+    if bad.any():
+        return False, pts[int(np.argmax(bad))].tolist()
+    return True, None
+
+
+def feasible_box_reference(f, x_bar, grid, tol):
+    pts = grid.points()
+    lo, hi = f.eval_many(pts)
+    f0 = f.eval([x_bar])
+    d_lo = lo - f0.lo
+    d_hi = hi - f0.hi
+    rhs_lo = np.minimum(d_lo, d_hi) + tol
+    rhs_hi = np.maximum(d_lo, d_hi) + tol
+    d = pts[:, 0] - x_bar
+    pos = d > 0.0
+    neg = d < 0.0
+    p_ub = float(np.min(rhs_lo[pos] / d[pos])) if pos.any() else math.inf
+    q_ub = float(np.min(rhs_hi[pos] / d[pos])) if pos.any() else math.inf
+    q_lb = float(np.max(rhs_lo[neg] / d[neg])) if neg.any() else -math.inf
+    p_lb = float(np.max(rhs_hi[neg] / d[neg])) if neg.any() else -math.inf
+    return p_lb, p_ub, q_lb, q_ub
+
+
+def subgradient_at_reference(f, x, grid):
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", OneSidedDifferenceWarning)
+            grad = gh_gradient(f, x)
+        if subgradient_reference(f, SubgradientCandidate(grad, tuple(x)), grid)[0]:
+            return grad
+    except NonFiniteDerivative:
+        pass
+    if f.arity != 1:
+        raise NoSubgradientFound("no verified subgradient at a multivariate kink")
+    x0 = float(x[0])
+    p_lb, p_ub, q_lb, q_ub = feasible_box_reference(f, x0, grid, 1e-10)
+    if p_lb > p_ub or q_lb > q_ub or p_lb > q_ub:
+        raise NoSubgradientFound(f"empty feasible region at {x0}")
+    p = min(max(0.0, p_lb), p_ub)
+    q = min(max(0.0, q_lb), q_ub)
+    if p > q:
+        t = min(max(0.0, max(p_lb, q_lb)), min(p_ub, q_ub))
+        p = q = t
+    cand = SubgradientCandidate(IVector.of(Interval(p, q)), (x0,))
+    ok, witness = subgradient_reference(f, cand, grid, tol=2e-10)
+    if not ok:
+        raise NoSubgradientFound(f"kink candidate failed verification at {witness}")
+    return cand.g
+
+
+def descent_reference(p, x0, grid, cfg=WMapConfig(), iters=600):
+    f = p.objective
+    x = np.asarray(x0, dtype=float).ravel()
+    lower = np.array([l for l, _ in f.domain])
+    upper = np.array([u for _, u in f.domain])
+    trace = []
+    for k in range(iters):
+        value = f.eval(x)
+        g = subgradient_at_reference(f, x, grid)
+        direction = np.array(w_map(g, cfg))
+        step = 0.1 / math.sqrt(k + 1)
+        trace.append(TraceRecord(k, tuple(float(v) for v in x), value,
+                                 cfg.w * value.lo + cfg.w_prime * value.hi, step))
+        if float(np.max(np.abs(direction))) <= 1e-12:
+            break
+        x = np.clip(x - step * direction, lower, upper)
+    best = _dominance_minimal(trace)
+    flagged = efficient_on_grid(p, grid).is_flagged_near(best.x)
+    return DescentResult(best.x, best.value, flagged, tuple(trace))
+
+
+def probe_reference(f, grid, scan_bounds=None, tol=1e-10, on_empty="skip"):
+    """Sup of the candidate norm, re-evaluating the grid for every base
+    point's box and every vertex re-check."""
+    sup = 0.0
+    for x_bar in grid.axes()[0][1:-1]:
+        local, verts = _box_norm_sup(feasible_box_reference(f, float(x_bar), grid, tol),
+                                     scan_bounds)
+        if not verts:
+            if on_empty == "raise":
+                raise EmptySubdifferentialEncountered(
+                    f"no feasible candidate at base point {x_bar}")
+            continue
+        for p, q in verts:
+            cand = SubgradientCandidate(IVector.of(Interval(p, q)), (float(x_bar),))
+            assert subgradient_reference(f, cand, grid, tol=tol + 1e-12)[0]
+        sup = max(sup, local)
+    return sup
+
+
+# Kinked at 0.3, where the zero vector is a subgradient.
+KINKED_1D = Ivf.from_text(1, "[0.5,2]*abs(x1 - 0.3) + [0.2,1]*pow2(x1) + [1,2]",
+                          ((-1.0, 2.0),))
+
+# (objective, start, grid samples); grids off the default 201 show that
+# the descent verifies against the grid it was given
+DESCENT_CASES = {
+    "vee_from_left": (piecewise_vee_ivf(), -2.0, 201),
+    "vee_from_right": (piecewise_vee_ivf(), 6.0, 201),
+    "kinked_from_left": (KINKED_1D, -1.0, 151),
+    "kinked_from_right": (KINKED_1D, 2.0, 151),
+    "quartic_prob": (parse_problem_file(str(PROBLEMS / "quartic.prob")).ivf, 1.0, 121),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DESCENT_CASES))
+def test_descent_matches_the_full_grid_per_iteration_loop(name):
+    f, x0, samples = DESCENT_CASES[name]
+    p, grid = Iop(f), f.grid(samples)
+    result = scalarized_descent(p, [x0], grid=grid)
+    assert result == descent_reference(p, [x0], grid)
+    assert len(result.trace) > 1
+
+
+PROBE_CASES = {
+    "vee": (piecewise_vee_ivf(), None),
+    "kinked": (KINKED_1D, None),
+    "kinked_scan_bounds": (KINKED_1D, ((-1.0, 0.5), (-0.5, 1.0))),
+    "slab": (abs_slab_ivf(), None),
+    "quartic": (quartic_ivf(), None),
+}
+
+
+def outcome(call):
+    try:
+        return call()
+    except EmptySubdifferentialEncountered as exc:
+        return f"raised: {exc}"
+
+
+@pytest.mark.parametrize("name", sorted(PROBE_CASES))
+def test_probe_and_lipschitz_check_match_the_per_vertex_probe(name):
+    f, bounds = PROBE_CASES[name]
+    grid = f.grid(101)
+    assert union_boundedness_probe(f, grid, bounds) == probe_reference(f, grid, bounds)
+    expected = outcome(lambda: lipschitz_estimate(f, grid)
+                       <= probe_reference(f, grid, bounds, on_empty="raise") + 1e-6)
+    assert outcome(lambda: lipschitz_from_subgradients_check(f, grid, bounds)) == expected
+
+
+@pytest.mark.parametrize("f", [piecewise_vee_ivf(), KINKED_1D, quartic_ivf()])
+def test_feasible_box_matches_at_every_interior_node(f):
+    grid = f.grid(101)
+    values = _grid_values(f, grid)
+    for x_bar in grid.axes()[0][1:-1]:
+        x_bar = float(x_bar)
+        assert (_feasible_box_1d(values, x_bar, f.boundary([x_bar]), 1e-10)
+                == feasible_box_reference(f, x_bar, grid, 1e-10))
+
+
+def test_witnesses_match_on_a_2d_no_case():
+    f = Ivf.from_text(2, "[1,2]*pow2(x1) + [0,1]*abs(x2 - 0.25) + [3,4]",
+                      ((-1.0, 1.0), (-0.5, 2.0)))
+    grid = f.grid(41)
+    cand = SubgradientCandidate(IVector.of(Interval(0.5, 1.5), Interval(-1.0, 2.0)),
+                                (0.2, 0.25))
+    expected = subgradient_reference(f, cand, grid)
+    assert expected[0] is False
+    assert is_subgradient(f, cand, grid) == expected
+    strict = subgradient_reference(f, cand, grid, strict=True)
+    assert strict[0] is False
+    assert is_subgradient_strict_variant(f, cand, grid) == strict

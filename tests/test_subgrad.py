@@ -200,5 +200,11 @@ def test_union_boundedness_probe_on_the_slab():
         union_boundedness_probe(Ivf.from_text(2, "x1 + x2", ((-1, 1), (-1, 1))))
 
 
+def test_union_boundedness_probe_rejects_an_unknown_on_empty():
+    for on_empty in ("ignore", "Raise", ""):
+        with pytest.raises(ValueError, match="on_empty"):
+            union_boundedness_probe(abs_slab_ivf(), on_empty=on_empty)
+
+
 def test_lipschitz_bound_from_subgradients():
     assert lipschitz_from_subgradients_check(abs_slab_ivf())
