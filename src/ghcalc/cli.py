@@ -46,6 +46,11 @@ class ProblemFile:
     candidates: Tuple[IVector, ...]
 
 
+def _parse_candidate(text: str) -> IVector:
+    """An interval vector "([a,b],...)" or a single interval "[a,b]"."""
+    return IVector.parse(text) if text.startswith("(") else IVector.of(Interval.parse(text))
+
+
 def parse_problem_file(path: str) -> ProblemFile:
     with open(path, "r") as fh:
         text = fh.read()
@@ -78,10 +83,7 @@ def parse_problem_text(text: str) -> ProblemFile:
             elif key == "base_point":
                 base_points.append(tuple(float(v) for v in value.split(",")))
             elif key == "candidate":
-                if value.startswith("("):
-                    candidates.append(IVector.parse(value))
-                else:
-                    candidates.append(IVector.of(Interval.parse(value)))
+                candidates.append(_parse_candidate(value))
             else:
                 raise ParseError(f"unknown key {key!r}", lineno, 1)
         except ParseError:
@@ -147,27 +149,24 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _resolve_base_and_candidate(prob: ProblemFile, args):
-    if args.at is not None:
-        x_bar = _parse_point(args.at, prob.ivf.arity)
-    elif prob.base_points:
-        x_bar = prob.base_points[0]
-    else:
-        raise ParseError("no base point: pass --at or add base_point=")
-    if getattr(args, "g", None) is not None:
-        text = args.g
-        g = IVector.parse(text) if text.startswith("(") \
-            else IVector.of(Interval.parse(text))
-    elif prob.candidates:
-        g = prob.candidates[0]
-    else:
-        raise ParseError("no candidate: pass --g or add candidate=")
-    return x_bar, g
+def _base_point(prob: ProblemFile, text: Optional[str], flag: str) -> Tuple[float, ...]:
+    """The point passed as `flag`, else the file's first base_point."""
+    if text is not None:
+        return _parse_point(text, prob.ivf.arity)
+    if prob.base_points:
+        return prob.base_points[0]
+    raise ParseError(f"no base point: pass {flag} or add base_point=")
 
 
 def cmd_subgrad_check(args) -> int:
     prob = parse_problem_file(args.file)
-    x_bar, g = _resolve_base_and_candidate(prob, args)
+    x_bar = _base_point(prob, args.at, "--at")
+    if args.g is not None:
+        g = _parse_candidate(args.g)
+    elif prob.candidates:
+        g = prob.candidates[0]
+    else:
+        raise ParseError("no candidate: pass --g or add candidate=")
     cand = SubgradientCandidate(g, x_bar)
     grid = prob.ivf.grid(args.grid)
     check = is_subgradient_strict_variant if args.strict else is_subgradient
@@ -183,12 +182,7 @@ def cmd_subgrad_check(args) -> int:
 def cmd_subdiff_scan(args) -> int:
     prob = parse_problem_file(args.file)
     f = prob.ivf
-    if args.at is not None:
-        x_bar = _parse_point(args.at, f.arity)
-    elif prob.base_points:
-        x_bar = prob.base_points[0]
-    else:
-        raise ParseError("no base point: pass --at or add base_point=")
+    x_bar = _base_point(prob, args.at, "--at")
     bounds = None
     if args.bounds is not None:
         vals = [float(v) for v in args.bounds.split(",")]
@@ -216,12 +210,7 @@ def cmd_descent(args) -> int:
 
     prob = parse_problem_file(args.file)
     p = Iop(prob.ivf)
-    if args.x0 is not None:
-        x0 = _parse_point(args.x0, prob.ivf.arity)
-    elif prob.base_points:
-        x0 = prob.base_points[0]
-    else:
-        raise ParseError("no start point: pass --x0 or add base_point=")
+    x0 = _base_point(prob, args.x0, "--x0")
     cfg = WMapConfig(args.w, 1.0 - args.w)
     result = scalarized_descent(p, x0, cfg, iters=args.iters,
                                 grid=prob.ivf.grid(args.grid))
@@ -246,65 +235,66 @@ def cmd_examples(args) -> int:
 # --------------------------------------------------------------------------
 
 
-def _add_common(sp, with_w: bool = False) -> None:
-    sp.add_argument("--grid", type=int, default=201,
-                    help="samples per axis (default 201)")
-    sp.add_argument("--tol", type=float, default=1e-10,
-                    help="dominance slack (default 1e-10)")
-    sp.add_argument("--out", default=None, help="write CSV here, not stdout")
-    if with_w:
-        sp.add_argument("--w", type=float, default=0.5,
-                        help="lower-endpoint scalarization weight")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    # shared options, each given only to the subcommands that read it
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--grid", type=int, default=201,
+                      help="samples per axis (default 201)")
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument("--tol", type=float, default=1e-10,
+                     help="dominance slack (default 1e-10)")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None, help="write CSV here, not stdout")
+
     parser = argparse.ArgumentParser(
         prog="ghcalc",
         description="Interval calculus: evaluation, subgradients, efficiency.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("eval", help="evaluate the objective to CSV")
+    sp = sub.add_parser("eval", parents=[grid, out],
+                        help="evaluate the objective to CSV")
     sp.add_argument("file")
     sp.add_argument("points", nargs="*",
                     help="points, comma-separated coordinates each")
     sp.add_argument("--on-grid", action="store_true",
                     help="evaluate at every grid node instead")
-    _add_common(sp)
     sp.set_defaults(func=cmd_eval)
 
-    sp = sub.add_parser("subgrad-check", help="test a candidate subgradient")
+    sp = sub.add_parser("subgrad-check", parents=[grid, tol],
+                        help="test a candidate subgradient")
     sp.add_argument("file")
     sp.add_argument("--at", default=None, help="base point")
     sp.add_argument("--g", default=None, help="candidate, e.g. ([2,4])")
     sp.add_argument("--strict", action="store_true",
                     help="use the restrictive additive variant")
-    _add_common(sp)
     sp.set_defaults(func=cmd_subgrad_check)
 
-    sp = sub.add_parser("subdiff-scan", help="scan a 1-d subdifferential")
+    sp = sub.add_parser("subdiff-scan", parents=[grid, tol, out],
+                        help="scan a 1-d subdifferential")
     sp.add_argument("file")
     sp.add_argument("--at", default=None, help="base point")
     sp.add_argument("--bounds", default=None,
                     help="scan rectangle p_min,p_max,q_min,q_max")
     sp.add_argument("--steps", type=int, default=121,
                     help="scan cells per parameter axis")
-    _add_common(sp)
     sp.set_defaults(func=cmd_subdiff_scan)
 
-    sp = sub.add_parser("efficient", help="flag efficient grid points")
+    sp = sub.add_parser("efficient", parents=[grid, out],
+                        help="flag efficient grid points")
     sp.add_argument("file")
-    _add_common(sp)
     sp.set_defaults(func=cmd_efficient)
 
-    sp = sub.add_parser("descent", help="run the scalarized descent heuristic")
+    sp = sub.add_parser("descent", parents=[grid, out],
+                        help="run the scalarized descent heuristic")
     sp.add_argument("file")
     sp.add_argument("--x0", default=None, help="start point")
     sp.add_argument("--iters", type=int, default=600)
-    _add_common(sp, with_w=True)
+    sp.add_argument("--w", type=float, default=0.5,
+                    help="lower-endpoint scalarization weight")
     sp.set_defaults(func=cmd_descent)
 
-    sp = sub.add_parser("examples", help="replay the canned examples")
-    _add_common(sp)
+    sp = sub.add_parser("examples", parents=[grid, tol],
+                        help="replay the canned examples")
     sp.set_defaults(func=cmd_examples)
 
     return parser
@@ -315,9 +305,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (GhcalcError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

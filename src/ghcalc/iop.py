@@ -41,12 +41,12 @@ from .ivf import (
 from .subgrad import (
     _DOM_SLACK,
     SubgradientCandidate,
+    _Constraints,
     _GridValues,
-    _dominance_check,
+    _cut_box_empty,
+    _endpoints,
     _evaluate,
-    _feasible_box_1d,
     _grid_values,
-    _pairing_lo_hi,
 )
 
 
@@ -106,10 +106,6 @@ class EfficiencyReport:
             out.write(f"{xs},{float(lo)!r},{float(hi)!r},{int(eff)}\n")
         return out.getvalue()
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="\n") as fh:
-            fh.write(self.to_csv())
-
 
 def efficient_on_grid(p: Iop, grid: Optional[Grid] = None) -> EfficiencyReport:
     """Flag each grid point no other grid point strictly dominates."""
@@ -161,11 +157,9 @@ def optimality_zero_condition(p: Iop, x_bar, grid: Optional[Grid] = None) -> boo
     """
     f = p.objective
     x = np.asarray(x_bar, dtype=float).ravel()
-    if not f.contains(x):
-        raise OutOfDomain(f"{x.tolist()} is outside the domain")
     cand = SubgradientCandidate(IVector.zero(f.arity), tuple(x))
-    values, base, f0 = _evaluate(f, cand, grid)
-    ok, _ = _dominance_check(values, base, f0, cand.g, _DOM_SLACK)
+    values, _, cons = _evaluate(f, cand, grid)
+    ok, _ = cons.check(cand.g, _DOM_SLACK)
     if ok and not _efficiency(values, grid or f.grid()).is_flagged_near(x):
         raise GhcalcError(
             "zero-subgradient point was not flagged efficient; "
@@ -177,17 +171,21 @@ def optimality_nprec_condition(p: Iop, x_bar, cand: SubgradientCandidate,
                                grid: Optional[Grid] = None) -> bool:
     """Sufficient condition: (x - x_bar)^T (.) G never strictly precedes 0.
 
-    The candidate must itself pass the subgradient test first.  When the
-    condition holds the point is cross-checked as efficient.
+    The candidate must itself pass the subgradient test first, and be
+    anchored at x_bar.  When the condition holds the point is
+    cross-checked as efficient.
     """
     f = p.objective
     x = np.asarray(x_bar, dtype=float).ravel()
-    values, base, f0 = _evaluate(f, cand, grid)
-    ok, witness = _dominance_check(values, base, f0, cand.g, _DOM_SLACK)
+    if tuple(x.tolist()) != cand.base_point:
+        raise ValueError(f"x_bar {x.tolist()} differs from the candidate's "
+                         f"base point {list(cand.base_point)}")
+    values, _, cons = _evaluate(f, cand, grid)
+    ok, witness = cons.check(cand.g, _DOM_SLACK)
     if not ok:
         raise CandidateNotSubgradient(
             f"candidate fails the subgradient test, witness {witness}")
-    lhs_lo, lhs_hi = _pairing_lo_hi(values.pts - x[None, :], cand.g)
+    lhs_lo, lhs_hi = cons.pairing(*_endpoints(cand.g))
     precedes_zero = (lhs_lo <= 0.0) & (lhs_hi <= 0.0) & ((lhs_lo < 0.0) | (lhs_hi < 0.0))
     holds = not bool(precedes_zero.any())
     if holds and not _efficiency(values, grid or f.grid()).is_flagged_near(x):
@@ -229,10 +227,6 @@ class DescentResult:
                       f"{rec.scalarized!r},{rec.step!r}\n")
         return out.getvalue()
 
-    def write_trace_csv(self, path) -> None:
-        with open(path, "w", newline="\n") as fh:
-            fh.write(self.trace_to_csv())
-
 
 def _default_schedule(k: int) -> float:
     return 0.1 / math.sqrt(k + 1)
@@ -248,11 +242,12 @@ def _subgradient_at(f: Ivf, x: np.ndarray, values: _GridValues,
     vector is returned, so the iteration stalls exactly when the zero
     vector is itself a subgradient.
     """
+    cons = _Constraints(values, x, fx)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", OneSidedDifferenceWarning)
             grad = gh_gradient(f, x)
-        ok, _ = _dominance_check(values, x, fx, grad, _DOM_SLACK)
+        ok, _ = cons.check(grad, _DOM_SLACK)
         if ok:
             return grad
     except NonFiniteDerivative:
@@ -261,9 +256,10 @@ def _subgradient_at(f: Ivf, x: np.ndarray, values: _GridValues,
         raise NoSubgradientFound(
             "no verified subgradient at a multivariate kink")
     x0 = float(x[0])
-    p_lb, p_ub, q_lb, q_ub = _feasible_box_1d(values, x0, fx, tol=1e-10)
-    if p_lb > p_ub or q_lb > q_ub or p_lb > q_ub:
+    box = cons.box(_DOM_SLACK)
+    if _cut_box_empty(box):
         raise NoSubgradientFound(f"empty feasible region at {x0}")
+    p_lb, p_ub, q_lb, q_ub = box
     # feasible candidate closest to the zero vector: clip per endpoint,
     # fall back to the diagonal when the clipped pair is out of order
     p = min(max(0.0, p_lb), p_ub)
@@ -272,7 +268,7 @@ def _subgradient_at(f: Ivf, x: np.ndarray, values: _GridValues,
         t = min(max(0.0, max(p_lb, q_lb)), min(p_ub, q_ub))
         p = q = t
     g = IVector.of(Interval(p, q))
-    ok, witness = _dominance_check(values, x, fx, g, 2e-10)
+    ok, witness = cons.check(g, 2e-10)
     if not ok:
         raise NoSubgradientFound(
             f"kink candidate failed verification at {witness}")

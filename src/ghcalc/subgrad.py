@@ -38,6 +38,7 @@ from .ivector import IVector, dot
 from .ivf import (
     Grid,
     Ivf,
+    _PAIR_BLOCK,
     _lipschitz_max,
     directional_gh_derivative,
     gh_gradient,
@@ -109,37 +110,14 @@ class SubdiffRegion1D:
                 out.write(f"{float(p)!r},{float(q)!r},{int(self.bitmap[i, j])}\n")
         return out.getvalue()
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="\n") as fh:
-            fh.write(self.to_csv())
-
-
-def _pairing_lo_hi(dx: np.ndarray, g: IVector) -> Tuple[np.ndarray, np.ndarray]:
-    """Endpoints of (x - x_bar)^T (.) G for rows dx of displacements."""
-    lo = np.zeros(dx.shape[0])
-    hi = np.zeros(dx.shape[0])
-    for i, comp in enumerate(g):
-        d = dx[:, i]
-        lo += np.where(d >= 0.0, comp.lo * d, comp.hi * d)
-        hi += np.where(d >= 0.0, comp.hi * d, comp.lo * d)
-    return lo, hi
-
 
 @dataclass(frozen=True)
 class _GridValues:
-    """F evaluated once at the grid samples; every sampled check of the
-    subgradient inequality at any base point reads its values from here."""
+    """F evaluated once at the grid samples, shared by every base point."""
 
     pts: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
-
-    def rhs(self, f0: Tuple[float, float], tol: float) -> Tuple[np.ndarray, np.ndarray]:
-        """Endpoints of F(x) gh- F(x_bar) at every sample, each plus the
-        slack tol, given F(x_bar) as (lo, hi)."""
-        d_lo = self.lo - f0[0]
-        d_hi = self.hi - f0[1]
-        return np.minimum(d_lo, d_hi) + tol, np.maximum(d_lo, d_hi) + tol
 
 
 def _grid_values(f: Ivf, grid: Optional[Grid]) -> _GridValues:
@@ -147,28 +125,98 @@ def _grid_values(f: Ivf, grid: Optional[Grid]) -> _GridValues:
     return _GridValues(pts, *f.eval_many(pts))
 
 
+def _endpoints(g: IVector) -> Tuple[np.ndarray, np.ndarray]:
+    """G as one candidate: (1, n) arrays of lower and upper endpoints."""
+    return (np.array([[c.lo for c in g]]), np.array([[c.hi for c in g]]))
+
+
+class _Constraints:
+    """The sampled subgradient inequality at one base point x_bar.
+
+    At a sample x, (x - x_bar)^T (.) G  precedes  F(x) gh- F(x_bar) is
+    linear in the endpoints (p, q) = (G_lo, G_hi):
+
+        sum_i p_i dpos_i + q_i dneg_i <= lo
+        sum_i q_i dpos_i + p_i dneg_i <= hi
+
+    with dpos = max(x - x_bar, 0), dneg = min(x - x_bar, 0) as (S, n)
+    arrays and [lo, hi] = F(x) gh- F(x_bar).  Every sampled check, box,
+    scan and probe reads the inequality from here; each check adds its
+    slack tol to the right side.  f0 is F(x_bar) as (lo, hi).
+    """
+
+    def __init__(self, values: _GridValues, x_bar: np.ndarray, f0: Tuple[float, float]):
+        dx = values.pts - x_bar[None, :]
+        d_lo = values.lo - f0[0]
+        d_hi = values.hi - f0[1]
+        self.pts = values.pts
+        self.dpos, self.dneg = np.maximum(dx, 0.0), np.minimum(dx, 0.0)
+        self.lo, self.hi = np.minimum(d_lo, d_hi), np.maximum(d_lo, d_hi)
+
+    def pairing(self, p: np.ndarray, q: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Endpoints of (x - x_bar)^T (.) G at every sample for M candidates
+        given as (M, n) endpoint arrays: two (M, S) arrays, accumulated
+        axis by axis in axis order."""
+        lo = hi = 0.0
+        for i in range(p.shape[1]):
+            dpos, dneg = self.dpos[:, i], self.dneg[:, i]
+            p_i, q_i = p[:, i, None], q[:, i, None]
+            lo = lo + (p_i * dpos + q_i * dneg)
+            hi = hi + (q_i * dpos + p_i * dneg)
+        return lo, hi
+
+    def violations(self, p: np.ndarray, q: np.ndarray, tol: float) -> np.ndarray:
+        """(M, S) mask of the samples where each candidate breaks the
+        inequality by more than tol."""
+        lhs_lo, lhs_hi = self.pairing(p, q)
+        return (lhs_lo > self.lo + tol) | (lhs_hi > self.hi + tol)
+
+    def check(self, g: IVector, tol: float):
+        """(True, None), or (False, witness) with the first violating
+        sample in grid order."""
+        return _verdict(self.pts, self.violations(*_endpoints(g), tol))
+
+    def box(self, tol: float) -> Tuple[float, float, float, float]:
+        """For one variable, the analytic (p_lb, p_ub, q_lb, q_ub) bounds on
+        feasible (g_lo, g_hi): the projection of the constraints.
+
+        With n = 1 a sample reads p*dpos + q*dneg <= lo + tol and
+        q*dpos + p*dneg <= hi + tol.  Dividing by the nonzero displacement
+        gives upper bounds from the samples with x > x_bar and lower bounds
+        from those with x < x_bar; the sample at x_bar is void.
+        """
+        rhs_lo, rhs_hi = self.lo + tol, self.hi + tol
+        dpos, dneg = self.dpos[:, 0], self.dneg[:, 0]
+        pos = dpos > 0.0
+        neg = dneg < 0.0
+        p_ub = float(np.min(rhs_lo[pos] / dpos[pos])) if pos.any() else math.inf
+        q_ub = float(np.min(rhs_hi[pos] / dpos[pos])) if pos.any() else math.inf
+        q_lb = float(np.max(rhs_lo[neg] / dneg[neg])) if neg.any() else -math.inf
+        p_lb = float(np.max(rhs_hi[neg] / dneg[neg])) if neg.any() else -math.inf
+        return p_lb, p_ub, q_lb, q_ub
+
+
+def _cut_box_empty(box: Tuple[float, float, float, float]) -> bool:
+    """Whether the box (p_lb, p_ub, q_lb, q_ub) misses {p <= q}."""
+    p_lb, p_ub, q_lb, q_ub = box
+    return p_lb > p_ub or q_lb > q_ub or p_lb > q_ub
+
+
 def _evaluate(f: Ivf, cand: SubgradientCandidate, grid: Optional[Grid]):
-    """F on the grid, the candidate's base point and F there as (lo, hi)."""
+    """F on the grid, F(x_bar) and the constraints at the candidate's base point."""
     x_bar = np.asarray(cand.base_point, dtype=float)
     if not f.contains(x_bar):
         raise OutOfDomain(f"{cand.base_point} is outside the domain")
     values = _grid_values(f, grid)
-    f0_lo, f0_hi = f.eval_many(x_bar[None, :])
-    return values, x_bar, (f0_lo[0], f0_hi[0])
-
-
-def _dominance_check(values: _GridValues, x_bar: np.ndarray,
-                     f0: Tuple[float, float], g: IVector, tol: float):
-    """(True, None), or (False, witness) with the first sample in grid order
-    where (x - x_bar)^T (.) G fails to precede F(x) gh- F(x_bar)."""
-    rhs_lo, rhs_hi = values.rhs(f0, tol)
-    lhs_lo, lhs_hi = _pairing_lo_hi(values.pts - x_bar[None, :], g)
-    return _verdict(values.pts, (lhs_lo > rhs_lo) | (lhs_hi > rhs_hi))
+    f0 = f.boundary(x_bar)
+    return values, f0, _Constraints(values, x_bar, f0)
 
 
 def _verdict(pts: np.ndarray, bad: np.ndarray):
+    """(True, None), or (False, witness): the first violating sample of the
+    first failing candidate, for an (M, S) mask over M candidates."""
     if bad.any():
-        return False, pts[int(np.argmax(bad))].tolist()
+        return False, pts[int(np.argmax(bad)) % pts.shape[0]].tolist()
     return True, None
 
 
@@ -180,7 +228,7 @@ def is_subgradient(f: Ivf, cand: SubgradientCandidate,
     F is evaluated on the grid once per call.  Returns (True, None) or
     (False, witness) with the first violating sample in grid order.
     """
-    return _dominance_check(*_evaluate(f, cand, grid), cand.g, tol)
+    return _evaluate(f, cand, grid)[2].check(cand.g, tol)
 
 
 def is_subgradient_strict_variant(f: Ivf, cand: SubgradientCandidate,
@@ -191,8 +239,8 @@ def is_subgradient_strict_variant(f: Ivf, cand: SubgradientCandidate,
     Far more restrictive than the gh-difference form; returns (bool,
     witness) the same way as is_subgradient.
     """
-    values, x_bar, (f0_lo, f0_hi) = _evaluate(f, cand, grid)
-    lhs_lo, lhs_hi = _pairing_lo_hi(values.pts - x_bar[None, :], cand.g)
+    values, (f0_lo, f0_hi), cons = _evaluate(f, cand, grid)
+    lhs_lo, lhs_hi = cons.pairing(*_endpoints(cand.g))
     return _verdict(values.pts, (lhs_lo + f0_lo > values.lo + tol)
                     | (lhs_hi + f0_hi > values.hi + tol))
 
@@ -200,27 +248,6 @@ def is_subgradient_strict_variant(f: Ivf, cand: SubgradientCandidate,
 # --------------------------------------------------------------------------
 # One-variable region scanning
 # --------------------------------------------------------------------------
-
-
-def _feasible_box_1d(values: _GridValues, x_bar: float, f0: Tuple[float, float],
-                     tol: float) -> Tuple[float, float, float, float]:
-    """Analytic (p_lb, p_ub, q_lb, q_ub) bounds on feasible (g_lo, g_hi):
-    the projection of the sample constraints of _dominance_check.
-
-    For a displacement d > 0 the dominance at that sample reads
-    p*d <= rhs_lo + tol and q*d <= rhs_hi + tol; for d < 0 the endpoints
-    swap roles.  Dividing by d gives upper bounds from the d > 0 samples
-    and lower bounds from the d < 0 samples; samples with d = 0 are void.
-    """
-    rhs_lo, rhs_hi = values.rhs(f0, tol)
-    d = values.pts[:, 0] - x_bar
-    pos = d > 0.0
-    neg = d < 0.0
-    p_ub = float(np.min(rhs_lo[pos] / d[pos])) if pos.any() else math.inf
-    q_ub = float(np.min(rhs_hi[pos] / d[pos])) if pos.any() else math.inf
-    q_lb = float(np.max(rhs_lo[neg] / d[neg])) if neg.any() else -math.inf
-    p_lb = float(np.max(rhs_hi[neg] / d[neg])) if neg.any() else -math.inf
-    return p_lb, p_ub, q_lb, q_ub
 
 
 def subdiff_scan_1d(f: Ivf, x_bar: float,
@@ -248,8 +275,8 @@ def subdiff_scan_1d(f: Ivf, x_bar: float,
                     (deriv.hi - 3.0, deriv.hi + 3.0))
     p_vals = np.linspace(g_bounds[0][0], g_bounds[0][1], steps[0])
     q_vals = np.linspace(g_bounds[1][0], g_bounds[1][1], steps[1])
-    values = _grid_values(f, grid)
-    box = _feasible_box_1d(values, float(x_bar), f.boundary([x_bar]), tol)
+    x = np.array([float(x_bar)])
+    box = _Constraints(_grid_values(f, grid), x, f.boundary(x)).box(tol)
     p_lb, p_ub, q_lb, q_ub = box
     p_ok = (p_vals >= p_lb) & (p_vals <= p_ub)
     q_ok = (q_vals >= q_lb) & (q_vals <= q_ub)
@@ -262,26 +289,18 @@ def subdiff_scan_1d(f: Ivf, x_bar: float,
 
 def _scan_candidates_2d(f: Ivf, x_bar: np.ndarray, bounds, steps,
                         grid: Optional[Grid], tol: float) -> np.ndarray:
-    """Brute-force feasible (p1, q1, p2, q2) tuples for a two-variable f."""
-    values = _grid_values(f, grid)
-    f0_lo, f0_hi = f.eval_many(x_bar[None, :])
-    rhs_lo, rhs_hi = values.rhs((f0_lo[0], f0_hi[0]), tol)
-    dx = values.pts - x_bar[None, :]
-    dpos = np.maximum(dx, 0.0)
-    dneg = np.minimum(dx, 0.0)
+    """Brute-force feasible (p1, q1, p2, q2) tuples for a two-variable f, checked
+    in chunks of at most _PAIR_BLOCK candidate-sample entries to bound memory."""
+    cons = _Constraints(_grid_values(f, grid), x_bar, f.boundary(x_bar))
     axes = [np.linspace(b[0], b[1], s) for b, s in zip(bounds, steps)]
     mesh = np.meshgrid(*axes, indexing="ij")
     cands = np.stack([m.ravel() for m in mesh], axis=1)
     cands = cands[(cands[:, 0] <= cands[:, 1]) & (cands[:, 2] <= cands[:, 3])]
     keep = np.zeros(cands.shape[0], dtype=bool)
-    for start in range(0, cands.shape[0], 2048):
-        c = cands[start:start + 2048]
-        p = c[:, 0::2]
-        q = c[:, 1::2]
-        lhs_lo = p @ dpos.T + q @ dneg.T
-        lhs_hi = q @ dpos.T + p @ dneg.T
-        keep[start:start + 2048] = np.all(
-            (lhs_lo <= rhs_lo[None, :]) & (lhs_hi <= rhs_hi[None, :]), axis=1)
+    chunk = max(1, _PAIR_BLOCK // cons.pts.shape[0])
+    for start in range(0, cands.shape[0], chunk):
+        c = cands[start:start + chunk]
+        keep[start:start + chunk] = ~cons.violations(c[:, 0::2], c[:, 1::2], tol).any(axis=1)
     return cands[keep]
 
 
@@ -469,7 +488,7 @@ def _box_norm_sup(box: Tuple[float, float, float, float],
         p_ub = min(p_ub, scan_bounds[0][1])
         q_lb = max(q_lb, scan_bounds[1][0])
         q_ub = min(q_ub, scan_bounds[1][1])
-    if p_lb > p_ub or q_lb > q_ub or p_lb > q_ub:
+    if _cut_box_empty((p_lb, p_ub, q_lb, q_ub)):
         return -math.inf, []
     verts = [(p, q)
              for p in (p_lb, p_ub) for q in (q_lb, q_ub) if p <= q]
@@ -477,11 +496,6 @@ def _box_norm_sup(box: Tuple[float, float, float, float],
     diag_hi = min(p_ub, q_ub)
     if diag_lo <= diag_hi:
         verts.extend([(diag_lo, diag_lo), (diag_hi, diag_hi)])
-    # clamp corners cut off by the half-plane onto its edge
-    if p_ub > q_ub >= p_lb:
-        verts.append((q_ub, q_ub))
-    if q_lb < p_lb <= q_ub:
-        verts.append((p_lb, p_lb))
     sup = max(max(abs(p), abs(q)) for p, q in verts)
     return sup, verts
 
@@ -519,19 +533,18 @@ def _boundedness_probe(f: Ivf, grid: Optional[Grid], scan_bounds, tol: float,
     sup = 0.0
     for x_bar in grid.axes()[0][1:-1]:
         x = np.array([float(x_bar)])
-        f0 = f.boundary(x)
-        local, verts = _box_norm_sup(_feasible_box_1d(values, x[0], f0, tol), scan_bounds)
+        cons = _Constraints(values, x, f.boundary(x))
+        local, verts = _box_norm_sup(cons.box(tol), scan_bounds)
         if not verts:
             if on_empty == "raise":
                 raise EmptySubdifferentialEncountered(
                     f"no feasible candidate at base point {x_bar}")
             continue
-        for p, q in verts:
-            ok, witness = _dominance_check(values, x, f0, IVector.of(Interval(p, q)),
-                                           tol + 1e-12)
-            if not ok:  # pragma: no cover - frontier is feasible by construction
-                raise EmptySubdifferentialEncountered(
-                    f"frontier candidate failed re-verification at {witness}")
+        pq = np.array(verts)
+        ok, witness = _verdict(cons.pts, cons.violations(pq[:, :1], pq[:, 1:], tol + 1e-12))
+        if not ok:  # pragma: no cover - frontier is feasible by construction
+            raise EmptySubdifferentialEncountered(
+                f"frontier candidate failed re-verification at {witness}")
         sup = max(sup, local)
     return sup, values
 

@@ -30,6 +30,8 @@ from ghcalc.ivf import (
     gh_gradient,
 )
 from ghcalc.problems import (
+    QUARTIC_TEXT,
+    SMOOTH_PARABOLIC_TEXT,
     abs_slab_ivf,
     piecewise_vee_ivf,
     quartic_ivf,
@@ -270,9 +272,6 @@ def test_criterion_10_boundedness_lipschitz_operator_norm(capsys):
 
 
 def test_criterion_11_chain_and_sum_rule_constructions(capsys):
-    quartic_text = ("[1,1]*pow4(x1) + [0,1]*(pow2(x1) - pow4(x1) + 34)"
-                    " + [1,6]")
-    parabolic_text = "[1,2]*pow2(x1) - [0,2]*(x1 + 1) + [4,6]"
     checks = []
 
     def chain(a_matrix, g_h, composite, x_bar):
@@ -310,10 +309,10 @@ def test_criterion_11_chain_and_sum_rule_constructions(capsys):
     summed([IVector.of(Interval(0, 0)), IVector.of(Interval(0, 2))],
            abs_slab_ivf(), (0.0,))
     summed([IVector.of(Interval(-1, 2)), IVector.of(Interval(1, 1))],
-           Ivf.from_text(1, parabolic_text + " + pow2(x1)", ((-1.0, 2.0),)),
+           Ivf.from_text(1, SMOOTH_PARABOLIC_TEXT + " + pow2(x1)", ((-1.0, 2.0),)),
            (0.5,))
     summed([IVector.of(Interval(2, 4)), IVector.of(Interval(0, 0))],
-           Ivf.from_text(1, quartic_text + " + [0,5]", ((0.0, 2.5),)), (1.0,))
+           Ivf.from_text(1, QUARTIC_TEXT + " + [0,5]", ((0.0, 2.5),)), (1.0,))
     summed([IVector.of(Interval(0.5, 1)), IVector.of(Interval(1, 2))],
            Ivf.from_text(1, "abs(x1)*[3,9]", ((-2.0, 2.0),)), (0.0,))
 

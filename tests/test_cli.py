@@ -1,9 +1,14 @@
+from pathlib import Path
+
 import pytest
 
-from ghcalc.cli import main, parse_problem_text
+from ghcalc import problems
+from ghcalc.cli import main, parse_problem_file, parse_problem_text
 from ghcalc.errors import ParseError
 from ghcalc.interval import Interval
 from ghcalc.ivector import IVector
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 SLAB = """\
 # one-variable kinked example
@@ -66,6 +71,16 @@ def test_parse_problem_text_errors():
     with pytest.raises(ParseError) as exc:
         parse_problem_text("arity=one\n")
     assert exc.value.line == 1
+
+
+@pytest.mark.parametrize("name, builder", [
+    ("abs_slab", problems.abs_slab_ivf),
+    ("parabolic_band", problems.smooth_parabolic_ivf),
+    ("piecewise_vee", problems.piecewise_vee_ivf),
+    ("quartic", problems.quartic_ivf),
+])
+def test_problem_files_match_the_canned_builders(name, builder):
+    assert parse_problem_file(str(PROBLEMS / f"{name}.prob")).ivf == builder()
 
 
 # ---------------------------------------------------------------------------
@@ -205,3 +220,30 @@ def test_parse_errors_exit_two(tmp_path, capsys):
 def test_point_dimension_mismatch_exits_two(slab_file, capsys):
     assert main(["eval", slab_file, "1,2"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--tol", "1e-8"],
+    ["efficient", "--tol", "1e-8"],
+    ["descent", "--tol", "1e-8"],
+    ["subgrad-check", "--out", "x.csv"],
+    ["examples", "--out", "x.csv"],
+])
+def test_flags_a_subcommand_does_not_read_are_refused(argv, slab_file):
+    if argv[0] != "examples":
+        argv = [argv[0], slab_file, *argv[1:]]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["subgrad-check", "--g", "[0,0]"], "--at"),
+    (["subdiff-scan"], "--at"),
+    (["descent"], "--x0"),
+])
+def test_missing_base_point_exits_two(argv, flag, tmp_path, capsys):
+    path = tmp_path / "nobase.prob"
+    path.write_text("arity=1\ndomain=[-2,2]\nobjective=abs(x1)*[1,3]\n")
+    assert main([argv[0], str(path), *argv[1:]]) == 2
+    assert f"no base point: pass {flag} or add base_point=" in capsys.readouterr().err

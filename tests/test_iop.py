@@ -89,6 +89,16 @@ def test_nprec_condition_holds_at_the_vee_floor():
     assert optimality_nprec_condition(p, [2.0], g, p.objective.grid(201))
 
 
+@pytest.mark.parametrize("x_bar", [[5.0], [0.0]])
+def test_nprec_condition_refuses_a_candidate_anchored_elsewhere(x_bar):
+    # the membership test reads the candidate's base point, so the
+    # condition and the efficiency cross-check must be read there too
+    p = Iop(piecewise_vee_ivf())
+    g = SubgradientCandidate(IVector.of(Interval(0, 0)), (2.0,))
+    with pytest.raises(ValueError, match="base point"):
+        optimality_nprec_condition(p, x_bar, g, p.objective.grid(201))
+
+
 def test_descent_stops_immediately_at_a_zero_subgradient():
     p = Iop(piecewise_vee_ivf())
     result = scalarized_descent(p, [2.0], grid=p.objective.grid(201))

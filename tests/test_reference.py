@@ -6,7 +6,9 @@ Lipschitz quotient) or build the N x N strict-dominance matrix
 stay small, but some are large enough to span several row blocks of the
 blocked pair walk.  The subgradient references evaluate F on the whole
 grid at every check, where the library evaluates it once per verdict and
-shares the values between checks.
+shares the values between checks.  The pairing and the box-norm sup
+are kept here as written before the constraint set replaced them, so they
+are independent of the code under test.
 """
 
 import math
@@ -47,10 +49,8 @@ from ghcalc.problems import (
 )
 from ghcalc.subgrad import (
     SubgradientCandidate,
-    _box_norm_sup,
-    _feasible_box_1d,
+    _Constraints,
     _grid_values,
-    _pairing_lo_hi,
     is_subgradient,
     is_subgradient_strict_variant,
     lipschitz_from_subgradients_check,
@@ -223,13 +223,50 @@ def test_dominance_minimal_keeps_the_scalarized_then_iteration_tie_break():
 # --------------------------------------------------------------------------
 
 
+def pairing_reference(dx, g):
+    """Endpoints of (x - x_bar)^T (.) G for rows dx of displacements."""
+    lo = np.zeros(dx.shape[0])
+    hi = np.zeros(dx.shape[0])
+    for i, comp in enumerate(g):
+        d = dx[:, i]
+        lo += np.where(d >= 0.0, comp.lo * d, comp.hi * d)
+        hi += np.where(d >= 0.0, comp.hi * d, comp.lo * d)
+    return lo, hi
+
+
+def box_norm_sup_reference(box, scan_bounds=None):
+    """Sup of max(|p|, |q|) over the feasible box cut by {p <= q}, and the
+    vertices it was evaluated at."""
+    p_lb, p_ub, q_lb, q_ub = box
+    if scan_bounds is not None:
+        p_lb = max(p_lb, scan_bounds[0][0])
+        p_ub = min(p_ub, scan_bounds[0][1])
+        q_lb = max(q_lb, scan_bounds[1][0])
+        q_ub = min(q_ub, scan_bounds[1][1])
+    if p_lb > p_ub or q_lb > q_ub or p_lb > q_ub:
+        return -math.inf, []
+    verts = [(p, q)
+             for p in (p_lb, p_ub) for q in (q_lb, q_ub) if p <= q]
+    diag_lo = max(p_lb, q_lb)
+    diag_hi = min(p_ub, q_ub)
+    if diag_lo <= diag_hi:
+        verts.extend([(diag_lo, diag_lo), (diag_hi, diag_hi)])
+    # clamp corners cut off by the half-plane onto its edge
+    if p_ub > q_ub >= p_lb:
+        verts.append((q_ub, q_ub))
+    if q_lb < p_lb <= q_ub:
+        verts.append((p_lb, p_lb))
+    sup = max(max(abs(p), abs(q)) for p, q in verts)
+    return sup, verts
+
+
 def subgradient_reference(f, cand, grid, tol=1e-10, strict=False):
     """(ok, witness) of is_subgradient, or of the strict variant."""
     x_bar = np.asarray(cand.base_point, dtype=float)
     pts = grid.points()
     lo, hi = f.eval_many(pts)
     f0_lo, f0_hi = f.eval_many(x_bar[None, :])
-    lhs_lo, lhs_hi = _pairing_lo_hi(pts - x_bar[None, :], cand.g)
+    lhs_lo, lhs_hi = pairing_reference(pts - x_bar[None, :], cand.g)
     if strict:
         bad = (lhs_lo + f0_lo[0] > lo + tol) | (lhs_hi + f0_hi[0] > hi + tol)
     else:
@@ -313,8 +350,8 @@ def probe_reference(f, grid, scan_bounds=None, tol=1e-10, on_empty="skip"):
     point's box and every vertex re-check."""
     sup = 0.0
     for x_bar in grid.axes()[0][1:-1]:
-        local, verts = _box_norm_sup(feasible_box_reference(f, float(x_bar), grid, tol),
-                                     scan_bounds)
+        local, verts = box_norm_sup_reference(
+            feasible_box_reference(f, float(x_bar), grid, tol), scan_bounds)
         if not verts:
             if on_empty == "raise":
                 raise EmptySubdifferentialEncountered(
@@ -382,20 +419,39 @@ def test_feasible_box_matches_at_every_interior_node(f):
     grid = f.grid(101)
     values = _grid_values(f, grid)
     for x_bar in grid.axes()[0][1:-1]:
-        x_bar = float(x_bar)
-        assert (_feasible_box_1d(values, x_bar, f.boundary([x_bar]), 1e-10)
-                == feasible_box_reference(f, x_bar, grid, 1e-10))
+        x = np.array([float(x_bar)])
+        assert (_Constraints(values, x, f.boundary(x)).box(1e-10)
+                == feasible_box_reference(f, float(x_bar), grid, 1e-10))
+
+
+# (objective, grid samples, candidate)
+WITNESS_CASES = {
+    "2d": (Ivf.from_text(2, "[1,2]*pow2(x1) + [0,1]*abs(x2 - 0.25) + [3,4]",
+                         ((-1.0, 1.0), (-0.5, 2.0))), 41,
+           SubgradientCandidate(IVector.of(Interval(0.5, 1.5), Interval(-1.0, 2.0)),
+                                (0.2, 0.25))),
+    # mixed-sign endpoints on every axis, so each displacement sign picks a
+    # different endpoint and the axis order of the accumulation shows
+    "3d": (Ivf.from_text(3, "[1,2]*pow2(x1) + [0,1]*abs(x2 - 0.25)"
+                            " + [0.5,3]*pow2(x3 + 0.1) + [3,4]",
+                         ((-1.0, 1.0), (-0.5, 2.0), (-1.0, 0.5))), 13,
+           SubgradientCandidate(IVector.of(Interval(-0.3, 0.7), Interval(-1.0, 2.0),
+                                           Interval(-0.9, 0.1)), (0.2, 0.25, -0.1))),
+}
 
 
 def test_witnesses_match_on_a_2d_no_case():
-    f = Ivf.from_text(2, "[1,2]*pow2(x1) + [0,1]*abs(x2 - 0.25) + [3,4]",
-                      ((-1.0, 1.0), (-0.5, 2.0)))
-    grid = f.grid(41)
-    cand = SubgradientCandidate(IVector.of(Interval(0.5, 1.5), Interval(-1.0, 2.0)),
-                                (0.2, 0.25))
-    expected = subgradient_reference(f, cand, grid)
-    assert expected[0] is False
-    assert is_subgradient(f, cand, grid) == expected
-    strict = subgradient_reference(f, cand, grid, strict=True)
-    assert strict[0] is False
-    assert is_subgradient_strict_variant(f, cand, grid) == strict
+    for f, samples, cand in WITNESS_CASES.values():
+        grid = f.grid(samples)
+        x_bar = np.asarray(cand.base_point)
+        cons = _Constraints(_grid_values(f, grid), x_bar, f.boundary(x_bar))
+        lhs = cons.pairing(np.array([[c.lo for c in cand.g]]),
+                           np.array([[c.hi for c in cand.g]]))
+        reference = pairing_reference(grid.points() - x_bar[None, :], cand.g)
+        assert all(np.array_equal(a[0], b) for a, b in zip(lhs, reference))
+        expected = subgradient_reference(f, cand, grid)
+        assert expected[0] is False
+        assert is_subgradient(f, cand, grid) == expected
+        strict = subgradient_reference(f, cand, grid, strict=True)
+        assert strict[0] is False
+        assert is_subgradient_strict_variant(f, cand, grid) == strict

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from ghcalc.problems import abs_slab_ivf, quartic_ivf, smooth_parabolic_ivf
 from ghcalc.subgrad import (
     LinearIvf,
     SubgradientCandidate,
+    _scan_candidates_2d,
     chain_rule_transport,
     check_singleton_at_differentiable,
     directional_max_check,
@@ -107,6 +110,34 @@ def test_singleton_check_fails_when_the_region_is_empty_in_2d():
     ok, _ = is_subgradient(f, SubgradientCandidate(grad, (0.5, 0.3)), f.grid(21))
     assert not ok
     assert not check_singleton_at_differentiable(f, (0.5, 0.3), f.grid(21), steps=9)
+
+
+def test_2d_scan_memory_does_not_grow_with_the_candidate_count():
+    f = Ivf.from_text(2, "[1,2]*pow2(x1) + pow2(x2) + [0,1]", ((-1, 1), (-1, 1)))
+    tracemalloc.start()
+    try:
+        assert check_singleton_at_differentiable(f, (0.5, 0.5), f.grid(81), steps=9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+
+
+def test_2d_scan_marks_exactly_the_candidates_is_subgradient_accepts():
+    f = Ivf.from_text(2, "abs(x1)*[1,3] + abs(x2 - 0.2)*[1,2] + [0,1]",
+                      ((-1, 1), (-1, 1)))
+    grid, x_bar = f.grid(11), (0.0, 0.2)
+    # lattice nodes fall on the edges of the region, where a slack decides
+    bounds = ((-5.0, 3.0), (-3.0, 5.0), (-3.0, 1.0), (-1.0, 3.0))
+    marked = _scan_candidates_2d(f, np.array(x_bar), bounds, (5,) * 4, grid, 1e-10)
+    axes = [np.linspace(lo, hi, 5) for lo, hi in bounds]
+    accepted = [
+        (p1, q1, p2, q2)
+        for p1 in axes[0] for q1 in axes[1] for p2 in axes[2] for q2 in axes[3]
+        if p1 <= q1 and p2 <= q2 and is_subgradient(f, SubgradientCandidate(
+            IVector.of(Interval(p1, q1), Interval(p2, q2)), x_bar), grid)[0]]
+    assert 0 < len(accepted) < 5 ** 4
+    assert sorted(map(tuple, marked.tolist())) == sorted(accepted)
 
 
 def test_directional_max_check_on_the_slab():
