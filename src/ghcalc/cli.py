@@ -293,8 +293,10 @@ def build_parser() -> argparse.ArgumentParser:
                     help="lower-endpoint scalarization weight")
     sp.set_defaults(func=cmd_descent)
 
-    sp = sub.add_parser("examples", parents=[grid, tol],
-                        help="replay the canned examples")
+    sp = sub.add_parser("examples", parents=[grid], help="replay the canned examples")
+    sp.add_argument("--tol", type=float, default=1e-10,
+                    help="dominance slack of the kinked-slab and parabolic-band "
+                         "scans (default 1e-10)")
     sp.set_defaults(func=cmd_examples)
 
     return parser

@@ -49,7 +49,11 @@ class ParseError(GhcalcError, ValueError):
 
 
 class NonFiniteDerivative(GhcalcError, ArithmeticError):
-    """Difference quotients do not settle across step refinement."""
+    """Difference quotients do not settle; `sampled` is F at the point, if sampled."""
+
+    def __init__(self, message, sampled=None):
+        super().__init__(message)
+        self.sampled = sampled
 
 
 class NoConvergence(GhcalcError, ArithmeticError):

@@ -34,7 +34,7 @@ def _check_abs_slab(grid: int, tol: float) -> Result:
             "region is the expected box; directional maximum [1,3]")
 
 
-def _check_piecewise_vee(grid: int, tol: float) -> Result:
+def _check_piecewise_vee(grid: int) -> Result:
     f = piecewise_vee_ivf()
     p = Iop(f)
     g = f.grid(grid)
@@ -79,6 +79,6 @@ def _check_smooth_parabolic(grid: int, tol: float) -> Result:
 def run_examples(grid: int = 201, tol: float = 1e-10) -> List[Result]:
     return [
         _check_abs_slab(grid, tol),
-        _check_piecewise_vee(grid, tol),
+        _check_piecewise_vee(grid),
         _check_smooth_parabolic(grid, tol),
     ]

@@ -23,9 +23,11 @@ Bare numbers parse as degenerate intervals.
 
 from __future__ import annotations
 
+import math
+import operator
 import re
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 
@@ -150,95 +152,124 @@ _PIECE_AGREEMENT_TOL = 1e-12
 
 def eval_lo_hi(node: Expr, xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Evaluate an expression at every row of xs, returning (lo, hi) arrays."""
-    n_pts = xs.shape[0]
+    return compile_lo_hi(node)(xs)
+
+
+def compile_lo_hi(node: Expr) -> Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]:
+    """Compile a tree once into closures xs -> (lo, hi) that give the floats
+    of Moore arithmetic on full (lo, hi) arrays.  A real-valued node carries
+    one array as both endpoints; a constant beside a non-constant is a float."""
+    fn, real = _compile(node)
+    return (lambda xs: tuple(v.copy() for v in fn(xs))) if real else fn
+
+
+def _compile(node: Expr, scalar: bool = False):
+    """(fn, real): fn(xs) returns (lo, hi), one array twice if the node is
+    real-valued: a variable, abs, pow, norm, a degenerate constant, or
+    +, -, ghsub, *, / of those.  With scalar, a constant returns floats."""
     if isinstance(node, Const):
-        return (np.full(n_pts, node.value.lo), np.full(n_pts, node.value.hi))
+        lo, hi = node.value.lo, node.value.hi
+        full = (lambda v, xs: v) if scalar else (lambda v, xs: np.full(xs.shape[0], v))
+        if lo == hi and math.copysign(1.0, lo) == math.copysign(1.0, hi):
+            return (lambda xs: (v := full(lo, xs), v)), True
+        return (lambda xs: (full(lo, xs), full(hi, xs))), False
     if isinstance(node, Var):
-        col = np.asarray(xs[:, node.index], dtype=float)
-        return col.copy(), col.copy()
-    if isinstance(node, BinOp):
-        llo, lhi = eval_lo_hi(node.left, xs)
-        rlo, rhi = eval_lo_hi(node.right, xs)
-        if node.op == "+":
-            return llo + rlo, lhi + rhi
-        if node.op == "-":
-            return llo - rhi, lhi - rlo
-        if node.op == "ghsub":
-            dlo = llo - rlo
-            dhi = lhi - rhi
-            return np.minimum(dlo, dhi), np.maximum(dlo, dhi)
-        if node.op == "*":
-            prods = np.stack([llo * rlo, llo * rhi, lhi * rlo, lhi * rhi])
-            return prods.min(axis=0), prods.max(axis=0)
-        if node.op == "/":
-            if np.any((rlo <= 0.0) & (rhi >= 0.0)):
-                bad = int(np.argmax((rlo <= 0.0) & (rhi >= 0.0)))
-                raise ZeroInDenominator(
-                    f"denominator contains 0 at point {xs[bad].tolist()}"
-                )
-            quots = np.stack([llo / rlo, llo / rhi, lhi / rlo, lhi / rhi])
-            return quots.min(axis=0), quots.max(axis=0)
-        raise ValueError(f"unknown operator {node.op!r}")  # pragma: no cover
-    if isinstance(node, Abs):
-        lo, hi = _degenerate_child(node.child, xs, "abs")
-        v = np.abs(lo)
-        return v, v.copy()
-    if isinstance(node, Pow):
-        lo, hi = _degenerate_child(node.child, xs, f"pow{node.exponent}")
-        v = lo ** node.exponent
-        return v, v.copy()
+        i = node.index
+        return (lambda xs: (v := np.asarray(xs[:, i], dtype=float), v)), True
     if isinstance(node, Norm):
-        v = np.sqrt(np.sum(xs * xs, axis=1))
-        return v, v.copy()
+        return (lambda xs: (v := np.sqrt(np.sum(xs * xs, axis=1)), v)), True
+    if isinstance(node, (Abs, Pow)):
+        name = "abs" if isinstance(node, Abs) else f"pow{node.exponent}"
+        arg = _checked(node.child, lambda lo, hi: lo != hi, NonDegenerateRealNode,
+                       f"{name} needs a real-valued argument, got [{{}}, {{}}]")[0]
+        real_op = np.abs if isinstance(node, Abs) else (lambda v, e=node.exponent: v ** e)
+        return (lambda xs: (v := real_op(arg(xs)[0]), v)), True
+    if isinstance(node, BinOp):
+        consts = isinstance(node.left, Const) and isinstance(node.right, Const)
+        lf, lreal = _compile(node.left, not consts)
+        if node.op == "/":  # a denominator stays an array: a zero is found at a point
+            rf, rreal = _checked(node.right, lambda lo, hi: (lo <= 0.0) & (hi >= 0.0),
+                                 ZeroInDenominator, "denominator contains 0")
+        else:
+            rf, rreal = _compile(node.right, not consts)
+        op = _REAL_OPS[node.op]
+        if lreal and rreal:
+            return (lambda xs: (v := op(lf(xs)[0], rf(xs)[0]), v)), True
+        pair_op = _PAIR_OPS[node.op]
+        if node.op in ("*", "/") and (lreal or rreal):
+            # one real operand: of the four corners, two pairs are equal
+            pair_op = lambda llo, lhi, rlo, rhi: _span(op(llo, rlo), op(lhi, rhi))
+        return (lambda xs: pair_op(*lf(xs), *rf(xs))), False
     if isinstance(node, Piecewise):
-        return _eval_piecewise(node, xs)
+        return _compile_piecewise(node), False
     raise TypeError(f"not an expression node: {node!r}")  # pragma: no cover
 
 
-def _degenerate_child(child: Expr, xs: np.ndarray, op_name: str):
-    lo, hi = eval_lo_hi(child, xs)
-    if np.any(lo != hi):
-        bad = int(np.argmax(lo != hi))
-        raise NonDegenerateRealNode(
-            f"{op_name} needs a real-valued argument, got "
-            f"[{lo[bad]}, {hi[bad]}] at point {xs[bad].tolist()}"
-        )
-    return lo, hi
+def _checked(child: Expr, bad, error, what: str):
+    """(fn, real) of the child; fn raises error at the first point where
+    bad(lo, hi) holds, its message what.format(lo, hi) plus the point."""
+    fn, real = _compile(child)
+
+    def checked(xs):
+        lo, hi = fn(xs)
+        mask = bad(lo, hi)
+        if mask.any():
+            k = int(np.argmax(mask))
+            raise error(f"{what.format(lo[k], hi[k])} at point {xs[k].tolist()}")
+        return lo, hi
+    return checked, real
 
 
-def _eval_piecewise(node: Piecewise, xs: np.ndarray):
-    n_pts = xs.shape[0]
-    out_lo = np.full(n_pts, np.nan)
-    out_hi = np.full(n_pts, np.nan)
-    covered = np.zeros(n_pts, dtype=bool)
-    for guard, body in node.pieces:
-        mask = guard.holds(xs)
-        if not mask.any():
-            continue
-        lo, hi = eval_lo_hi(body, xs[mask])
-        overlap = covered[mask]
-        if overlap.any():
-            # Closed guards meet at shared boundaries; that is only legal
-            # when both pieces agree there, otherwise the pieces fail to
-            # partition the domain.
-            if (np.max(np.abs(lo[overlap] - out_lo[mask][overlap])) > _PIECE_AGREEMENT_TOL
-                    or np.max(np.abs(hi[overlap] - out_hi[mask][overlap])) > _PIECE_AGREEMENT_TOL):
-                where = xs[mask][overlap][0]
-                raise OverlappingPieces(
-                    f"guards overlap with different values at {where.tolist()}"
-                )
-        tmp_lo = out_lo[mask]
-        tmp_hi = out_hi[mask]
-        fresh = ~overlap
-        tmp_lo[fresh] = lo[fresh]
-        tmp_hi[fresh] = hi[fresh]
-        out_lo[mask] = tmp_lo
-        out_hi[mask] = tmp_hi
-        covered |= mask
-    if not covered.all():
-        where = xs[~covered][0]
-        raise PiecewiseCoverageError(f"no guard covers point {where.tolist()}")
-    return out_lo, out_hi
+def _span(a, b):
+    return np.minimum(a, b), np.maximum(a, b)
+
+
+def _corners(*values):
+    stacked = np.stack(values)
+    return stacked.min(axis=0), stacked.max(axis=0)
+
+
+# ghsub of two reals is their difference
+_REAL_OPS = {"+": operator.add, "-": operator.sub, "ghsub": operator.sub,
+             "*": operator.mul, "/": operator.truediv}
+_PAIR_OPS = {
+    "+": lambda llo, lhi, rlo, rhi: (llo + rlo, lhi + rhi),
+    "-": lambda llo, lhi, rlo, rhi: (llo - rhi, lhi - rlo),
+    "ghsub": lambda llo, lhi, rlo, rhi: _span(llo - rlo, lhi - rhi),
+    "*": lambda llo, lhi, rlo, rhi: _corners(llo * rlo, llo * rhi, lhi * rlo, lhi * rhi),
+    "/": lambda llo, lhi, rlo, rhi: _corners(llo / rlo, llo / rhi, lhi / rlo, lhi / rhi),
+}
+
+
+def _compile_piecewise(node: Piecewise):
+    pieces = [(guard.holds, _compile(body)[0]) for guard, body in node.pieces]
+
+    def fn(xs):
+        out_lo, out_hi = np.full((2, xs.shape[0]), np.nan)
+        covered = np.zeros(xs.shape[0], dtype=bool)
+        for holds, body in pieces:
+            mask = holds(xs)
+            if not mask.any():
+                continue
+            lo, hi = body(xs[mask])
+            overlap = covered[mask]
+            if overlap.any():
+                # closed guards may meet where the pieces agree; a point
+                # covered already keeps the earlier piece's value
+                old_lo, old_hi = out_lo[mask], out_hi[mask]
+                if (np.max(np.abs(lo[overlap] - old_lo[overlap])) > _PIECE_AGREEMENT_TOL
+                        or np.max(np.abs(hi[overlap] - old_hi[overlap])) > _PIECE_AGREEMENT_TOL):
+                    raise OverlappingPieces(f"guards overlap with different values "
+                                            f"at {xs[mask][overlap][0].tolist()}")
+                lo = np.where(overlap, old_lo, lo)
+                hi = np.where(overlap, old_hi, hi)
+            out_lo[mask] = lo
+            out_hi[mask] = hi
+            covered |= mask
+        if not covered.all():
+            raise PiecewiseCoverageError(f"no guard covers point {xs[~covered][0].tolist()}")
+        return out_lo, out_hi
+    return fn
 
 
 # --------------------------------------------------------------------------

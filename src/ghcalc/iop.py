@@ -35,7 +35,7 @@ from .ivf import (
     Grid,
     Ivf,
     OneSidedDifferenceWarning,
-    gh_gradient,
+    _value_and_gradient,
     is_convex_sampled,
 )
 from .subgrad import (
@@ -232,29 +232,33 @@ def _default_schedule(k: int) -> float:
     return 0.1 / math.sqrt(k + 1)
 
 
-def _subgradient_at(f: Ivf, x: np.ndarray, values: _GridValues,
-                    fx: Tuple[float, float]) -> IVector:
-    """Gradient when it exists, else a kink subgradient, verified against
-    F on the grid (`values`) with fx = F(x).
+def _value_and_subgradient(f: Ivf, x: np.ndarray,
+                           values: _GridValues) -> Tuple[Interval, IVector]:
+    """F(x), read from the gradient stencil, and the gradient when it exists,
+    else a kink subgradient, verified against F on the grid (`values`).
 
     At a kink the feasible (g_lo, g_hi) box is derived analytically from
     the grid constraints and the feasible candidate closest to the zero
     vector is returned, so the iteration stalls exactly when the zero
     vector is itself a subgradient.
     """
-    cons = _Constraints(values, x, fx)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", OneSidedDifferenceWarning)
-            grad = gh_gradient(f, x)
-        ok, _ = cons.check(grad, _DOM_SLACK)
-        if ok:
-            return grad
-    except NonFiniteDerivative:
-        pass
+            fx, grad = _value_and_gradient(f, x)
+    except NonFiniteDerivative as exc:  # a kink; the stencil may hold F(x)
+        fx, grad = exc.sampled, None
+    # the stencils sample x + 0.0, which is not x where x holds a -0.0
+    if fx is None or (np.signbit(x) & (x == 0.0)).any():
+        fx = f.boundary(x)
+    value = Interval(float(fx[0]), float(fx[1]))
+    cons = _Constraints(values, x, (value.lo, value.hi))
+    if grad is not None and cons.check(grad, _DOM_SLACK)[0]:
+        return value, grad
     if f.arity != 1:
         raise NoSubgradientFound(
-            "no verified subgradient at a multivariate kink")
+            "multivariate descent is unsupported where the gH-gradient fails "
+            "the sampled subgradient check")
     x0 = float(x[0])
     box = cons.box(_DOM_SLACK)
     if _cut_box_empty(box):
@@ -272,7 +276,7 @@ def _subgradient_at(f: Ivf, x: np.ndarray, values: _GridValues,
     if not ok:
         raise NoSubgradientFound(
             f"kink candidate failed verification at {witness}")
-    return g
+    return value, g
 
 
 def scalarized_descent(p: Iop, x0, cfg: WMapConfig = WMapConfig(),
@@ -286,8 +290,8 @@ def scalarized_descent(p: Iop, x0, cfg: WMapConfig = WMapConfig(),
     Returns the dominance-minimal trace iterate (scalarized value breaks
     ties among mutually incomparable candidates) plus its efficiency
     flag and the full trace.  F is evaluated on the grid once per call;
-    each iteration evaluates it only at the iterate and its gradient
-    stencil.
+    each iteration evaluates it once per axis, on the gradient stencil,
+    which holds the iterate.
     """
     f = p.objective
     if step_schedule is None:
@@ -302,9 +306,8 @@ def scalarized_descent(p: Iop, x0, cfg: WMapConfig = WMapConfig(),
     values = _grid_values(f, grid)
     trace: List[TraceRecord] = []
     for k in range(iters):
-        value = f.eval(x)
+        value, g = _value_and_subgradient(f, x, values)
         scalar = cfg.w * value.lo + cfg.w_prime * value.hi
-        g = _subgradient_at(f, x, values, (value.lo, value.hi))
         direction = np.array(w_map(g, cfg))
         step = step_schedule(k)
         trace.append(TraceRecord(k, tuple(float(v) for v in x), value,

@@ -21,7 +21,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import NoConvergence, NonFiniteDerivative, OutOfDomain
-from .expr import Expr, eval_lo_hi, parse_expr
+from .expr import Expr, compile_lo_hi, parse_expr
 from .interval import Interval
 from .ivector import IVector
 
@@ -107,6 +107,14 @@ class Ivf:
         if self.body.arity_floor() > self.arity:
             raise ValueError("expression references a variable beyond the arity")
         object.__setattr__(self, "domain", domain)
+        # built once per function; not fields, so == and hash ignore them
+        tol = [_DOMAIN_TOL * (1.0 + abs(l) + abs(u)) for l, u in domain]
+        box = [(l - t, u + t) for (l, u), t in zip(domain, tol)]
+        object.__setattr__(self, "_box", np.array(box, ndmin=2).T)
+        object.__setattr__(self, "_lo_hi", compile_lo_hi(self.body))
+
+    def __reduce__(self):
+        return type(self), (self.arity, self.body, self.domain)
 
     @classmethod
     def from_text(cls, arity: int, text: str,
@@ -120,19 +128,16 @@ class Ivf:
         return arr
 
     def contains(self, x) -> bool:
+        # a NaN coordinate fails neither comparison, so it counts as inside
         arr = self._as_points(x)
-        for i, (l, u) in enumerate(self.domain):
-            tol = _DOMAIN_TOL * (1.0 + abs(l) + abs(u))
-            if np.any(arr[:, i] < l - tol) or np.any(arr[:, i] > u + tol):
-                return False
-        return True
+        return not ((arr < self._box[0]).any() or (arr > self._box[1]).any())
 
     def eval_many(self, xs: np.ndarray,
                   check_domain: bool = True) -> Tuple[np.ndarray, np.ndarray]:
         xs = self._as_points(xs)
         if check_domain and not self.contains(xs):
             raise OutOfDomain("evaluation point outside the domain box")
-        return eval_lo_hi(self.body, xs)
+        return self._lo_hi(xs)
 
     def eval(self, x) -> Interval:
         lo, hi = self.eval_many(x)
@@ -161,12 +166,13 @@ def _line_sampler(f: Ivf, x: np.ndarray, direction: np.ndarray) -> Callable:
 
 
 def _deriv_1d_from_sampler(sample, t: float, span: Tuple[float, float],
-                           scale: float) -> Interval:
+                           scale: float) -> Tuple[Tuple[float, float], Interval]:
     """Differentiate both boundary functions of a 1-d sampler at t.
 
     Central differences with two Richardson refinements in the interior;
     second-order one-sided stencils (with a warning) at span boundaries.
     Raises when the two one-sided slopes disagree, which signals a kink.
+    Returns the sampled (lo, hi) at t, which every stencil holds, too.
     """
     h0 = _FD_STEP_SCALE * (1.0 + abs(t)) * max(scale, 1.0)
     lo_edge = t - h0 * 1.001 < span[0]
@@ -181,6 +187,7 @@ def _deriv_1d_from_sampler(sample, t: float, span: Tuple[float, float],
         for h in (h0, h0 / 2.0):
             ts = np.array([t, t + sgn * h, t + 2.0 * sgn * h])
             lo, hi = sample(ts)
+            at_t = (lo[0], hi[0])
             d_los.append(sgn * (-3.0 * lo[0] + 4.0 * lo[1] - lo[2]) / (2.0 * h))
             d_his.append(sgn * (-3.0 * hi[0] + 4.0 * hi[1] - hi[2]) / (2.0 * h))
         d_lo = (4.0 * d_los[1] - d_los[0]) / 3.0
@@ -188,13 +195,14 @@ def _deriv_1d_from_sampler(sample, t: float, span: Tuple[float, float],
     else:
         offsets = np.array([-1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0]) * h0
         lo, hi = sample(t + offsets)
+        at_t = (lo[3], hi[3])
         d_lo = _central_richardson(lo, h0)
         d_hi = _central_richardson(hi, h0)
-        _check_no_kink(lo, h0, d_lo, "lower boundary")
-        _check_no_kink(hi, h0, d_hi, "upper boundary")
+        _check_no_kink(lo, h0, d_lo, "lower boundary", at_t)
+        _check_no_kink(hi, h0, d_hi, "upper boundary", at_t)
     if not (math.isfinite(d_lo) and math.isfinite(d_hi)):
-        raise NonFiniteDerivative("difference quotients diverged")
-    return Interval(min(d_lo, d_hi), max(d_lo, d_hi))
+        raise NonFiniteDerivative("difference quotients diverged", at_t)
+    return at_t, Interval(min(d_lo, d_hi), max(d_lo, d_hi))
 
 
 def _central_richardson(vals: np.ndarray, h: float) -> float:
@@ -207,7 +215,7 @@ def _central_richardson(vals: np.ndarray, h: float) -> float:
     return (16.0 * r2 - r1) / 15.0
 
 
-def _check_no_kink(vals: np.ndarray, h: float, deriv: float, label: str) -> None:
+def _check_no_kink(vals: np.ndarray, h: float, deriv: float, label: str, at_t) -> None:
     # forward minus backward quotient extrapolated to step 0: nonzero limit
     # means the one-sided derivatives differ.
     center = vals[3]
@@ -216,7 +224,7 @@ def _check_no_kink(vals: np.ndarray, h: float, deriv: float, label: str) -> None
     jump = 2.0 * delta_h2 - delta_h
     if abs(jump) > _KINK_REL_TOL * (1.0 + abs(deriv)):
         raise NonFiniteDerivative(
-            f"{label} has mismatched one-sided slopes (jump ~ {jump:.3g})"
+            f"{label} has mismatched one-sided slopes (jump ~ {jump:.3g})", at_t
         )
 
 
@@ -228,11 +236,15 @@ def gh_derivative_1d(f: Ivf, x: float) -> Interval:
         raise OutOfDomain(f"{x} is outside the domain")
     sample = _line_sampler(f, np.array([float(x)]), np.array([1.0]))
     return _deriv_1d_from_sampler(lambda ts: sample(ts - x),
-                                  float(x), f.domain[0], 1.0)
+                                  float(x), f.domain[0], 1.0)[1]
 
 
 def partial_gh_derivative(f: Ivf, x, i: int) -> Interval:
     """i-th partial gH-derivative (0-based axis index) at x."""
+    return _partial(f, x, i)[1]
+
+
+def _partial(f: Ivf, x, i: int) -> Tuple[Tuple[float, float], Interval]:
     x = np.asarray(x, dtype=float).ravel()
     if not f.contains(x):
         raise OutOfDomain(f"{x.tolist()} is outside the domain")
@@ -245,7 +257,14 @@ def partial_gh_derivative(f: Ivf, x, i: int) -> Interval:
 
 def gh_gradient(f: Ivf, x) -> IVector:
     """Vector of partial gH-derivatives over all axes."""
-    return IVector(tuple(partial_gh_derivative(f, x, i) for i in range(f.arity)))
+    return _value_and_gradient(f, x)[1]
+
+
+def _value_and_gradient(f: Ivf, x) -> Tuple[Tuple[float, float], IVector]:
+    """F at x + 0.0 as (lo, hi), the row at offset 0 of the first axis's
+    stencil, and the gH-gradient: one stencil call per axis."""
+    parts = [_partial(f, x, i) for i in range(f.arity)]
+    return parts[0][0], IVector(tuple(d for _, d in parts))
 
 
 def directional_gh_derivative(f: Ivf, x, h) -> Interval:

@@ -38,7 +38,6 @@ from .ivector import IVector, dot
 from .ivf import (
     Grid,
     Ivf,
-    _PAIR_BLOCK,
     _lipschitz_max,
     directional_gh_derivative,
     gh_gradient,
@@ -46,6 +45,7 @@ from .ivf import (
 )
 
 _DOM_SLACK = 1e-10
+_SCAN_BLOCK = 1 << 16  # 2-D scan chunk, in candidate-sample entries: fits in cache
 
 
 @dataclass(frozen=True)
@@ -290,14 +290,14 @@ def subdiff_scan_1d(f: Ivf, x_bar: float,
 def _scan_candidates_2d(f: Ivf, x_bar: np.ndarray, bounds, steps,
                         grid: Optional[Grid], tol: float) -> np.ndarray:
     """Brute-force feasible (p1, q1, p2, q2) tuples for a two-variable f, checked
-    in chunks of at most _PAIR_BLOCK candidate-sample entries to bound memory."""
+    in chunks of at most _SCAN_BLOCK candidate-sample entries to bound memory."""
     cons = _Constraints(_grid_values(f, grid), x_bar, f.boundary(x_bar))
     axes = [np.linspace(b[0], b[1], s) for b, s in zip(bounds, steps)]
     mesh = np.meshgrid(*axes, indexing="ij")
     cands = np.stack([m.ravel() for m in mesh], axis=1)
     cands = cands[(cands[:, 0] <= cands[:, 1]) & (cands[:, 2] <= cands[:, 3])]
     keep = np.zeros(cands.shape[0], dtype=bool)
-    chunk = max(1, _PAIR_BLOCK // cons.pts.shape[0])
+    chunk = max(1, _SCAN_BLOCK // cons.pts.shape[0])
     for start in range(0, cands.shape[0], chunk):
         c = cands[start:start + chunk]
         keep[start:start + chunk] = ~cons.violations(c[:, 0::2], c[:, 1::2], tol).any(axis=1)
@@ -513,7 +513,7 @@ def union_boundedness_probe(f: Ivf, grid: Optional[Grid] = None,
     sup is re-verified against the full sample set, which also exercises
     closedness: the feasible region is cut out by non-strict
     inequalities, so its frontier points must themselves pass.  F is
-    evaluated on the grid once, and once more at each base point.
+    evaluated once, on the grid, and F(x_bar) is read from those values.
     `on_empty` is "skip" (ignore base points with no feasible candidate)
     or "raise" (raise EmptySubdifferentialEncountered).
     """
@@ -531,9 +531,10 @@ def _boundedness_probe(f: Ivf, grid: Optional[Grid], scan_bounds, tol: float,
         grid = f.grid()
     values = _grid_values(f, grid)
     sup = 0.0
-    for x_bar in grid.axes()[0][1:-1]:
+    for k, x_bar in enumerate(grid.axes()[0][1:-1], start=1):
         x = np.array([float(x_bar)])
-        cons = _Constraints(values, x, f.boundary(x))
+        f0 = Interval(values.lo[k], values.hi[k])  # checked as f.eval checks F(x)
+        cons = _Constraints(values, x, (f0.lo, f0.hi))
         local, verts = _box_norm_sup(cons.box(tol), scan_bounds)
         if not verts:
             if on_empty == "raise":

@@ -209,6 +209,32 @@ def test_examples_selftest(capsys):
     assert all(line.startswith("PASS ") for line in out)
 
 
+def test_examples_with_a_tolerance(capsys):
+    assert main(["examples", "--grid", "101", "--tol", "1e-6"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 3
+    assert all(line.startswith("PASS ") for line in out)
+
+
+SMOOTH_2D = """\
+arity=2
+domain=[-1,1]
+domain=[-1,1]
+objective=[1,2]*pow2(x1) + [0,1]*pow2(x2) + pow2(x2 - 0.5)
+base_point=0.5,0.5
+"""
+
+
+def test_descent_on_a_smooth_2d_problem_says_it_is_unsupported(tmp_path, capsys):
+    path = tmp_path / "smooth2d.prob"
+    path.write_text(SMOOTH_2D)
+    assert main(["descent", str(path), "--grid", "21", "--iters", "5"]) == 2
+    err = capsys.readouterr().err
+    assert ("error: multivariate descent is unsupported where the gH-gradient "
+            "fails the sampled subgradient check") in err
+    assert "kink" not in err
+
+
 def test_parse_errors_exit_two(tmp_path, capsys):
     bad = tmp_path / "bad.prob"
     bad.write_text("arity=1\n")

@@ -1,3 +1,4 @@
+import pickle
 import warnings
 
 import numpy as np
@@ -89,6 +90,27 @@ def test_eval_rejects_points_outside_domain():
         q.eval((1.0, 1.0))
 
 
+def test_contains_keeps_the_per_axis_tolerance():
+    f = Ivf.from_text(2, "x1 + x2", ((-2.0, 6.0), (0.0, 1e3)))
+    for i, (l, u) in enumerate(f.domain):
+        tol = 1e-9 * (1.0 + abs(l) + abs(u))
+        for edge, sign in ((l - tol, -1.0), (u + tol, 1.0)):
+            inside, outside = [0.5, 0.5], [0.5, 0.5]
+            inside[i] = edge
+            outside[i] = np.nextafter(edge, sign * np.inf)
+            assert f.contains(inside) and not f.contains(outside)
+    assert f.contains([np.nan, 0.5])
+    assert not f.contains([[0.5, 0.5], [7.0, 0.5]])
+
+
+def test_compiled_body_is_no_field():
+    f, g = quartic_ivf(), quartic_ivf()
+    assert f == g and hash(f) == hash(g)
+    assert "_lo_hi" not in repr(f)
+    h = pickle.loads(pickle.dumps(f))
+    assert h == f and h.eval((1.0,)) == f.eval((1.0,))
+
+
 def test_eval_many_is_vectorized():
     f = abs_slab_ivf()
     xs = np.linspace(-2.0, 2.0, 9)[:, None]
@@ -119,6 +141,17 @@ def test_gh_derivative_detects_kinks():
         gh_derivative_1d(abs_slab_ivf(), 0.0)
     with pytest.raises(NonFiniteDerivative):
         gh_derivative_1d(piecewise_vee_ivf(), 2.0)
+
+
+def test_a_kink_error_carries_the_stencil_value_at_the_point():
+    f = piecewise_vee_ivf()
+    with pytest.raises(NonFiniteDerivative) as exc:
+        gh_gradient(f, (2.0,))
+    assert exc.value.sampled == f.boundary((2.0,))
+    tiny = Ivf.from_text(1, "x1", ((0.0, 1e-6),))
+    with pytest.raises(NonFiniteDerivative) as exc:
+        gh_gradient(tiny, (5e-7,))
+    assert exc.value.sampled is None
 
 
 def test_one_sided_stencil_warns_at_boundary():

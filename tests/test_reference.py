@@ -8,7 +8,8 @@ blocked pair walk.  The subgradient references evaluate F on the whole
 grid at every check, where the library evaluates it once per verdict and
 shares the values between checks.  The pairing and the box-norm sup
 are kept here as written before the constraint set replaced them, so they
-are independent of the code under test.
+are independent of the code under test.  The recursive tree walker is kept
+as written before the compiled evaluator replaced it.
 """
 
 import math
@@ -17,13 +18,32 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghcalc import Interval, IVector, Ivf, WMapConfig, w_map
 from ghcalc.cli import parse_problem_file
 from ghcalc.errors import (
     EmptySubdifferentialEncountered,
+    NonDegenerateRealNode,
     NonFiniteDerivative,
     NoSubgradientFound,
+    OverlappingPieces,
+    PiecewiseCoverageError,
+    ZeroInDenominator,
+)
+from ghcalc.expr import (
+    Abs,
+    BinOp,
+    Comparison,
+    Const,
+    Guard,
+    Norm,
+    Piecewise,
+    Pow,
+    Var,
+    compile_lo_hi,
+    eval_lo_hi,
 )
 from ghcalc.iop import (
     DescentResult,
@@ -307,7 +327,8 @@ def subgradient_at_reference(f, x, grid):
     except NonFiniteDerivative:
         pass
     if f.arity != 1:
-        raise NoSubgradientFound("no verified subgradient at a multivariate kink")
+        raise NoSubgradientFound("multivariate descent is unsupported where the "
+                                 "gH-gradient fails the sampled subgradient check")
     x0 = float(x[0])
     p_lb, p_ub, q_lb, q_ub = feasible_box_reference(f, x0, grid, 1e-10)
     if p_lb > p_ub or q_lb > q_ub or p_lb > q_ub:
@@ -455,3 +476,203 @@ def test_witnesses_match_on_a_2d_no_case():
         strict = subgradient_reference(f, cand, grid, strict=True)
         assert strict[0] is False
         assert is_subgradient_strict_variant(f, cand, grid) == strict
+
+
+# --------------------------------------------------------------------------
+# The compiled evaluator against the recursive tree walker
+# --------------------------------------------------------------------------
+
+_PIECE_AGREEMENT_TOL = 1e-12
+
+
+def walk_lo_hi(node, xs):
+    """Evaluate an expression at every row of xs, returning (lo, hi) arrays."""
+    n_pts = xs.shape[0]
+    if isinstance(node, Const):
+        return (np.full(n_pts, node.value.lo), np.full(n_pts, node.value.hi))
+    if isinstance(node, Var):
+        col = np.asarray(xs[:, node.index], dtype=float)
+        return col.copy(), col.copy()
+    if isinstance(node, BinOp):
+        llo, lhi = walk_lo_hi(node.left, xs)
+        rlo, rhi = walk_lo_hi(node.right, xs)
+        if node.op == "+":
+            return llo + rlo, lhi + rhi
+        if node.op == "-":
+            return llo - rhi, lhi - rlo
+        if node.op == "ghsub":
+            dlo = llo - rlo
+            dhi = lhi - rhi
+            return np.minimum(dlo, dhi), np.maximum(dlo, dhi)
+        if node.op == "*":
+            prods = np.stack([llo * rlo, llo * rhi, lhi * rlo, lhi * rhi])
+            return prods.min(axis=0), prods.max(axis=0)
+        if node.op == "/":
+            if np.any((rlo <= 0.0) & (rhi >= 0.0)):
+                bad = int(np.argmax((rlo <= 0.0) & (rhi >= 0.0)))
+                raise ZeroInDenominator(
+                    f"denominator contains 0 at point {xs[bad].tolist()}"
+                )
+            quots = np.stack([llo / rlo, llo / rhi, lhi / rlo, lhi / rhi])
+            return quots.min(axis=0), quots.max(axis=0)
+        raise ValueError(f"unknown operator {node.op!r}")  # pragma: no cover
+    if isinstance(node, Abs):
+        lo, hi = _degenerate_child(node.child, xs, "abs")
+        v = np.abs(lo)
+        return v, v.copy()
+    if isinstance(node, Pow):
+        lo, hi = _degenerate_child(node.child, xs, f"pow{node.exponent}")
+        v = lo ** node.exponent
+        return v, v.copy()
+    if isinstance(node, Norm):
+        v = np.sqrt(np.sum(xs * xs, axis=1))
+        return v, v.copy()
+    if isinstance(node, Piecewise):
+        return _walk_piecewise(node, xs)
+    raise TypeError(f"not an expression node: {node!r}")  # pragma: no cover
+
+
+def _degenerate_child(child, xs, op_name):
+    lo, hi = walk_lo_hi(child, xs)
+    if np.any(lo != hi):
+        bad = int(np.argmax(lo != hi))
+        raise NonDegenerateRealNode(
+            f"{op_name} needs a real-valued argument, got "
+            f"[{lo[bad]}, {hi[bad]}] at point {xs[bad].tolist()}"
+        )
+    return lo, hi
+
+
+def _walk_piecewise(node, xs):
+    n_pts = xs.shape[0]
+    out_lo = np.full(n_pts, np.nan)
+    out_hi = np.full(n_pts, np.nan)
+    covered = np.zeros(n_pts, dtype=bool)
+    for guard, body in node.pieces:
+        mask = guard.holds(xs)
+        if not mask.any():
+            continue
+        lo, hi = walk_lo_hi(body, xs[mask])
+        overlap = covered[mask]
+        if overlap.any():
+            # Closed guards meet at shared boundaries; that is only legal
+            # when both pieces agree there, otherwise the pieces fail to
+            # partition the domain.
+            if (np.max(np.abs(lo[overlap] - out_lo[mask][overlap])) > _PIECE_AGREEMENT_TOL
+                    or np.max(np.abs(hi[overlap] - out_hi[mask][overlap])) > _PIECE_AGREEMENT_TOL):
+                where = xs[mask][overlap][0]
+                raise OverlappingPieces(
+                    f"guards overlap with different values at {where.tolist()}"
+                )
+        tmp_lo = out_lo[mask]
+        tmp_hi = out_hi[mask]
+        fresh = ~overlap
+        tmp_lo[fresh] = lo[fresh]
+        tmp_hi[fresh] = hi[fresh]
+        out_lo[mask] = tmp_lo
+        out_hi[mask] = tmp_hi
+        covered |= mask
+    if not covered.all():
+        where = xs[~covered][0]
+        raise PiecewiseCoverageError(f"no guard covers point {where.tolist()}")
+    return out_lo, out_hi
+
+
+def same_floats(a, b):
+    """Equal bit for bit, except that any NaN equals any NaN (numpy does not
+    promise which NaN payload min, max or arithmetic return)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nan = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and np.array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64)))
+
+
+# signed zeros, ties and magnitudes whose products overflow or underflow
+EDGE_FLOATS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 0.5, -3.0, 1e-300, 1e300])
+CONST_FLOATS = st.one_of(EDGE_FLOATS, st.floats(-5, 5, allow_nan=False, width=16))
+POINT_FLOATS = st.one_of(EDGE_FLOATS, st.floats(-5, 5, width=16),
+                         st.sampled_from([math.nan, math.inf, -math.inf]))
+
+
+@st.composite
+def constants(draw):
+    a, b = draw(CONST_FLOATS), draw(CONST_FLOATS)
+    if draw(st.booleans()):
+        b = a
+    return Const(Interval(min(a, b), max(a, b)))
+
+
+def trees(arity=2):
+    leaves = st.one_of(constants(), st.builds(Var, st.integers(0, arity - 1)),
+                       st.just(Norm()))
+
+    def extend(children):
+        guards = st.builds(
+            lambda i, le, bound: Guard((Comparison(i, "<=" if le else ">=", bound),)),
+            st.integers(0, arity - 1), st.booleans(), CONST_FLOATS)
+        # two pieces cut at one bound, sometimes with one body, plus extras
+        cut = st.tuples(st.integers(0, arity - 1), CONST_FLOATS, children, children,
+                        st.booleans()).map(lambda t: (
+                            (Guard((Comparison(t[0], "<=", t[1]),)), t[2]),
+                            (Guard((Comparison(t[0], ">=", t[1]),)), t[2] if t[4] else t[3])))
+        return st.one_of(
+            st.builds(BinOp, st.sampled_from(["+", "-", "ghsub", "*", "/"]),
+                      children, children),
+            st.builds(Abs, children),
+            st.builds(Pow, st.integers(1, 4), children),
+            st.builds(lambda pieces, extra: Piecewise(pieces + tuple(extra)),
+                      cut, st.lists(st.tuples(guards, children), max_size=1)),
+        )
+    return st.recursive(leaves, extend, max_leaves=8)
+
+
+def outcome_of(evaluate, node, xs):
+    try:
+        with np.errstate(all="ignore"):
+            return evaluate(node, xs)
+    except (ZeroInDenominator, NonDegenerateRealNode, OverlappingPieces,
+            PiecewiseCoverageError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(trees(), st.lists(st.tuples(POINT_FLOATS, POINT_FLOATS), max_size=6))
+def test_compiled_evaluator_matches_the_tree_walker(node, rows):
+    xs = np.array(rows, dtype=float).reshape(len(rows), 2)
+    compiled = compile_lo_hi(node)
+    # one compiled function, called on two point sets
+    for pts in (xs, xs[1:]):
+        got = outcome_of(lambda _, p: compiled(p), node, pts)
+        expected = outcome_of(walk_lo_hi, node, pts)
+        if isinstance(expected[0], type):
+            assert got == expected
+        else:
+            assert not isinstance(got[0], type), got
+            assert same_floats(got[0], expected[0]) and same_floats(got[1], expected[1])
+            # fresh arrays: neither endpoint aliases the other or the points
+            assert not np.shares_memory(got[0], got[1])
+            assert not np.shares_memory(got[0], pts) and not np.shares_memory(got[1], pts)
+
+
+# signed zeros show through: [-0,0] is no real constant, a zero times or
+# over [-1,2] ties -0.0 with 0.0, and at a shared guard boundary the
+# earlier piece's value stays, down to the sign of zero and below the
+# agreement tolerance
+@pytest.mark.parametrize("text", [
+    "[1,2]", "3", "x1", "x1 - 0.5", "[1,2]*x1", "x1*[1,2]", "[-1,2]/x1", "x1/[1,2]",
+    "[1,2]*[3,4]", "2*3 + x1", "[1,2] ghsub x1", "abs(x1)*[1,3]", "pow3(x1 - 1)",
+    "norm()*[0,1]", "x1/0", "abs([1,2])", "pow2([-0,0]*x1)", "[-0,0]", "-0",
+    "[-0,0]*x1", "[-1,2]*x1", "x1*[-1,2]", "[-1,2]*[-0,0]",
+    "piecewise{ x1 <= 0 => x1; x1 >= 0 => 0 - x1; }",
+    "piecewise{ x1 <= 0.5 => x1; x1 >= 0.5 => x1 + 1e-13; }",
+    "piecewise{ x1 <= 0.5 => x1; x1 >= 0.5 => x1 + 1e-3; }"])
+def test_compiled_evaluator_matches_on_the_grammar(text):
+    from ghcalc.expr import parse_expr
+    node = parse_expr(text)
+    xs = np.array([[-2.0], [-0.0], [0.0], [0.5], [1.0], [math.nan], [math.inf]])
+    for rows in (xs, xs[:0], xs[3:4]):
+        got, expected = outcome_of(eval_lo_hi, node, rows), outcome_of(walk_lo_hi, node, rows)
+        if isinstance(expected[0], type):
+            assert got == expected
+        else:
+            assert same_floats(got[0], expected[0]) and same_floats(got[1], expected[1])
