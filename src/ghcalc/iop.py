@@ -40,6 +40,7 @@ from .ivf import (
 )
 from .subgrad import (
     _DOM_SLACK,
+    _MAX_ROWS,
     SubgradientCandidate,
     _Constraints,
     _GridValues,
@@ -232,33 +233,34 @@ def _default_schedule(k: int) -> float:
     return 0.1 / math.sqrt(k + 1)
 
 
-def _value_and_subgradient(f: Ivf, x: np.ndarray,
-                           values: _GridValues) -> Tuple[Interval, IVector]:
-    """F(x), read from the gradient stencil, and the gradient when it exists,
-    else a kink subgradient, verified against F on the grid (`values`).
-
-    At a kink the feasible (g_lo, g_hi) box is derived analytically from
-    the grid constraints and the feasible candidate closest to the zero
-    vector is returned, so the iteration stalls exactly when the zero
-    vector is itself a subgradient.
-    """
+def _stencil_value_and_gradient(f: Ivf, x: np.ndarray) -> Tuple[Interval, Optional[IVector]]:
+    """F(x), read from the gradient stencil, and the gH-gradient, or None at
+    a kink."""
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", OneSidedDifferenceWarning)
-            fx, grad = _value_and_gradient(f, x)
+        fx, grad = _value_and_gradient(f, x)
     except NonFiniteDerivative as exc:  # a kink; the stencil may hold F(x)
         fx, grad = exc.sampled, None
     # the stencils sample x + 0.0, which is not x where x holds a -0.0
     if fx is None or (np.signbit(x) & (x == 0.0)).any():
         fx = f.boundary(x)
-    value = Interval(float(fx[0]), float(fx[1]))
-    cons = _Constraints(values, x, (value.lo, value.hi))
-    if grad is not None and cons.check(grad, _DOM_SLACK)[0]:
-        return value, grad
+    return Interval(float(fx[0]), float(fx[1])), grad
+
+
+def _kink_subgradient(f: Ivf, x: np.ndarray, value: Interval,
+                      values: _GridValues) -> IVector:
+    """A subgradient at x where the gH-gradient is missing or fails the
+    sampled check, verified against F on the grid (`values`).
+
+    The feasible (g_lo, g_hi) box is derived analytically from the grid
+    constraints and the feasible candidate closest to the zero vector is
+    returned, so the iteration stalls exactly when the zero vector is
+    itself a subgradient.
+    """
     if f.arity != 1:
         raise NoSubgradientFound(
             "multivariate descent is unsupported where the gH-gradient fails "
             "the sampled subgradient check")
+    cons = _Constraints(values, x, (value.lo, value.hi))
     x0 = float(x[0])
     box = cons.box(_DOM_SLACK)
     if _cut_box_empty(box):
@@ -276,7 +278,25 @@ def _value_and_subgradient(f: Ivf, x: np.ndarray,
     if not ok:
         raise NoSubgradientFound(
             f"kink candidate failed verification at {witness}")
-    return value, g
+    return g
+
+
+def _first_failure(values: _GridValues, pending) -> Optional[int]:
+    """Position of the first pending (k, x, F(x), gradient) whose gradient is
+    missing (a kink, always the last one) or fails the sampled subgradient
+    check, or None.  The checks run in one pass over the pending base
+    points."""
+    checked = [item for item in pending if item[3] is not None]
+    if checked:
+        _, xs, fx, grads = zip(*checked)
+        cons = _Constraints(values, np.array(xs), (np.array([v.lo for v in fx]),
+                                                   np.array([v.hi for v in fx])))
+        bad = cons.violations(np.array([[c.lo for c in g] for g in grads]),
+                              np.array([[c.hi for c in g] for g in grads]),
+                              _DOM_SLACK).any(axis=1)
+        if bad.any():
+            return int(np.argmax(bad))
+    return len(checked) if len(checked) < len(pending) else None
 
 
 def scalarized_descent(p: Iop, x0, cfg: WMapConfig = WMapConfig(),
@@ -292,7 +312,16 @@ def scalarized_descent(p: Iop, x0, cfg: WMapConfig = WMapConfig(),
     flag and the full trace.  F is evaluated on the grid once per call;
     each iteration evaluates it once per axis, on the gradient stencil,
     which holds the iterate.
+
+    The gradient steps run ahead of their checks, which run in batches.
+    On the first gradient that is missing (a kink) or fails its check, the
+    trace is cut back to that iterate, which keeps the F(x) its stencil
+    gave and takes the kink box's subgradient instead: the trace is the one
+    checking every step at once would give.  An error raised while steps
+    run ahead is raised once the checks before it pass.
     """
+    if iters < 1:
+        raise ValueError(f"iters must be at least 1, got {iters}")
     f = p.objective
     if step_schedule is None:
         step_schedule = _default_schedule
@@ -305,16 +334,52 @@ def scalarized_descent(p: Iop, x0, cfg: WMapConfig = WMapConfig(),
     upper = np.array([u for _, u in f.domain])
     values = _grid_values(f, grid)
     trace: List[TraceRecord] = []
-    for k in range(iters):
-        value, g = _value_and_subgradient(f, x, values)
-        scalar = cfg.w * value.lo + cfg.w_prime * value.hi
-        direction = np.array(w_map(g, cfg))
-        step = step_schedule(k)
-        trace.append(TraceRecord(k, tuple(float(v) for v in x), value,
-                                 scalar, step))
-        if float(np.max(np.abs(direction))) <= 1e-12:
-            break
-        x = np.clip(x - step * direction, lower, upper)
+    pending: list = []  # (k, x, F(x), gradient) of the iterates not yet checked
+    # a batch of pending checks starts at 1, doubles after each clean check
+    # up to _MAX_ROWS, and starts again at 1 after a failed one
+    batch, rolled_back = 1, None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OneSidedDifferenceWarning)
+        while True:
+            stopped = False
+            try:
+                while len(trace) < iters and len(pending) < batch:
+                    k = len(trace)
+                    if rolled_back is None:
+                        value, g = _stencil_value_and_gradient(f, x)
+                        pending.append((k, x, value, g))
+                        if g is None:
+                            break
+                    else:
+                        value, rolled_back = rolled_back, None
+                        g = _kink_subgradient(f, x, value, values)
+                    direction = np.array(w_map(g, cfg))
+                    step = step_schedule(k)
+                    trace.append(TraceRecord(k, tuple(x.tolist()), value,
+                                             cfg.w * value.lo + cfg.w_prime * value.hi,
+                                             step))
+                    if float(np.max(np.abs(direction))) <= 1e-12:
+                        stopped = True
+                        break
+                    x = np.clip(x - step * direction, lower, upper)
+            except Exception:
+                failed = _first_failure(values, pending)
+                if failed is None:
+                    raise
+            else:
+                failed = _first_failure(values, pending)
+            if failed is None:
+                pending.clear()
+                batch = min(2 * batch, _MAX_ROWS)
+                if stopped or len(trace) == iters:
+                    break
+            else:
+                # back to the failing iterate: its F(x) stays, and its
+                # subgradient comes from the kink box
+                k, x, rolled_back, _ = pending[failed]
+                del trace[k:]
+                pending.clear()
+                batch = 1
     best = _dominance_minimal(trace)
     flagged = _efficiency(values, grid).is_flagged_near(best.x)
     return DescentResult(best.x, best.value, flagged, tuple(trace))

@@ -38,6 +38,9 @@ _DIR_RATIO = 0.5
 _DIR_TOL = 1e-7
 _DIR_MAX_REFINES = 40
 
+# central stencil offsets, in units of the step h0
+_CENTRAL_OFFSETS = np.array([-1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0])
+
 
 class OneSidedDifferenceWarning(UserWarning):
     """Derivative was taken at a domain boundary with a one-sided stencil."""
@@ -128,14 +131,16 @@ class Ivf:
         return arr
 
     def contains(self, x) -> bool:
+        return self._inside(self._as_points(x))
+
+    def _inside(self, arr: np.ndarray) -> bool:
         # a NaN coordinate fails neither comparison, so it counts as inside
-        arr = self._as_points(x)
         return not ((arr < self._box[0]).any() or (arr > self._box[1]).any())
 
     def eval_many(self, xs: np.ndarray,
                   check_domain: bool = True) -> Tuple[np.ndarray, np.ndarray]:
         xs = self._as_points(xs)
-        if check_domain and not self.contains(xs):
+        if check_domain and not self._inside(xs):
             raise OutOfDomain("evaluation point outside the domain box")
         return self._lo_hi(xs)
 
@@ -183,18 +188,16 @@ def _deriv_1d_from_sampler(sample, t: float, span: Tuple[float, float],
         warnings.warn("one-sided difference used at a domain boundary",
                       OneSidedDifferenceWarning, stacklevel=3)
         sgn = 1.0 if lo_edge else -1.0
-        d_los, d_his = [], []
-        for h in (h0, h0 / 2.0):
-            ts = np.array([t, t + sgn * h, t + 2.0 * sgn * h])
-            lo, hi = sample(ts)
-            at_t = (lo[0], hi[0])
-            d_los.append(sgn * (-3.0 * lo[0] + 4.0 * lo[1] - lo[2]) / (2.0 * h))
-            d_his.append(sgn * (-3.0 * hi[0] + 4.0 * hi[1] - hi[2]) / (2.0 * h))
-        d_lo = (4.0 * d_los[1] - d_los[0]) / 3.0
-        d_hi = (4.0 * d_his[1] - d_his[0]) / 3.0
+        # steps h0 and h0/2 share t and t + sgn*h0, since 2*sgn*(h0/2) == sgn*h0
+        h = h0 / 2.0
+        lo, hi = sample(np.array([t, t + sgn * h, t + sgn * h0, t + 2.0 * sgn * h0]))
+        lo, hi = lo.tolist(), hi.tolist()
+        at_t = (lo[0], hi[0])
+        d_lo = _one_sided_richardson(lo, sgn, h0)
+        d_hi = _one_sided_richardson(hi, sgn, h0)
     else:
-        offsets = np.array([-1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0]) * h0
-        lo, hi = sample(t + offsets)
+        lo, hi = sample(t + _CENTRAL_OFFSETS * h0)
+        lo, hi = lo.tolist(), hi.tolist()
         at_t = (lo[3], hi[3])
         d_lo = _central_richardson(lo, h0)
         d_hi = _central_richardson(hi, h0)
@@ -205,7 +208,16 @@ def _deriv_1d_from_sampler(sample, t: float, span: Tuple[float, float],
     return at_t, Interval(min(d_lo, d_hi), max(d_lo, d_hi))
 
 
-def _central_richardson(vals: np.ndarray, h: float) -> float:
+def _one_sided_richardson(vals: List[float], sgn: float, h0: float) -> float:
+    # vals sampled at offsets (0, sgn*h0/2, sgn*h0, 2*sgn*h0): second-order
+    # one-sided quotients at steps h0 and h0/2, then one Richardson step
+    h = h0 / 2.0
+    d_h0 = sgn * (-3.0 * vals[0] + 4.0 * vals[2] - vals[3]) / (2.0 * h0)
+    d_h = sgn * (-3.0 * vals[0] + 4.0 * vals[1] - vals[2]) / (2.0 * h)
+    return (4.0 * d_h - d_h0) / 3.0
+
+
+def _central_richardson(vals: List[float], h: float) -> float:
     # vals sampled at offsets (-h, -h/2, -h/4, 0, h/4, h/2, h)
     d_h = (vals[6] - vals[0]) / (2.0 * h)
     d_h2 = (vals[5] - vals[1]) / h
@@ -215,7 +227,7 @@ def _central_richardson(vals: np.ndarray, h: float) -> float:
     return (16.0 * r2 - r1) / 15.0
 
 
-def _check_no_kink(vals: np.ndarray, h: float, deriv: float, label: str, at_t) -> None:
+def _check_no_kink(vals: List[float], h: float, deriv: float, label: str, at_t) -> None:
     # forward minus backward quotient extrapolated to step 0: nonzero limit
     # means the one-sided derivatives differ.
     center = vals[3]

@@ -20,7 +20,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,6 +46,7 @@ from .ivf import (
 
 _DOM_SLACK = 1e-10
 _SCAN_BLOCK = 1 << 16  # 2-D scan chunk, in candidate-sample entries: fits in cache
+_MAX_ROWS = 64  # base points per K-row constraint set, so its (K, S) arrays stay small
 
 
 @dataclass(frozen=True)
@@ -131,7 +132,7 @@ def _endpoints(g: IVector) -> Tuple[np.ndarray, np.ndarray]:
 
 
 class _Constraints:
-    """The sampled subgradient inequality at one base point x_bar.
+    """The sampled subgradient inequality at one base point x_bar, or at K.
 
     At a sample x, (x - x_bar)^T (.) G  precedes  F(x) gh- F(x_bar) is
     linear in the endpoints (p, q) = (G_lo, G_hi):
@@ -143,12 +144,20 @@ class _Constraints:
     arrays and [lo, hi] = F(x) gh- F(x_bar).  Every sampled check, box,
     scan and probe reads the inequality from here; each check adds its
     slack tol to the right side.  f0 is F(x_bar) as (lo, hi).
+
+    x_bar of shape (K, n), with f0 as two (K,) arrays, holds K base points
+    at once: dpos and dneg are then (K, S, n), lo and hi (K, S), and
+    candidate row k is paired with base point k.  Each row's floats are
+    those of a build at that base point alone.
     """
 
-    def __init__(self, values: _GridValues, x_bar: np.ndarray, f0: Tuple[float, float]):
-        dx = values.pts - x_bar[None, :]
-        d_lo = values.lo - f0[0]
-        d_hi = values.hi - f0[1]
+    def __init__(self, values: _GridValues, x_bar: np.ndarray, f0):
+        f0_lo, f0_hi = f0
+        if x_bar.ndim == 2:
+            f0_lo, f0_hi = f0_lo[:, None], f0_hi[:, None]
+        dx = values.pts - x_bar[..., None, :]
+        d_lo = values.lo - f0_lo
+        d_hi = values.hi - f0_hi
         self.pts = values.pts
         self.dpos, self.dneg = np.maximum(dx, 0.0), np.minimum(dx, 0.0)
         self.lo, self.hi = np.minimum(d_lo, d_hi), np.maximum(d_lo, d_hi)
@@ -156,10 +165,10 @@ class _Constraints:
     def pairing(self, p: np.ndarray, q: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Endpoints of (x - x_bar)^T (.) G at every sample for M candidates
         given as (M, n) endpoint arrays: two (M, S) arrays, accumulated
-        axis by axis in axis order."""
+        axis by axis in axis order.  With K base points M is K."""
         lo = hi = 0.0
         for i in range(p.shape[1]):
-            dpos, dneg = self.dpos[:, i], self.dneg[:, i]
+            dpos, dneg = self.dpos[..., i], self.dneg[..., i]
             p_i, q_i = p[:, i, None], q[:, i, None]
             lo = lo + (p_i * dpos + q_i * dneg)
             hi = hi + (q_i * dpos + p_i * dneg)
@@ -176,9 +185,10 @@ class _Constraints:
         sample in grid order."""
         return _verdict(self.pts, self.violations(*_endpoints(g), tol))
 
-    def box(self, tol: float) -> Tuple[float, float, float, float]:
+    def box(self, tol: float):
         """For one variable, the analytic (p_lb, p_ub, q_lb, q_ub) bounds on
-        feasible (g_lo, g_hi): the projection of the constraints.
+        feasible (g_lo, g_hi): the projection of the constraints.  Floats,
+        or (K,) arrays for K base points.
 
         With n = 1 a sample reads p*dpos + q*dneg <= lo + tol and
         q*dpos + p*dneg <= hi + tol.  Dividing by the nonzero displacement
@@ -186,20 +196,30 @@ class _Constraints:
         from those with x < x_bar; the sample at x_bar is void.
         """
         rhs_lo, rhs_hi = self.lo + tol, self.hi + tol
-        dpos, dneg = self.dpos[:, 0], self.dneg[:, 0]
+        dpos, dneg = self.dpos[..., 0], self.dneg[..., 0]
         pos = dpos > 0.0
         neg = dneg < 0.0
-        p_ub = float(np.min(rhs_lo[pos] / dpos[pos])) if pos.any() else math.inf
-        q_ub = float(np.min(rhs_hi[pos] / dpos[pos])) if pos.any() else math.inf
-        q_lb = float(np.max(rhs_lo[neg] / dneg[neg])) if neg.any() else -math.inf
-        p_lb = float(np.max(rhs_hi[neg] / dneg[neg])) if neg.any() else -math.inf
-        return p_lb, p_ub, q_lb, q_ub
+        box = (_masked_quotient(np.maximum, rhs_hi, dneg, neg, -math.inf),
+               _masked_quotient(np.minimum, rhs_lo, dpos, pos, math.inf),
+               _masked_quotient(np.maximum, rhs_lo, dneg, neg, -math.inf),
+               _masked_quotient(np.minimum, rhs_hi, dpos, pos, math.inf))
+        return box if self.lo.ndim == 2 else tuple(float(b) for b in box)
 
 
-def _cut_box_empty(box: Tuple[float, float, float, float]) -> bool:
-    """Whether the box (p_lb, p_ub, q_lb, q_ub) misses {p <= q}."""
+def _masked_quotient(extreme: np.ufunc, num: np.ndarray, den: np.ndarray,
+                     mask: np.ndarray, empty: float):
+    """extreme (np.minimum or np.maximum) of num / den over the samples where
+    mask holds, per base point; `empty` where it holds at none.  Quotients
+    outside the mask are neither taken nor read."""
+    quotients = np.divide(num, den, out=None, where=mask)
+    return extreme.reduce(quotients, axis=-1, initial=empty, where=mask)
+
+
+def _cut_box_empty(box):
+    """Whether the box (p_lb, p_ub, q_lb, q_ub) misses {p <= q}: a bool, or
+    a (K,) mask for the boxes of K base points."""
     p_lb, p_ub, q_lb, q_ub = box
-    return p_lb > p_ub or q_lb > q_ub or p_lb > q_ub
+    return (p_lb > p_ub) | (q_lb > q_ub) | (p_lb > q_ub)
 
 
 def _evaluate(f: Ivf, cand: SubgradientCandidate, grid: Optional[Grid]):
@@ -475,31 +495,6 @@ def sum_rule(g_parts: Sequence[IVector]) -> IVector:
 # --------------------------------------------------------------------------
 
 
-def _box_norm_sup(box: Tuple[float, float, float, float],
-                  scan_bounds=None) -> Tuple[float, List[Tuple[float, float]]]:
-    """Sup of max(|p|, |q|) over the feasible box cut by {p <= q}.
-
-    The sup is attained at a vertex of the cut box; returns it together
-    with the vertices it was evaluated at.
-    """
-    p_lb, p_ub, q_lb, q_ub = box
-    if scan_bounds is not None:
-        p_lb = max(p_lb, scan_bounds[0][0])
-        p_ub = min(p_ub, scan_bounds[0][1])
-        q_lb = max(q_lb, scan_bounds[1][0])
-        q_ub = min(q_ub, scan_bounds[1][1])
-    if _cut_box_empty((p_lb, p_ub, q_lb, q_ub)):
-        return -math.inf, []
-    verts = [(p, q)
-             for p in (p_lb, p_ub) for q in (q_lb, q_ub) if p <= q]
-    diag_lo = max(p_lb, q_lb)
-    diag_hi = min(p_ub, q_ub)
-    if diag_lo <= diag_hi:
-        verts.extend([(diag_lo, diag_lo), (diag_hi, diag_hi)])
-    sup = max(max(abs(p), abs(q)) for p, q in verts)
-    return sup, verts
-
-
 def union_boundedness_probe(f: Ivf, grid: Optional[Grid] = None,
                             scan_bounds=None, tol: float = _DOM_SLACK,
                             on_empty: str = "skip") -> float:
@@ -522,7 +517,12 @@ def union_boundedness_probe(f: Ivf, grid: Optional[Grid] = None,
 
 def _boundedness_probe(f: Ivf, grid: Optional[Grid], scan_bounds, tol: float,
                        on_empty: str) -> Tuple[float, _GridValues]:
-    """union_boundedness_probe's sup, and the grid values it was read from."""
+    """union_boundedness_probe's sup, and the grid values it was read from.
+
+    The interior base points are handled in array passes over blocks of
+    _MAX_ROWS, and errors are raised for the first base point, in grid
+    order, that would raise one on its own.
+    """
     if on_empty not in ("skip", "raise"):
         raise ValueError(f"on_empty must be 'skip' or 'raise', got {on_empty!r}")
     if f.arity != 1:
@@ -530,24 +530,61 @@ def _boundedness_probe(f: Ivf, grid: Optional[Grid], scan_bounds, tol: float,
     if grid is None:
         grid = f.grid()
     values = _grid_values(f, grid)
+    x_bar = grid.axes()[0][1:-1, None]
+    f0_lo, f0_hi = values.lo[1:-1], values.hi[1:-1]
+    # base points before the first whose F(x_bar) is no interval; that one
+    # raises below as f.eval would
+    finite = np.isfinite(f0_lo) & np.isfinite(f0_hi) & (f0_lo <= f0_hi)
+    rows = x_bar.shape[0] if finite.all() else int(np.argmin(finite))
     sup = 0.0
-    for k, x_bar in enumerate(grid.axes()[0][1:-1], start=1):
-        x = np.array([float(x_bar)])
-        f0 = Interval(values.lo[k], values.hi[k])  # checked as f.eval checks F(x)
-        cons = _Constraints(values, x, (f0.lo, f0.hi))
-        local, verts = _box_norm_sup(cons.box(tol), scan_bounds)
-        if not verts:
-            if on_empty == "raise":
-                raise EmptySubdifferentialEncountered(
-                    f"no feasible candidate at base point {x_bar}")
-            continue
-        pq = np.array(verts)
-        ok, witness = _verdict(cons.pts, cons.violations(pq[:, :1], pq[:, 1:], tol + 1e-12))
-        if not ok:  # pragma: no cover - frontier is feasible by construction
+    for start in range(0, rows, _MAX_ROWS):
+        block = slice(start, min(start + _MAX_ROWS, rows))
+        sup = max(sup, _probe_block(values, x_bar[block], (f0_lo[block], f0_hi[block]),
+                                    scan_bounds, tol, on_empty))
+    if rows < x_bar.shape[0]:
+        Interval(f0_lo[rows], f0_hi[rows])
+    return sup, values
+
+
+def _probe_block(values: _GridValues, x_bar: np.ndarray, f0, scan_bounds, tol: float,
+                 on_empty: str) -> float:
+    """The probe's sup over K base points in one array pass: K-row
+    constraints, their boxes cut by the scan bounds and {p <= q}, the six
+    candidate vertices of each box (the four corners kept when p <= q, then
+    the ends of the diagonal segment) and one re-verification of them all."""
+    cons = _Constraints(values, x_bar, f0)
+    p_lb, p_ub, q_lb, q_ub = box = cons.box(tol)
+    if scan_bounds is not None:
+        # max(a, b) and min(a, b) as Python takes them
+        (p_min, p_max), (q_min, q_max) = scan_bounds
+        box = (np.where(p_min > p_lb, p_min, p_lb), np.where(p_max < p_ub, p_max, p_ub),
+               np.where(q_min > q_lb, q_min, q_lb), np.where(q_max < q_ub, q_max, q_ub))
+        p_lb, p_ub, q_lb, q_ub = box
+    diag_lo = np.where(q_lb > p_lb, q_lb, p_lb)
+    diag_hi = np.where(q_ub < p_ub, q_ub, p_ub)
+    vp = np.stack([p_lb, p_lb, p_ub, p_ub, diag_lo, diag_hi], axis=1)
+    vq = np.stack([q_lb, q_ub, q_lb, q_ub, diag_lo, diag_hi], axis=1)
+    on_diag = (diag_lo <= diag_hi)[:, None]
+    keep = np.concatenate([vp[:, :4] <= vq[:, :4], on_diag, on_diag], axis=1)
+    keep &= ~_cut_box_empty(box)[:, None]
+    # frontier points must pass too: the region is closed
+    bad = np.stack([cons.violations(vp[:, v, None], vq[:, v, None], tol + 1e-12).any(axis=1)
+                    for v in range(vp.shape[1])], axis=1)
+    failing = (bad & keep).any(axis=1)
+    if on_empty == "raise":
+        failing |= ~keep.any(axis=1)
+    if failing.any():
+        j = int(np.argmax(failing))
+        if keep[j].any():  # a vertex the rounding of its box left outside
+            row = _Constraints(values, x_bar[j], (f0[0][j], f0[1][j]))
+            _, witness = _verdict(values.pts, row.violations(
+                vp[j, keep[j], None], vq[j, keep[j], None], tol + 1e-12))
             raise EmptySubdifferentialEncountered(
                 f"frontier candidate failed re-verification at {witness}")
-        sup = max(sup, local)
-    return sup, values
+        raise EmptySubdifferentialEncountered(
+            f"no feasible candidate at base point {x_bar[j, 0]}")
+    norms = np.where(keep, np.maximum(np.abs(vp), np.abs(vq)), -math.inf)
+    return float(np.max(norms, initial=0.0))
 
 
 def lipschitz_from_subgradients_check(f: Ivf, grid: Optional[Grid] = None,

@@ -9,6 +9,7 @@ from ghcalc.interval import Interval
 from ghcalc.ivector import IVector
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+DATA = Path(__file__).resolve().parent / "data"
 
 SLAB = """\
 # one-variable kinked example
@@ -200,6 +201,21 @@ def test_descent(quartic_file, tmp_path, capsys):
     lines = trace_path.read_text().splitlines()
     assert lines[0] == "iter,x1,f_lo,f_hi,scalarized_value,step"
     assert len(lines) == 201
+
+
+@pytest.mark.parametrize("x0", ["-2", "6"])
+def test_vee_descent_trace_matches_the_saved_bytes(x0, tmp_path, capsys):
+    # the saved traces pin every iterate of both descents, through the CSV
+    # formatter
+    trace_path = tmp_path / "trace.csv"
+    assert main(["descent", str(PROBLEMS / "piecewise_vee.prob"), "--x0", x0,
+                 "--out", str(trace_path)]) == 0
+    assert trace_path.read_bytes() == (DATA / f"vee_descent_from_{x0}.csv").read_bytes()
+
+
+def test_descent_without_iterations_exits_two(quartic_file, capsys):
+    assert main(["descent", quartic_file, "--x0", "2", "--iters", "0"]) == 2
+    assert "error: iters must be at least 1, got 0" in capsys.readouterr().err
 
 
 def test_examples_selftest(capsys):

@@ -124,6 +124,13 @@ def test_descent_checks_the_start_point():
         scalarized_descent(p, [-1.0])
 
 
+@pytest.mark.parametrize("iters", [0, -3])
+def test_descent_refuses_fewer_than_one_iteration(iters):
+    p = Iop(quartic_ivf())
+    with pytest.raises(ValueError, match=f"iters must be at least 1, got {iters}"):
+        scalarized_descent(p, [1.0], iters=iters, grid=p.objective.grid(51))
+
+
 def test_descent_trace_csv():
     p = Iop(quartic_ivf())
     result = scalarized_descent(p, [1.0], iters=5,
@@ -160,9 +167,9 @@ def test_one_full_grid_evaluation_per_call(monkeypatch, call):
         trace = scalarized_descent(p, [-2.0], grid=grid).trace
         # the grid once, then one gradient stencil per iteration, which holds
         # the iterate, kinks included; at the domain edge -2 the one-sided
-        # stencil takes two calls of three points
+        # stencil takes one call of four points
         assert len(trace) == 600
-        assert sizes == [len(grid.points()), 3, 3] + [7] * (len(trace) - 1)
+        assert sizes == [len(grid.points()), 4] + [7] * (len(trace) - 1)
     else:
         # F(x_bar) at every base point is read from the grid values
         union_boundedness_probe(f, grid)

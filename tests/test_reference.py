@@ -380,7 +380,10 @@ def probe_reference(f, grid, scan_bounds=None, tol=1e-10, on_empty="skip"):
             continue
         for p, q in verts:
             cand = SubgradientCandidate(IVector.of(Interval(p, q)), (float(x_bar),))
-            assert subgradient_reference(f, cand, grid, tol=tol + 1e-12)[0]
+            ok, witness = subgradient_reference(f, cand, grid, tol=tol + 1e-12)
+            if not ok:
+                raise EmptySubdifferentialEncountered(
+                    f"frontier candidate failed re-verification at {witness}")
         sup = max(sup, local)
     return sup
 
@@ -435,6 +438,17 @@ def test_probe_and_lipschitz_check_match_the_per_vertex_probe(name):
     assert outcome(lambda: lipschitz_from_subgradients_check(f, grid, bounds)) == expected
 
 
+def test_probe_names_the_frontier_point_the_per_vertex_probe_names():
+    # at this scale the slack is far below the rounding of the box
+    # quotients, so a box vertex fails its re-verification; here the
+    # vertices of the seventh base point fail at different samples
+    f = Ivf.from_text(1, "[7e299,5e300]*pow4(x1)", ((-1.0, 1.0),))
+    grid = f.grid(31)
+    expected = outcome(lambda: probe_reference(f, grid))
+    assert expected.startswith("raised: frontier candidate failed re-verification")
+    assert outcome(lambda: union_boundedness_probe(f, grid)) == expected
+
+
 @pytest.mark.parametrize("f", [piecewise_vee_ivf(), KINKED_1D, quartic_ivf()])
 def test_feasible_box_matches_at_every_interior_node(f):
     grid = f.grid(101)
@@ -443,6 +457,159 @@ def test_feasible_box_matches_at_every_interior_node(f):
         x = np.array([float(x_bar)])
         assert (_Constraints(values, x, f.boundary(x)).box(1e-10)
                 == feasible_box_reference(f, float(x_bar), grid, 1e-10))
+
+
+@pytest.mark.parametrize("f", [piecewise_vee_ivf(), KINKED_1D, quartic_ivf()])
+def test_k_row_constraints_match_single_point_builds(f):
+    grid = f.grid(101)
+    values = _grid_values(f, grid)
+    x_bar = grid.axes()[0][1:-1, None]
+    f0_lo, f0_hi = values.lo[1:-1], values.hi[1:-1]
+    many = _Constraints(values, x_bar, (f0_lo, f0_hi))
+    box = many.box(1e-10)
+    # the centre of each feasible box, shifted out of it at every other
+    # base point, so rows pass and fail
+    shift = np.where(np.arange(len(x_bar)) % 2 == 0, 0.0, 0.5)[:, None]
+    p = (box[0] + box[1])[:, None] / 2.0 + shift
+    q = np.maximum(p, (box[2] + box[3])[:, None] / 2.0 + shift)
+    bad = many.violations(p, q, 1e-10)
+    lhs = many.pairing(p, q)
+    assert bad.any(axis=1).any() and not bad.any(axis=1).all()
+    for k, x in enumerate(x_bar):
+        one = _Constraints(values, x, (f0_lo[k], f0_hi[k]))
+        assert (np.array(one.box(1e-10)).tobytes()
+                == np.array([b[k] for b in box]).tobytes())
+        assert np.array_equal(one.violations(p[k:k + 1], q[k:k + 1], 1e-10), bad[k:k + 1])
+        for a, b in zip(one.pairing(p[k:k + 1], q[k:k + 1]), lhs):
+            assert a.tobytes() == b[k:k + 1].tobytes()
+
+
+class Stencil:
+    """The gradient stencil, for the library's descent and for the reference
+    alike, returning its gradient plus 1.0 at the points in `nudge` and
+    raising at the points in `fail`; `seen` lists the points it ran at."""
+
+    def __init__(self, monkeypatch):
+        import ghcalc.iop
+        import ghcalc.ivf
+
+        self.nudge, self.fail, self.seen = set(), set(), []
+        self.original = ghcalc.ivf._value_and_gradient
+        monkeypatch.setattr(ghcalc.ivf, "_value_and_gradient", self)
+        monkeypatch.setattr(ghcalc.iop, "_value_and_gradient", self)
+
+    def __call__(self, f, x):
+        key = tuple(np.asarray(x, dtype=float).tolist())
+        self.seen.append(key)
+        if key in self.fail:
+            raise ZeroDivisionError(f"stencil refused at {key}")
+        fx, grad = self.original(f, x)
+        if key in self.nudge:
+            grad = IVector(tuple(Interval(c.lo + 1.0, c.hi + 1.0) for c in grad))
+        return fx, grad
+
+
+def record_batches(monkeypatch):
+    """The iterate indices of every batch of pending checks, and the
+    position of the first failure in each (None when it passed)."""
+    import ghcalc.iop
+
+    batches = []
+    first_failure = ghcalc.iop._first_failure
+
+    def recorded(values, pending):
+        failed = first_failure(values, pending)
+        batches.append(([k for k, _, _, _ in pending], failed))
+        return failed
+
+    monkeypatch.setattr(ghcalc.iop, "_first_failure", recorded)
+    return batches
+
+
+def place_nudges(monkeypatch, stencil, p, grid, rules):
+    """Add to stencil.nudge, one at a time, the iterates of the vee descent
+    from -2 that `rules` name, and return their indices.  A nudge moves only
+    the iterates after it, so each is chosen from the descent with the
+    earlier ones in place.  "next" is the iterate after the last one
+    nudged; ("end", m) and ("start", m) are the last and the first iterate
+    of the first batch of at least m pending checks after it."""
+    nudged = []
+    for rule in rules:
+        with monkeypatch.context() as m:
+            batches = record_batches(m)
+            trace = scalarized_descent(p, [-2.0], grid=grid).trace
+        last = nudged[-1] if nudged else -1
+        if rule == "next":
+            k = last + 1
+        else:
+            where, size = rule
+            ks = next(ks for ks, _ in batches if len(ks) >= size and ks[0] > last)
+            k = ks[-1] if where == "end" else ks[0]
+        nudged.append(k)
+        stencil.nudge.add(trace[k].x)
+    return nudged
+
+
+# A failure at the end of a batch wastes no stencil, since the next
+# iterate was not evaluated yet; one at its start wastes the rest.
+ROLLBACK_CASES = {
+    "batch_ends": [("end", 1), "next", "next", ("end", 2), "next", ("end", 8),
+                   ("end", 32), ("end", 64), "next"],
+    "batch_starts": [("start", 2), ("start", 8), "next", ("start", 64)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROLLBACK_CASES))
+def test_descent_rolls_back_to_the_first_failed_gradient_check(monkeypatch, name):
+    f = piecewise_vee_ivf()
+    p, grid = Iop(f), f.grid(201)
+    stencil = Stencil(monkeypatch)
+    nudged = place_nudges(monkeypatch, stencil, p, grid, ROLLBACK_CASES[name])
+    sizes = []
+    eval_many = Ivf.eval_many
+
+    def counted(self, xs, check_domain=True):
+        sizes.append(len(xs))
+        return eval_many(self, xs, check_domain)
+
+    with monkeypatch.context() as m:
+        batches = record_batches(m)
+        m.setattr(Ivf, "eval_many", counted)
+        result = scalarized_descent(p, [-2.0], grid=grid)
+    # every nudge failed its check and was rolled back to, in order
+    failed = [ks[i] for ks, i in batches if i is not None and ks[i] in nudged]
+    assert failed == nudged
+    assert result == descent_reference(p, [-2.0], grid)
+    stencils = [len(grid.points()), 4] + [7] * (len(result.trace) - 1)
+    if name == "batch_ends":
+        # as many stencil calls as checking every step at once makes
+        assert sizes == stencils
+    else:
+        # a failure ahead of pending iterates discards their stencils only
+        wasted = sum(len(ks) - 1 - i for ks, i in batches if i is not None)
+        assert wasted > 0
+        assert sizes == stencils + [7] * wasted
+
+
+def test_descent_raises_an_error_from_a_discarded_step_only_if_reached(monkeypatch):
+    f = piecewise_vee_ivf()
+    p, grid = Iop(f), f.grid(201)
+    stencil = Stencil(monkeypatch)
+    place_nudges(monkeypatch, stencil, p, grid, [("start", 8)])
+    stencil.seen.clear()
+    expected = scalarized_descent(p, [-2.0], grid=grid)
+    kept = {r.x for r in expected.trace}
+    discarded = [x for x in stencil.seen if x not in kept]
+    assert discarded
+    # a step run ahead of a failed check raises, and the descent goes on
+    stencil.fail.add(discarded[-1])
+    assert scalarized_descent(p, [-2.0], grid=grid) == expected
+    # an iterate of the trace raises as it would checking every step at once
+    stencil.fail.add(expected.trace[300].x)
+    with pytest.raises(ZeroDivisionError, match="stencil refused"):
+        scalarized_descent(p, [-2.0], grid=grid)
+    with pytest.raises(ZeroDivisionError, match="stencil refused"):
+        descent_reference(p, [-2.0], grid)
 
 
 # (objective, grid samples, candidate)
