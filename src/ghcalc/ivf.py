@@ -163,10 +163,11 @@ class Ivf:
 
 
 def _line_sampler(f: Ivf, x: np.ndarray, direction: np.ndarray) -> Callable:
-    """Sampler t -> boundary values of f along x + t*direction."""
+    """Sampler t -> boundary values of f along x + t*direction, unchecked:
+    callers check x, and `_deriv_1d_from_sampler` keeps t in the span."""
     def sample(ts: np.ndarray):
         pts = x[None, :] + np.asarray(ts, dtype=float)[:, None] * direction[None, :]
-        return f.eval_many(pts)
+        return f.eval_many(pts, check_domain=False)
     return sample
 
 
@@ -182,12 +183,13 @@ def _deriv_1d_from_sampler(sample, t: float, span: Tuple[float, float],
     h0 = _FD_STEP_SCALE * (1.0 + abs(t)) * max(scale, 1.0)
     lo_edge = t - h0 * 1.001 < span[0]
     hi_edge = t + h0 * 1.001 > span[1]
-    if lo_edge and hi_edge:
-        raise NonFiniteDerivative("domain too small for the difference stencil")
     if lo_edge or hi_edge:
+        sgn = 1.0 if lo_edge else -1.0
+        # the one-sided stencil reaches t + 2*sgn*h0, past span[1] if both edges are near
+        if not span[0] <= t + 2.0 * sgn * h0 <= span[1]:
+            raise NonFiniteDerivative("domain too small for the difference stencil")
         warnings.warn("one-sided difference used at a domain boundary",
                       OneSidedDifferenceWarning, stacklevel=3)
-        sgn = 1.0 if lo_edge else -1.0
         # steps h0 and h0/2 share t and t + sgn*h0, since 2*sgn*(h0/2) == sgn*h0
         h = h0 / 2.0
         lo, hi = sample(np.array([t, t + sgn * h, t + sgn * h0, t + 2.0 * sgn * h0]))
@@ -339,6 +341,10 @@ _MIX_QUARTERS = (1, 2, 3)
 # most this many entries, so their memory does not grow with the grid.
 _PAIR_BLOCK = 1 << 18
 
+# The convexity check's blocks hold at most this many pairs, or the pairs of
+# one node; fewer than _PAIR_BLOCK, as it makes more passes over each block.
+_MIX_BLOCK = 1 << 16
+
 
 def _row_blocks(n: int):
     """Cover the pairs i < j of n nodes with row blocks, in np.triu_indices
@@ -349,39 +355,64 @@ def _row_blocks(n: int):
         yield slice(r0, min(r0 + rows_per_block, n - 1)), slice(r0 + 1, n)
 
 
+def _runs(counts: Tuple[int, ...], budget: int):
+    """Split the row-major nodes of a box into consecutive runs of at most
+    `budget` nodes, or of one node.  Yields (index, start): the run's index
+    into the box (ints, then slices), and the flat index of its first node."""
+    unit = math.prod(counts[1:])
+    if unit > budget:
+        for i in range(counts[0]):
+            for index, start in _runs(counts[1:], budget):
+                yield (i,) + index, i * unit + start
+    else:
+        step = budget // unit
+        for i in range(0, counts[0], step):
+            yield (slice(i, i + step),) + (slice(None),) * (len(counts) - 1), i * unit
+
+
 def is_convex_sampled(f: Ivf, grid: Grid, tol: float = 1e-10):
     """Sampled convexity check of F(lam*x1 + lam'*x2) against the mixture.
 
     Every pair of grid nodes is tested at the fixed weights lam = 1/4, 1/2
     and 3/4.  Those mixtures are nodes of the grid refined 4x per axis, so
-    F is evaluated once on that lattice and each mixture value is read
-    from it by index.  Returns (True, None) or (False, (x1, x2, lam)) with
-    the first violating triple, taking lam in increasing order and pairs
-    in np.triu_indices order.  Sampled evidence only, not a proof.
+    F is evaluated once on that lattice.  The mixture of nodes a and b at
+    lam = k/4 sits at refined index k*a + (4 - k)*b, so for each k the
+    mixture values of all pairs form one strided view of the lattice.
+    Returns (True, None) or (False, (x1, x2, lam)) with the first violating
+    triple, taking lam in increasing order and pairs in np.triu_indices
+    order.  Sampled evidence only, not a proof.
     """
-    fine = Grid(grid.lower, grid.upper, tuple(4 * (c - 1) + 1 for c in grid.counts))
-    fine_lo, fine_hi = f.eval_many(fine.points())
-    # s = flat index in the refined grid of each grid node, divided by 4;
-    # the mixture (k/4)*x_i + (1 - k/4)*x_j sits at k*s_i + (4 - k)*s_j
-    s = np.ravel_multi_index(np.indices(grid.counts).reshape(grid.dim, -1), fine.counts)
-    lo, hi = fine_lo[4 * s], fine_hi[4 * s]
+    n, counts = grid.dim, grid.counts
+    fine = Grid(grid.lower, grid.upper, tuple(4 * (c - 1) + 1 for c in counts))
+    fine_lo, fine_hi = (np.ascontiguousarray(v).reshape(fine.counts)
+                        for v in f.eval_many(fine.points()))
+    fine_lo.flags.writeable = fine_hi.flags.writeable = False
+    lo, hi = (v[(slice(None, None, 4),) * n] for v in (fine_lo, fine_hi))
+    # entry (a, b) of the k-th view is the refined value at k*a + (4 - k)*b
+    strides = [[k * s for s in fine_lo.strides] + [(4 - k) * s for s in fine_lo.strides]
+               for k in _MIX_QUARTERS]
+    mixes = [(np.ndarray(counts + counts, float, fine_lo, 0, st),
+              np.ndarray(counts + counts, float, fine_hi, 0, st)) for st in strides]
+    slab = math.prod(counts[1:])
     witness = [None] * len(_MIX_QUARTERS)
-    for i, j in _row_blocks(s.size):
+    # a block pairs a run of first nodes with the second nodes from the
+    # run's first-axis index i0 on: the upper triangle and a few pairs more
+    for first, start in _runs(counts, max(1, _MIX_BLOCK // math.prod(counts))):
+        i0 = start // slab
+        rows, pairs = first + (None,) * n, first + (slice(i0, None),)
         for m, k in enumerate(_MIX_QUARTERS):
             if witness[m] is not None:
                 continue
-            lam = k / 4
-            lam_p = 1.0 - lam
-            mix = (k * s[i])[:, None] + ((4 - k) * s[j])[None, :]
-            bad = ((fine_lo[mix] > (lam * lo[i])[:, None] + (lam_p * lo[j])[None, :] + tol)
-                   | (fine_hi[mix] > (lam * hi[i])[:, None] + (lam_p * hi[j])[None, :] + tol))
+            lam, lam_p = k / 4, 1.0 - k / 4
+            mix_lo, mix_hi = mixes[m]
+            bad = ((mix_lo[pairs] > lam * lo[rows] + lam_p * lo[i0:] + tol)
+                   | (mix_hi[pairs] > lam * hi[rows] + lam_p * hi[i0:] + tol))
             if bad.any():
-                # below np.triu the block holds pairs (j, i) with j < i at
-                # weight 1 - lam, and j == i; drop them before picking a witness
-                bad = np.triu(bad)
+                # drop the block's pairs B <= A before picking a witness
+                bad = np.triu(bad.reshape(-1, (counts[0] - i0) * slab), 1 + start - i0 * slab)
                 if bad.any():
-                    a, b = np.unravel_index(int(np.argmax(bad)), bad.shape)
-                    witness[m] = (i.start + a, j.start + b)
+                    a, b = divmod(int(np.argmax(bad)), bad.shape[1])
+                    witness[m] = (start + a, i0 * slab + b)
         if witness[0] is not None:
             break
     for k, pair in zip(_MIX_QUARTERS, witness):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ghcalc import Grid, Interval, Ivf, OneSidedDifferenceWarning
-from ghcalc.errors import NonFiniteDerivative, OutOfDomain
+from ghcalc.errors import NoConvergence, NonFiniteDerivative, OutOfDomain
 from ghcalc.ivf import (
     directional_gh_derivative,
     gh_derivative_1d,
@@ -154,6 +154,34 @@ def test_a_kink_error_carries_the_stencil_value_at_the_point():
     assert exc.value.sampled is None
 
 
+def test_a_narrow_domain_refuses_a_stencil_that_would_leave_it():
+    # 0 is inside, but the one-sided stencil from it would reach 2e-4
+    for domain in ((-5e-5, 1.5e-4), (-1.5e-4, 5e-5)):
+        f = Ivf.from_text(1, "[1,2]*pow2(x1)", (domain,))
+        for derivative in (lambda: gh_gradient(f, [0.0]), lambda: gh_derivative_1d(f, 0.0)):
+            with pytest.raises(NonFiniteDerivative,
+                               match=r"^domain too small for the difference stencil$") as exc:
+                derivative()
+            assert exc.value.sampled is None
+
+
+def test_derivatives_check_the_domain_once_per_stencil(monkeypatch):
+    f = Ivf.from_text(2, "[1,2]*pow2(x1) + x2", ((-1.0, 1.0), (-1.0, 1.0)))
+    with pytest.raises(OutOfDomain, match=r"^\[1\.5, 0\.0\] is outside the domain$"):
+        partial_gh_derivative(f, [1.5, 0.0], 1)
+    with pytest.raises(OutOfDomain, match=r"^\[0\.0, -2\.0\] is outside the domain$"):
+        gh_gradient(f, (0.0, -2.0))
+    checks = []
+    inside = Ivf._inside
+    monkeypatch.setattr(Ivf, "_inside", lambda self, arr: checks.append(arr.shape) or inside(self, arr))
+    gh_gradient(f, (0.5, 0.25))
+    assert checks == [(1, 2), (1, 2)]
+    checks.clear()
+    with pytest.warns(OneSidedDifferenceWarning):
+        gh_gradient(f, (1.0, -1.0))
+    assert checks == [(1, 2), (1, 2)]
+
+
 def test_one_sided_stencil_warns_at_boundary():
     q = quartic_ivf()
     with pytest.warns(OneSidedDifferenceWarning):
@@ -182,6 +210,12 @@ def test_directional_derivative_matches_gradient_when_smooth():
     q = quartic_ivf()
     d = directional_gh_derivative(q, [1.0], [1.0])
     assert abs(d.lo - 2.0) < 1e-5 and abs(d.hi - 4.0) < 1e-5
+
+
+def test_directional_derivative_that_never_settles_raises():
+    f = Ivf.from_text(1, "1e20*pow3(x1)", ((-1.0, 1.0),))
+    with pytest.raises(NoConvergence, match=r"^directional derivative estimate did not settle$"):
+        directional_gh_derivative(f, [0.0], [1.0])
 
 
 def test_directional_derivative_needs_room():

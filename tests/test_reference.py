@@ -21,7 +21,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghcalc import Interval, IVector, Ivf, WMapConfig, w_map
+from ghcalc import Grid, Interval, IVector, Ivf, WMapConfig, w_map
+from ghcalc import ivf as ivf_module
 from ghcalc.cli import parse_problem_file
 from ghcalc.errors import (
     EmptySubdifferentialEncountered,
@@ -57,6 +58,7 @@ from ghcalc.iop import (
 from ghcalc.ivf import (
     OneSidedDifferenceWarning,
     _row_blocks,
+    _runs,
     gh_gradient,
     is_convex_sampled,
     lipschitz_estimate,
@@ -168,6 +170,95 @@ def test_convexity_cases_cover_both_verdicts_and_late_blocks():
     x1 = convexity_reference(f, f.grid(samples))[1][0]
     first_block_rows = next(_row_blocks(len(pts)))[0]
     assert int(np.flatnonzero((pts == x1).all(axis=1))[0]) >= first_block_rows.stop
+
+
+def on_grid(f, counts):
+    return f, Grid(tuple(l for l, _ in f.domain), tuple(u for _, u in f.domain), counts)
+
+
+def tent(c):
+    """Height 0.5 at x1 = c, zero where |x1 - c| >= 0.1."""
+    return f"5*(0.1 - abs(x1 - {c}) + abs(0.1 - abs(x1 - {c})))"
+
+
+# Grids with unequal axes; the Iop default saddle, whose witness pair shares
+# its first-axis index; seeded objectives whose first violation is at
+# lam = 1/2 or 3/4, so that no lam = 1/4 block hides them.  Of the mixtures
+# of integer nodes, the tent at 0.5 holds only those of nodes 0 and 1 at
+# lam = 1/2 and of 0 and 2 at 3/4; lam = 1/4 first meets the tent at 10.25
+# with nodes 2 and 13, a later first node.
+KERNEL_CASES = {
+    "late_quarter_1d": on_grid(Ivf.from_text(1, f"[1,2] + {tent(0.5)} + {tent(10.25)}",
+                                             ((0.0, 20.0),)), (21,)),
+    "saddle_21x21": on_grid(Ivf.from_text(2, "[1,2]*pow2(x1) - pow2(x2)",
+                                          ((-1.0, 1.0),) * 2), (21, 21)),
+    "convex_5x7x3": on_grid(seeded_objective(11, 3), (5, 7, 3)),
+    "nonconvex_5x7x3": on_grid(seeded_objective(3, 3, -0.4), (5, 7, 3)),
+    "convex_9x4": on_grid(CONVEXITY_CASES["convex_2d"][0], (9, 4)),
+    "nonconvex_9x4": on_grid(seeded_objective(2, 2, -0.4), (9, 4)),
+    "half_1d": on_grid(seeded_objective(41, 1, -0.4), (21,)),
+    "half_3d": on_grid(seeded_objective(12, 3, -0.4), (5, 5, 5)),
+    "three_quarters_2d": on_grid(seeded_objective(46, 2, -0.4), (7, 7)),
+    "three_quarters_3d": on_grid(seeded_objective(38, 3, -0.4), (5, 5, 5)),
+}
+
+
+def test_kernel_cases_pin_the_triu_offset_and_late_weights():
+    verdicts = {name: convexity_reference(f, grid) for name, (f, grid) in KERNEL_CASES.items()}
+    assert verdicts["saddle_21x21"] == (False, ([-1.0, -1.0], [-1.0, -0.9], 0.25))
+    assert verdicts["late_quarter_1d"] == (False, ([2.0], [13.0], 0.25))
+    assert verdicts["convex_5x7x3"][0] and verdicts["convex_9x4"][0]
+    assert not verdicts["nonconvex_5x7x3"][0] and not verdicts["nonconvex_9x4"][0]
+    assert [verdicts[name][1][2] for name in ("half_1d", "half_3d", "three_quarters_2d",
+                                              "three_quarters_3d")] == [0.5, 0.5, 0.75, 0.75]
+
+
+# 1000 pairs cut each first-axis slab of a 21 x 21 grid into runs of two
+# nodes, and of a 5 x 7 x 3 grid into runs of three rows of its second axis.
+# The default budget on CONVEXITY_CASES is the test above.
+@pytest.mark.parametrize("name,budget", [(name, budget) for name in sorted(KERNEL_CASES)
+                                         for budget in (None, 1, 1000)]
+                         + [(name, budget) for name in sorted(CONVEXITY_CASES)
+                            for budget in (1, 1000)])
+def test_convexity_matches_the_pair_enumeration_at_any_block_size(name, budget, monkeypatch):
+    if name in KERNEL_CASES:
+        f, grid = KERNEL_CASES[name]
+    else:
+        f, samples = CONVEXITY_CASES[name]
+        grid = f.grid(samples)
+    if budget is not None:
+        monkeypatch.setattr(ivf_module, "_MIX_BLOCK", budget)
+    assert is_convex_sampled(f, grid) == convexity_reference(f, grid)
+
+
+@pytest.mark.parametrize("counts", [(2,), (21,), (9, 4), (21, 21), (5, 7, 3), (3, 4, 2, 3)])
+@pytest.mark.parametrize("budget", [1, 7, 64, 1000])
+def test_runs_cover_the_nodes_in_order_within_the_budget(counts, budget):
+    nodes = np.arange(math.prod(counts)).reshape(counts)
+    covered = []
+    for index, start in _runs(counts, budget):
+        run = nodes[index].ravel()
+        assert np.array_equal(run, np.arange(start, start + run.size))
+        assert run.size <= budget or run.size == 1
+        covered.append(run)
+    assert np.array_equal(np.concatenate(covered), nodes.ravel())
+
+
+def test_convexity_check_leaves_the_refined_values_unchanged(monkeypatch):
+    f, grid = KERNEL_CASES["nonconvex_5x7x3"]
+    returned = []
+    eval_many = Ivf.eval_many
+
+    def keep(self, xs, check_domain=True):
+        values = eval_many(self, xs, check_domain)
+        returned.append((values, [v.copy() for v in values]))
+        return values
+
+    monkeypatch.setattr(Ivf, "eval_many", keep)
+    assert is_convex_sampled(f, grid) == convexity_reference(f, grid)
+    assert returned
+    for values, copies in returned:
+        assert all(np.array_equal(v, c) for v, c in zip(values, copies))
 
 
 @pytest.mark.parametrize("n", [2, 3, 7, 100, 513, 1000])
