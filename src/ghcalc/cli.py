@@ -19,6 +19,7 @@ Exit codes: 0 success, 1 negative verdict, 2 input error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -44,6 +45,15 @@ class ProblemFile:
     ivf: Ivf
     base_points: Tuple[Tuple[float, ...], ...]
     candidates: Tuple[IVector, ...]
+
+
+def _coordinates(text: str, line: Optional[int] = None) -> Tuple[float, ...]:
+    """Comma-separated coordinates of a point, each of them finite."""
+    vals = tuple(float(v) for v in text.split(","))
+    for v in vals:
+        if not math.isfinite(v):
+            raise ParseError(f"non-finite coordinate {v!r} in point {text!r}", line, 1)
+    return vals
 
 
 def _parse_candidate(text: str) -> IVector:
@@ -81,7 +91,7 @@ def parse_problem_text(text: str) -> ProblemFile:
             elif key == "objective":
                 objective = value
             elif key == "base_point":
-                base_points.append(tuple(float(v) for v in value.split(",")))
+                base_points.append(_coordinates(value, lineno))
             elif key == "candidate":
                 candidates.append(_parse_candidate(value))
             else:
@@ -123,7 +133,7 @@ def _emit(text: str, out_path: Optional[str]) -> None:
 
 
 def _parse_point(text: str, arity: int) -> Tuple[float, ...]:
-    vals = tuple(float(v) for v in text.split(","))
+    vals = _coordinates(text)
     if len(vals) != arity:
         raise ParseError(f"point {text!r} has {len(vals)} coordinates, "
                          f"expected {arity}")

@@ -213,7 +213,7 @@ def _checked(child: Expr, bad, error, what: str):
     def checked(xs):
         lo, hi = fn(xs)
         mask = bad(lo, hi)
-        if mask.any():
+        if np.count_nonzero(mask):
             k = int(np.argmax(mask))
             raise error(f"{what.format(lo[k], hi[k])} at point {xs[k].tolist()}")
         return lo, hi
@@ -249,11 +249,11 @@ def _compile_piecewise(node: Piecewise):
         covered = np.zeros(xs.shape[0], dtype=bool)
         for holds, body in pieces:
             mask = holds(xs)
-            if not mask.any():
+            if not np.count_nonzero(mask):
                 continue
             lo, hi = body(xs[mask])
             overlap = covered[mask]
-            if overlap.any():
+            if np.count_nonzero(overlap):
                 # closed guards may meet where the pieces agree; a point
                 # covered already keeps the earlier piece's value
                 old_lo, old_hi = out_lo[mask], out_hi[mask]
@@ -266,7 +266,7 @@ def _compile_piecewise(node: Piecewise):
             out_lo[mask] = lo
             out_hi[mask] = hi
             covered |= mask
-        if not covered.all():
+        if np.count_nonzero(covered) < covered.size:
             raise PiecewiseCoverageError(f"no guard covers point {xs[~covered][0].tolist()}")
         return out_lo, out_hi
     return fn

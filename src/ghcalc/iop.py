@@ -233,7 +233,8 @@ def _default_schedule(k: int) -> float:
     return 0.1 / math.sqrt(k + 1)
 
 
-def _stencil_value_and_gradient(f: Ivf, x: np.ndarray) -> Tuple[Interval, Optional[IVector]]:
+def _stencil_value_and_gradient(f: Ivf, x: Tuple[float, ...]
+                                ) -> Tuple[Interval, Optional[IVector]]:
     """F(x), read from the gradient stencil, and the gH-gradient, or None at
     a kink."""
     try:
@@ -241,9 +242,16 @@ def _stencil_value_and_gradient(f: Ivf, x: np.ndarray) -> Tuple[Interval, Option
     except NonFiniteDerivative as exc:  # a kink; the stencil may hold F(x)
         fx, grad = exc.sampled, None
     # the stencils sample x + 0.0, which is not x where x holds a -0.0
-    if fx is None or (np.signbit(x) & (x == 0.0)).any():
+    if fx is None or any(v == 0.0 and math.copysign(1.0, v) < 0.0 for v in x):
         fx = f.boundary(x)
-    return Interval(float(fx[0]), float(fx[1])), grad
+    return Interval(*fx), grad
+
+
+def _clip(v: float, lo: float, hi: float) -> float:
+    """np.clip(v, lo, hi) on floats, bit for bit: a NaN passes through, and
+    a tie, signed zeros included, takes the bound."""
+    v = v if v != v or v > lo else lo
+    return v if v != v or v < hi else hi
 
 
 def _kink_subgradient(f: Ivf, x: np.ndarray, value: Interval,
@@ -309,9 +317,10 @@ def scalarized_descent(p: Iop, x0, cfg: WMapConfig = WMapConfig(),
     domain box.  Stops early when the scalarized subgradient vanishes.
     Returns the dominance-minimal trace iterate (scalarized value breaks
     ties among mutually incomparable candidates) plus its efficiency
-    flag and the full trace.  F is evaluated on the grid once per call;
-    each iteration evaluates it once per axis, on the gradient stencil,
-    which holds the iterate.
+    flag and the full trace.  F is evaluated on the grid once per call.
+    An iteration is one stencil evaluation per axis, whose stencil holds
+    the iterate, plus bookkeeping on floats: the stop test, and the
+    projection, which clips as np.clip does, bit for bit.
 
     The gradient steps run ahead of their checks, which run in batches.
     On the first gradient that is missing (a kink) or fails its check, the
@@ -330,8 +339,7 @@ def scalarized_descent(p: Iop, x0, cfg: WMapConfig = WMapConfig(),
     x = np.asarray(x0, dtype=float).ravel()
     if not f.contains(x):
         raise OutOfDomain(f"{x.tolist()} is outside the domain")
-    lower = np.array([l for l, _ in f.domain])
-    upper = np.array([u for _, u in f.domain])
+    x = tuple(x.tolist())
     values = _grid_values(f, grid)
     trace: List[TraceRecord] = []
     pending: list = []  # (k, x, F(x), gradient) of the iterates not yet checked
@@ -352,16 +360,17 @@ def scalarized_descent(p: Iop, x0, cfg: WMapConfig = WMapConfig(),
                             break
                     else:
                         value, rolled_back = rolled_back, None
-                        g = _kink_subgradient(f, x, value, values)
-                    direction = np.array(w_map(g, cfg))
+                        g = _kink_subgradient(f, np.array(x), value, values)
+                    direction = w_map(g, cfg)
                     step = step_schedule(k)
-                    trace.append(TraceRecord(k, tuple(x.tolist()), value,
+                    trace.append(TraceRecord(k, x, value,
                                              cfg.w * value.lo + cfg.w_prime * value.hi,
                                              step))
-                    if float(np.max(np.abs(direction))) <= 1e-12:
+                    if all(abs(d) <= 1e-12 for d in direction):
                         stopped = True
                         break
-                    x = np.clip(x - step * direction, lower, upper)
+                    s = float(step)  # a float32 step is widened, as by float64 arrays
+                    x = tuple(_clip(v - s * d, *b) for v, d, b in zip(x, direction, f.domain))
             except Exception:
                 failed = _first_failure(values, pending)
                 if failed is None:

@@ -113,7 +113,9 @@ class Ivf:
         # built once per function; not fields, so == and hash ignore them
         tol = [_DOMAIN_TOL * (1.0 + abs(l) + abs(u)) for l, u in domain]
         box = [(l - t, u + t) for (l, u), t in zip(domain, tol)]
+        object.__setattr__(self, "_edges", tuple(box))
         object.__setattr__(self, "_box", np.array(box, ndmin=2).T)
+        object.__setattr__(self, "_units", np.eye(self.arity))
         object.__setattr__(self, "_lo_hi", compile_lo_hi(self.body))
 
     def __reduce__(self):
@@ -125,7 +127,9 @@ class Ivf:
         return cls(arity, parse_expr(text), tuple(domain))
 
     def _as_points(self, x) -> np.ndarray:
-        arr = np.atleast_2d(np.asarray(x, dtype=float))
+        arr = np.asarray(x, dtype=float)
+        if arr.ndim < 2:
+            arr = arr.reshape(1, -1)
         if arr.shape[1] != self.arity:
             raise ValueError(f"expected points of dimension {self.arity}")
         return arr
@@ -135,6 +139,8 @@ class Ivf:
 
     def _inside(self, arr: np.ndarray) -> bool:
         # a NaN coordinate fails neither comparison, so it counts as inside
+        if arr.shape[0] == 1:
+            return not any(v < l or v > u for v, (l, u) in zip(arr[0].tolist(), self._edges))
         return not ((arr < self._box[0]).any() or (arr > self._box[1]).any())
 
     def eval_many(self, xs: np.ndarray,
@@ -162,12 +168,11 @@ class Ivf:
 # --------------------------------------------------------------------------
 
 
-def _line_sampler(f: Ivf, x: np.ndarray, direction: np.ndarray) -> Callable:
-    """Sampler t -> boundary values of f along x + t*direction, unchecked:
+def _line_sampler(f: Ivf, x: np.ndarray, axis: int) -> Callable:
+    """Sampler t -> boundary values of f along x + t*e_axis, unchecked:
     callers check x, and `_deriv_1d_from_sampler` keeps t in the span."""
     def sample(ts: np.ndarray):
-        pts = x[None, :] + np.asarray(ts, dtype=float)[:, None] * direction[None, :]
-        return f.eval_many(pts, check_domain=False)
+        return f.eval_many(x + ts[:, None] * f._units[axis], check_domain=False)
     return sample
 
 
@@ -248,7 +253,7 @@ def gh_derivative_1d(f: Ivf, x: float) -> Interval:
         raise ValueError("gh_derivative_1d needs a one-variable function")
     if not f.contains([x]):
         raise OutOfDomain(f"{x} is outside the domain")
-    sample = _line_sampler(f, np.array([float(x)]), np.array([1.0]))
+    sample = _line_sampler(f, np.array([float(x)]), 0)
     return _deriv_1d_from_sampler(lambda ts: sample(ts - x),
                                   float(x), f.domain[0], 1.0)[1]
 
@@ -262,11 +267,9 @@ def _partial(f: Ivf, x, i: int) -> Tuple[Tuple[float, float], Interval]:
     x = np.asarray(x, dtype=float).ravel()
     if not f.contains(x):
         raise OutOfDomain(f"{x.tolist()} is outside the domain")
-    direction = np.zeros(f.arity)
-    direction[i] = 1.0
-    sample = _line_sampler(f, x, direction)
-    span = (f.domain[i][0] - x[i], f.domain[i][1] - x[i])
-    return _deriv_1d_from_sampler(sample, 0.0, span, 1.0 + abs(x[i]))
+    xi = float(x[i])
+    span = (f.domain[i][0] - xi, f.domain[i][1] - xi)
+    return _deriv_1d_from_sampler(_line_sampler(f, x, i), 0.0, span, 1.0 + abs(xi))
 
 
 def gh_gradient(f: Ivf, x) -> IVector:

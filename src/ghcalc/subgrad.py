@@ -288,6 +288,8 @@ def subdiff_scan_1d(f: Ivf, x_bar: float,
         raise OutOfDomain(f"{x_bar} is outside the domain")
     if isinstance(steps, int):
         steps = (steps, steps)
+    if min(steps) < 2:
+        raise ValueError(f"need at least 2 scan steps per axis, got {tuple(steps)}")
     if g_bounds is None:
         from .ivf import gh_derivative_1d
         deriv = gh_derivative_1d(f, x_bar)

@@ -181,6 +181,14 @@ def test_subdiff_scan_bad_bounds(slab_file, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("steps", ["0", "1"])
+def test_subdiff_scan_refuses_fewer_than_two_steps(slab_file, steps, capsys):
+    assert main(["subdiff-scan", slab_file, "--bounds=-4,2,-2,4", "--steps", steps]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: need at least 2 scan steps per axis, got ({steps}, {steps})\n"
+
+
 def test_efficient(slab_file, capsys):
     assert main(["efficient", slab_file, "--grid", "9"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -257,6 +265,34 @@ def test_parse_errors_exit_two(tmp_path, capsys):
     assert main(["eval", str(bad)]) == 2
     assert "error:" in capsys.readouterr().err
     assert main(["eval", str(tmp_path / "missing.prob")]) == 2
+
+
+@pytest.mark.parametrize("argv, point, coordinate", [
+    (["descent", "--x0"], "nan", "nan"),
+    (["subgrad-check", "--at"], "nan", "nan"),
+    (["subdiff-scan", "--at"], "inf", "inf"),
+    (["eval"], "1,1e999", "inf"),
+])
+def test_a_non_finite_point_flag_exits_two_naming_the_coordinate(argv, point, coordinate,
+                                                                quartic_file, capsys):
+    assert main([argv[0], quartic_file, *argv[1:], point]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: non-finite coordinate {coordinate} in point '{point}'\n"
+
+
+@pytest.mark.parametrize("value, coordinate", [("nan", "nan"), ("0.5,inf", "inf"),
+                                               ("-1e999", "-inf")])
+def test_a_non_finite_base_point_line_is_refused(value, coordinate, tmp_path, capsys):
+    text = f"arity=1\ndomain=[0,2.5]\nobjective=pow4(x1)\nbase_point={value}\n"
+    with pytest.raises(ParseError, match=f"^non-finite coordinate {coordinate} in point") as exc:
+        parse_problem_text(text)
+    assert exc.value.line == 4
+    path = tmp_path / "nonfinite.prob"
+    path.write_text(text)
+    assert main(["descent", str(path)]) == 2
+    assert capsys.readouterr().err == (f"error: non-finite coordinate {coordinate} in point "
+                                       f"'{value}' (line 4, col 1)\n")
 
 
 def test_point_dimension_mismatch_exits_two(slab_file, capsys):

@@ -151,6 +151,19 @@ def test_descent_respects_the_weight_config():
     assert abs(r.x_best[0]) < 0.1
 
 
+def test_a_float32_step_moves_the_iterate_as_its_float64_value():
+    # the projection works on floats, where float32 * float stays float32
+    p = Iop(piecewise_vee_ivf())
+    grid = p.objective.grid(51)
+    narrow = scalarized_descent(p, [-2.0], iters=50, grid=grid,
+                                step_schedule=lambda k: np.float32(0.1) / np.float32(k + 1))
+    wide = scalarized_descent(p, [-2.0], iters=50, grid=grid,
+                              step_schedule=lambda k: float(np.float32(0.1) / np.float32(k + 1)))
+    assert narrow == wide
+    assert [repr(r.x) for r in narrow.trace] == [repr(r.x) for r in wide.trace]
+    assert -2.0 < narrow.trace[-1].x[0] < -1.0
+
+
 @pytest.mark.parametrize("call", ["descent", "probe"])
 def test_one_full_grid_evaluation_per_call(monkeypatch, call):
     f = piecewise_vee_ivf()
@@ -183,3 +196,21 @@ def test_descent_keeps_the_sign_of_a_zero_start():
     assert first.x == (-0.0,) and first.value == f.eval([-0.0])
     assert math.copysign(1.0, first.value.lo) == -1.0
     assert math.copysign(1.0, first.scalarized) == -1.0
+
+
+@pytest.mark.xfail(strict=True, reason="the descent moves along w_map of the gH-gradient's "
+                   "endpoints, not along the slope of phi_w (ROADMAP, open item 2)")
+def test_descent_off_the_midpoint_weights_does_not_climb_phi_w():
+    # F = [3x, 10 - x] on [0, 2]: phi_w = 0.2*3x + 0.8*(10 - x) falls to 7.6 at
+    # x = 2, but w_map of the gradient [min(3, -1), max(3, -1)] is +2.2, so the
+    # iteration walks to x = 0, where phi_w is 8.0.  x_best is the trace's
+    # least phi_w, which never exceeds phi_w(x0), so the last iterate is asked.
+    f = Ivf.from_text(1, "[0,10] ghsub x1*[-3,1]", ((0.0, 2.0),))
+    cfg = WMapConfig(0.2, 0.8)
+
+    def phi_w(x):
+        value = f.eval(x)
+        return cfg.w * value.lo + cfg.w_prime * value.hi
+
+    trace = scalarized_descent(Iop(f), [1.0], cfg, grid=f.grid(201)).trace
+    assert phi_w(trace[-1].x) <= phi_w([1.0])

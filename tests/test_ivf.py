@@ -1,3 +1,4 @@
+import math
 import pickle
 import warnings
 
@@ -7,6 +8,7 @@ import pytest
 from ghcalc import Grid, Interval, Ivf, OneSidedDifferenceWarning
 from ghcalc.errors import NoConvergence, NonFiniteDerivative, OutOfDomain
 from ghcalc.ivf import (
+    _value_and_gradient,
     directional_gh_derivative,
     gh_derivative_1d,
     gh_gradient,
@@ -103,6 +105,21 @@ def test_contains_keeps_the_per_axis_tolerance():
     assert not f.contains([[0.5, 0.5], [7.0, 0.5]])
 
 
+def test_a_single_point_is_checked_as_the_array_path_checks_it():
+    f = Ivf.from_text(2, "x1 + x2", ((-2.0, 6.0), (0.0, 1e3)))
+    coords = [np.nan, -np.nan, np.inf, -np.inf, 0.5, -0.0]
+    for l, u in f.domain:
+        tol = 1e-9 * (1.0 + abs(l) + abs(u))
+        coords += [l - tol, u + tol, np.nextafter(l - tol, -np.inf), np.nextafter(u + tol, np.inf)]
+    for a in coords:
+        for b in coords:
+            row = np.array([[a, b]])
+            # two copies of the row take the array path
+            assert f._inside(row) == f._inside(np.repeat(row, 2, axis=0))
+    assert f._inside(np.array([[np.nan, np.nan]]))
+    assert not f._inside(np.array([[np.nan, np.inf]]))
+
+
 def test_compiled_body_is_no_field():
     f, g = quartic_ivf(), quartic_ivf()
     assert f == g and hash(f) == hash(g)
@@ -152,6 +169,15 @@ def test_a_kink_error_carries_the_stencil_value_at_the_point():
     with pytest.raises(NonFiniteDerivative) as exc:
         gh_gradient(tiny, (5e-7,))
     assert exc.value.sampled is None
+
+
+def test_the_stencil_value_is_f_at_x_plus_zero():
+    # each stencil row is x + t*e_axis, -0.0 + 0.0 being 0.0, so a -0.0
+    # off the axis is 0.0 in the offset-0 row
+    f = Ivf.from_text(2, "x2*[1,1]", ((-1.0, 1.0), (-1.0, 1.0)))
+    (lo, hi), _ = _value_and_gradient(f, (0.5, -0.0))
+    assert math.copysign(1.0, lo) == math.copysign(1.0, hi) == 1.0
+    assert math.copysign(1.0, f.eval((0.5, -0.0)).lo) == -1.0
 
 
 def test_a_narrow_domain_refuses_a_stencil_that_would_leave_it():

@@ -1,11 +1,13 @@
 import math
+import struct
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ghcalc import Interval, IVector, ZERO, compare, Dominance, dominates, strictly_dominates
 from ghcalc.interval import gh_diff
+from ghcalc.iop import _clip
 from ghcalc.ivector import Star, dot, gh_distance, vec_norm, vec_op, w_map
 from ghcalc.ivf import Grid
 from ghcalc.problems import abs_slab_ivf
@@ -177,3 +179,27 @@ def test_strict_variant_implies_the_subgradient_condition(lo, width):
     if strict_ok:
         ok, _ = is_subgradient(_SLAB, cand, _SLAB_GRID)
         assert ok
+
+
+# every float, with signed zeros, both infinities and NaNs of either sign
+# drawn often, so that ties at a bound come up
+any_float = st.one_of(st.floats(), st.sampled_from(
+    [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 1.0, -1.0, 5e-324]))
+
+
+@given(st.lists(st.tuples(any_float, any_float, any_float), min_size=1, max_size=4),
+       st.data())
+@example([(0.0, -0.0, 1.0), (-0.0, 0.0, 1.0), (0.0, -1.0, -0.0), (-0.0, -1.0, 0.0)], None)
+@example([(math.nan, 0.0, 1.0), (0.5, math.nan, 1.0), (0.5, 0.0, -math.nan)], None)
+@example([(math.inf, 0.0, math.inf), (-math.inf, -math.inf, 0.0), (2.0, 2.0, 2.0)], None)
+@settings(max_examples=300, deadline=None)
+def test_float_clip_equals_np_clip_bit_for_bit(rows, data):
+    # np.clip as the descent called it, with one array of bounds per side
+    if data is not None:
+        # ties: a bound drawn equal to the value, or to its negation
+        rows = [(v, *(data.draw(st.sampled_from([bound, v, -v])) for bound in (lo, hi)))
+                for v, lo, hi in rows]
+    v, lo, hi = (np.array(col) for col in zip(*rows))
+    expected = np.clip(v, lo, hi).tolist()
+    got = [_clip(*row) for row in rows]
+    assert [struct.pack("<d", x) for x in got] == [struct.pack("<d", x) for x in expected]

@@ -503,6 +503,48 @@ def test_descent_matches_the_full_grid_per_iteration_loop(name):
     assert len(result.trace) > 1
 
 
+def seeded_1d_objective(seed, kinked):
+    """[a,b]*abs(x1 - c) + [al,be]*pow2(x1 - e) + [1,2] on a box around c
+    and e.  A valley has |e - c| ~ 1, so its minimizer is smooth; a kinked
+    one has e = c, so its minimizer is the kink."""
+    rng = np.random.default_rng(seed)
+    a, al = (round(float(rng.uniform(lo, hi)), 3) for lo, hi in ((0.2, 0.6), (1.0, 2.0)))
+    b, be = round(a + float(rng.uniform(0.0, 0.6)), 3), round(al + float(rng.uniform(0.0, 1.0)), 3)
+    c = round(float(rng.uniform(-0.5, 0.5)), 3)
+    e = c if kinked else round(c + float(rng.choice((-1.0, 1.0)) * rng.uniform(0.8, 1.2)), 3)
+    text = f"[{a},{b}]*abs(x1 - ({c})) + [{al},{be}]*pow2(x1 - ({e})) + [1,2]"
+    return Ivf.from_text(1, text, ((min(c, e) - 1.5, max(c, e) + 1.5),))
+
+
+# (objective, start, weights): seeded valleys and kinked objectives, from
+# both domain edges, an interior point and -0.0, at w = 1/2 and w = 0.3
+DESCENT_BATTERY = {
+    f"{kind}_{seed}_{start}_w{cfg.w}": (f, x0, cfg)
+    for kind, seeds in (("valley", (301, 302)), ("kinked", (401, 402)))
+    for seed in seeds
+    for f in [seeded_1d_objective(seed, kind == "kinked")]
+    for start, x0 in (("lower", f.domain[0][0]), ("upper", f.domain[0][1]),
+                      ("interior", 0.25), ("negative_zero", -0.0))
+    for cfg in (WMapConfig(), WMapConfig(0.3, 0.7))
+}
+# a ramp whose minimizer is its lower bound, so the projection clips each step
+RAMP = Ivf.from_text(1, "[1,2]*x1 + [0,1]", ((0.0, 1.0),))
+DESCENT_BATTERY.update({f"ramp_{x0!r}": (RAMP, x0, WMapConfig(0.3, 0.7))
+                        for x0 in (1.0, 0.0, -0.0)})
+
+
+@pytest.mark.parametrize("name", sorted(DESCENT_BATTERY))
+def test_descent_matches_the_reference_on_a_seeded_battery(name):
+    f, x0, cfg = DESCENT_BATTERY[name]
+    p, grid = Iop(f), f.grid(101)
+    result = scalarized_descent(p, [x0], cfg, iters=300, grid=grid)
+    expected = descent_reference(p, [x0], grid, cfg, iters=300)
+    assert result == expected
+    # == takes -0.0 for 0.0; the CSV tells them apart
+    assert result.trace_to_csv() == expected.trace_to_csv()
+    assert repr(result.x_best) == repr(expected.x_best)
+
+
 PROBE_CASES = {
     "vee": (piecewise_vee_ivf(), None),
     "kinked": (KINKED_1D, None),

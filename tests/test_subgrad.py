@@ -97,6 +97,13 @@ def test_scan_rejects_bad_inputs():
         subdiff_scan_1d(abs_slab_ivf(), 5.0)
 
 
+@pytest.mark.parametrize("steps", [0, 1, (5, 1), (1, 5)])
+def test_scan_needs_two_steps_per_axis(steps):
+    # one step has no step width, and none marks nothing: a false "empty"
+    with pytest.raises(ValueError, match=r"^need at least 2 scan steps per axis, got \("):
+        subdiff_scan_1d(abs_slab_ivf(), 0.0, ((-4.0, 2.0), (-2.0, 4.0)), steps=steps)
+
+
 def test_singleton_check_at_smooth_points():
     assert check_singleton_at_differentiable(quartic_ivf(), (1.0,))
     assert check_singleton_at_differentiable(smooth_parabolic_ivf(), (1.0,))
