@@ -18,7 +18,6 @@ from .errors import (
     NonConvexObjective,
     NonDegenerateRealNode,
     NonFiniteDerivative,
-    NoSubgradientFound,
     OutOfDomain,
     OverlappingPieces,
     ParseError,

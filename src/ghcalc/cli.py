@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -245,6 +246,11 @@ def cmd_examples(args) -> int:
 # --------------------------------------------------------------------------
 
 
+# argparse takes a word that starts with '-' for an option unless it is a
+# plain negative decimal; a point such as -0.5,0.5 or -1e-3 is a value too
+_NEGATIVE_VALUE = re.compile(r"-\.?\d[\w.,+-]*$")
+
+
 def build_parser() -> argparse.ArgumentParser:
     # shared options, each given only to the subcommands that read it
     grid = argparse.ArgumentParser(add_help=False)
@@ -309,6 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
                          "scans (default 1e-10)")
     sp.set_defaults(func=cmd_examples)
 
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = _NEGATIVE_VALUE
     return parser
 
 

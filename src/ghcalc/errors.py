@@ -49,11 +49,8 @@ class ParseError(GhcalcError, ValueError):
 
 
 class NonFiniteDerivative(GhcalcError, ArithmeticError):
-    """Difference quotients do not settle; `sampled` is F at the point, if sampled."""
-
-    def __init__(self, message, sampled=None):
-        super().__init__(message)
-        self.sampled = sampled
+    """No finite gH-derivative: a kink, diverging quotients, or a domain too
+    small for the difference stencil."""
 
 
 class NoConvergence(GhcalcError, ArithmeticError):
@@ -74,10 +71,6 @@ class CandidateNotSubgradient(GhcalcError, ValueError):
 
 class EmptySubdifferentialEncountered(GhcalcError):
     """A subdifferential scan produced no feasible candidates."""
-
-
-class NoSubgradientFound(GhcalcError):
-    """Descent could not obtain a subgradient at the current iterate."""
 
 
 class NonConvexObjective(GhcalcError, ValueError):

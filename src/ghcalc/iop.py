@@ -5,46 +5,30 @@ A point is efficient when no feasible point has a strictly dominating
 objective value.  Efficiency here is always decided relative to a grid
 and reported with the grid step, so every claim is resolution-qualified.
 
-The descent driver is a heuristic: it scalarizes subgradients through
-the convex endpoint weights and runs a projected subgradient iteration.
-The optimality conditions are the principled part; the driver only
-produces candidate points for them to certify.
+The descent driver is a heuristic: a projected iteration on the
+scalarization phi_w = w*f_lo + w'*f_hi, in any number of variables, with
+slopes from one central-difference stencil per iteration.  The optimality
+conditions and the grid efficiency flag are the principled part; the
+driver only produces candidate points for them to certify.
 """
 
 from __future__ import annotations
 
 import io
 import math
-import warnings
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (
-    CandidateNotSubgradient,
-    GhcalcError,
-    NonConvexObjective,
-    NonFiniteDerivative,
-    NoSubgradientFound,
-    OutOfDomain,
-)
+from .errors import CandidateNotSubgradient, GhcalcError, NonConvexObjective, OutOfDomain
 from .interval import Interval
-from .ivector import IVector, WMapConfig, w_map
-from .ivf import (
-    Grid,
-    Ivf,
-    OneSidedDifferenceWarning,
-    _value_and_gradient,
-    is_convex_sampled,
-)
+from .ivector import IVector, WMapConfig
+from .ivf import _FD_STEP_SCALE, Grid, Ivf, is_convex_sampled
 from .subgrad import (
     _DOM_SLACK,
-    _MAX_ROWS,
     SubgradientCandidate,
-    _Constraints,
     _GridValues,
-    _cut_box_empty,
     _endpoints,
     _evaluate,
     _grid_values,
@@ -233,20 +217,6 @@ def _default_schedule(k: int) -> float:
     return 0.1 / math.sqrt(k + 1)
 
 
-def _stencil_value_and_gradient(f: Ivf, x: Tuple[float, ...]
-                                ) -> Tuple[Interval, Optional[IVector]]:
-    """F(x), read from the gradient stencil, and the gH-gradient, or None at
-    a kink."""
-    try:
-        fx, grad = _value_and_gradient(f, x)
-    except NonFiniteDerivative as exc:  # a kink; the stencil may hold F(x)
-        fx, grad = exc.sampled, None
-    # the stencils sample x + 0.0, which is not x where x holds a -0.0
-    if fx is None or any(v == 0.0 and math.copysign(1.0, v) < 0.0 for v in x):
-        fx = f.boundary(x)
-    return Interval(*fx), grad
-
-
 def _clip(v: float, lo: float, hi: float) -> float:
     """np.clip(v, lo, hi) on floats, bit for bit: a NaN passes through, and
     a tie, signed zeros included, takes the bound."""
@@ -254,80 +224,25 @@ def _clip(v: float, lo: float, hi: float) -> float:
     return v if v != v or v < hi else hi
 
 
-def _kink_subgradient(f: Ivf, x: np.ndarray, value: Interval,
-                      values: _GridValues) -> IVector:
-    """A subgradient at x where the gH-gradient is missing or fails the
-    sampled check, verified against F on the grid (`values`).
-
-    The feasible (g_lo, g_hi) box is derived analytically from the grid
-    constraints and the feasible candidate closest to the zero vector is
-    returned, so the iteration stalls exactly when the zero vector is
-    itself a subgradient.
-    """
-    if f.arity != 1:
-        raise NoSubgradientFound(
-            "multivariate descent is unsupported where the gH-gradient fails "
-            "the sampled subgradient check")
-    cons = _Constraints(values, x, (value.lo, value.hi))
-    x0 = float(x[0])
-    box = cons.box(_DOM_SLACK)
-    if _cut_box_empty(box):
-        raise NoSubgradientFound(f"empty feasible region at {x0}")
-    p_lb, p_ub, q_lb, q_ub = box
-    # feasible candidate closest to the zero vector: clip per endpoint,
-    # fall back to the diagonal when the clipped pair is out of order
-    p = min(max(0.0, p_lb), p_ub)
-    q = min(max(0.0, q_lb), q_ub)
-    if p > q:
-        t = min(max(0.0, max(p_lb, q_lb)), min(p_ub, q_ub))
-        p = q = t
-    g = IVector.of(Interval(p, q))
-    ok, witness = cons.check(g, 2e-10)
-    if not ok:
-        raise NoSubgradientFound(
-            f"kink candidate failed verification at {witness}")
-    return g
-
-
-def _first_failure(values: _GridValues, pending) -> Optional[int]:
-    """Position of the first pending (k, x, F(x), gradient) whose gradient is
-    missing (a kink, always the last one) or fails the sampled subgradient
-    check, or None.  The checks run in one pass over the pending base
-    points."""
-    checked = [item for item in pending if item[3] is not None]
-    if checked:
-        _, xs, fx, grads = zip(*checked)
-        cons = _Constraints(values, np.array(xs), (np.array([v.lo for v in fx]),
-                                                   np.array([v.hi for v in fx])))
-        bad = cons.violations(np.array([[c.lo for c in g] for g in grads]),
-                              np.array([[c.hi for c in g] for g in grads]),
-                              _DOM_SLACK).any(axis=1)
-        if bad.any():
-            return int(np.argmax(bad))
-    return len(checked) if len(checked) < len(pending) else None
-
-
 def scalarized_descent(p: Iop, x0, cfg: WMapConfig = WMapConfig(),
                        step_schedule=None, iters: int = 600,
                        grid: Optional[Grid] = None) -> DescentResult:
-    """Projected subgradient iteration on the scalarized objective.
+    """Projected iteration on the scalarization phi_w = w*f_lo + w'*f_hi.
 
-    Moves along the negated scalarization of a verified subgradient with
-    the given step schedule (default 0.1/sqrt(k+1)), projecting onto the
-    domain box.  Stops early when the scalarized subgradient vanishes.
-    Returns the dominance-minimal trace iterate (scalarized value breaks
-    ties among mutually incomparable candidates) plus its efficiency
-    flag and the full trace.  F is evaluated on the grid once per call.
-    An iteration is one stencil evaluation per axis, whose stencil holds
-    the iterate, plus bookkeeping on floats: the stop test, and the
-    projection, which clips as np.clip does, bit for bit.
-
-    The gradient steps run ahead of their checks, which run in batches.
-    On the first gradient that is missing (a kink) or fails its check, the
-    trace is cut back to that iterate, which keeps the F(x) its stencil
-    gave and takes the kink box's subgradient instead: the trace is the one
-    checking every step at once would give.  An error raised while steps
-    run ahead is raised once the checks before it pass.
+    phi_w is convex when F passes the convexity check, and for w, w' > 0
+    each of its minimizers is efficient (Wu 2007).  An iteration is one
+    `eval_many` call on 2n + 1 rows: x itself, which gives F(x), and
+    x -+ h_i*e_i with h_i = _FD_STEP_SCALE*(1 + |x_i|), clipped to the box.
+    The slope on axis i is the difference quotient of phi_w between those
+    two rows, 0 on an axis of zero width.  The iterate moves against the
+    slopes with the given step schedule (default 0.1/sqrt(k+1)) and is
+    projected onto the box; it stops early when every slope vanishes.  The
+    stencil and the step are built on floats, and clip as np.clip does,
+    bit for bit.  Returns the dominance-minimal trace iterate
+    (scalarized value breaks ties among mutually incomparable candidates),
+    the full trace, and the efficiency flag of the grid node nearest to the
+    iterate, which certifies it: F is evaluated on the grid once, after
+    the iteration.
     """
     if iters < 1:
         raise ValueError(f"iters must be at least 1, got {iters}")
@@ -340,57 +255,28 @@ def scalarized_descent(p: Iop, x0, cfg: WMapConfig = WMapConfig(),
     if not f.contains(x):
         raise OutOfDomain(f"{x.tolist()} is outside the domain")
     x = tuple(x.tolist())
-    values = _grid_values(f, grid)
+    n = f.arity
     trace: List[TraceRecord] = []
-    pending: list = []  # (k, x, F(x), gradient) of the iterates not yet checked
-    # a batch of pending checks starts at 1, doubles after each clean check
-    # up to _MAX_ROWS, and starts again at 1 after a failed one
-    batch, rolled_back = 1, None
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", OneSidedDifferenceWarning)
-        while True:
-            stopped = False
-            try:
-                while len(trace) < iters and len(pending) < batch:
-                    k = len(trace)
-                    if rolled_back is None:
-                        value, g = _stencil_value_and_gradient(f, x)
-                        pending.append((k, x, value, g))
-                        if g is None:
-                            break
-                    else:
-                        value, rolled_back = rolled_back, None
-                        g = _kink_subgradient(f, np.array(x), value, values)
-                    direction = w_map(g, cfg)
-                    step = step_schedule(k)
-                    trace.append(TraceRecord(k, x, value,
-                                             cfg.w * value.lo + cfg.w_prime * value.hi,
-                                             step))
-                    if all(abs(d) <= 1e-12 for d in direction):
-                        stopped = True
-                        break
-                    s = float(step)  # a float32 step is widened, as by float64 arrays
-                    x = tuple(_clip(v - s * d, *b) for v, d, b in zip(x, direction, f.domain))
-            except Exception:
-                failed = _first_failure(values, pending)
-                if failed is None:
-                    raise
-            else:
-                failed = _first_failure(values, pending)
-            if failed is None:
-                pending.clear()
-                batch = min(2 * batch, _MAX_ROWS)
-                if stopped or len(trace) == iters:
-                    break
-            else:
-                # back to the failing iterate: its F(x) stays, and its
-                # subgradient comes from the kink box
-                k, x, rolled_back, _ = pending[failed]
-                del trace[k:]
-                pending.clear()
-                batch = 1
+    for k in range(iters):
+        # the stencil: x, then x - h_i*e_i on every axis, then x + h_i*e_i
+        hs = [_FD_STEP_SCALE * (1.0 + abs(v)) for v in x]
+        down = [_clip(v - h, *b) for v, h, b in zip(x, hs, f.domain)]
+        up = [_clip(v + h, *b) for v, h, b in zip(x, hs, f.domain)]
+        rows = [x] + [x[:i] + (v,) + x[i + 1:] for side in (down, up) for i, v in enumerate(side)]
+        lo, hi = f.eval_many(np.array(rows), check_domain=False)
+        phi = (cfg.w * lo + cfg.w_prime * hi).tolist()
+        slopes = [(phi[1 + n + i] - phi[1 + i]) / (u - d) if u > d else 0.0
+                  for i, (d, u) in enumerate(zip(down, up))]
+        value = Interval(lo[0], hi[0])
+        step = step_schedule(k)
+        trace.append(TraceRecord(k, x, value,
+                                 cfg.w * value.lo + cfg.w_prime * value.hi, step))
+        if all(abs(d) <= 1e-12 for d in slopes):
+            break
+        s = float(step)  # a float32 step is widened, as by float64 arrays
+        x = tuple(_clip(v - s * d, *b) for v, d, b in zip(x, slopes, f.domain))
     best = _dominance_minimal(trace)
-    flagged = _efficiency(values, grid).is_flagged_near(best.x)
+    flagged = _efficiency(_grid_values(f, grid), grid).is_flagged_near(best.x)
     return DescentResult(best.x, best.value, flagged, tuple(trace))
 
 

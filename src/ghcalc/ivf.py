@@ -177,13 +177,12 @@ def _line_sampler(f: Ivf, x: np.ndarray, axis: int) -> Callable:
 
 
 def _deriv_1d_from_sampler(sample, t: float, span: Tuple[float, float],
-                           scale: float) -> Tuple[Tuple[float, float], Interval]:
+                           scale: float) -> Interval:
     """Differentiate both boundary functions of a 1-d sampler at t.
 
     Central differences with two Richardson refinements in the interior;
     second-order one-sided stencils (with a warning) at span boundaries.
     Raises when the two one-sided slopes disagree, which signals a kink.
-    Returns the sampled (lo, hi) at t, which every stencil holds, too.
     """
     h0 = _FD_STEP_SCALE * (1.0 + abs(t)) * max(scale, 1.0)
     lo_edge = t - h0 * 1.001 < span[0]
@@ -199,20 +198,18 @@ def _deriv_1d_from_sampler(sample, t: float, span: Tuple[float, float],
         h = h0 / 2.0
         lo, hi = sample(np.array([t, t + sgn * h, t + sgn * h0, t + 2.0 * sgn * h0]))
         lo, hi = lo.tolist(), hi.tolist()
-        at_t = (lo[0], hi[0])
         d_lo = _one_sided_richardson(lo, sgn, h0)
         d_hi = _one_sided_richardson(hi, sgn, h0)
     else:
         lo, hi = sample(t + _CENTRAL_OFFSETS * h0)
         lo, hi = lo.tolist(), hi.tolist()
-        at_t = (lo[3], hi[3])
         d_lo = _central_richardson(lo, h0)
         d_hi = _central_richardson(hi, h0)
-        _check_no_kink(lo, h0, d_lo, "lower boundary", at_t)
-        _check_no_kink(hi, h0, d_hi, "upper boundary", at_t)
+        _check_no_kink(lo, h0, d_lo, "lower boundary")
+        _check_no_kink(hi, h0, d_hi, "upper boundary")
     if not (math.isfinite(d_lo) and math.isfinite(d_hi)):
-        raise NonFiniteDerivative("difference quotients diverged", at_t)
-    return at_t, Interval(min(d_lo, d_hi), max(d_lo, d_hi))
+        raise NonFiniteDerivative("difference quotients diverged")
+    return Interval(min(d_lo, d_hi), max(d_lo, d_hi))
 
 
 def _one_sided_richardson(vals: List[float], sgn: float, h0: float) -> float:
@@ -234,7 +231,7 @@ def _central_richardson(vals: List[float], h: float) -> float:
     return (16.0 * r2 - r1) / 15.0
 
 
-def _check_no_kink(vals: List[float], h: float, deriv: float, label: str, at_t) -> None:
+def _check_no_kink(vals: List[float], h: float, deriv: float, label: str) -> None:
     # forward minus backward quotient extrapolated to step 0: nonzero limit
     # means the one-sided derivatives differ.
     center = vals[3]
@@ -243,8 +240,7 @@ def _check_no_kink(vals: List[float], h: float, deriv: float, label: str, at_t) 
     jump = 2.0 * delta_h2 - delta_h
     if abs(jump) > _KINK_REL_TOL * (1.0 + abs(deriv)):
         raise NonFiniteDerivative(
-            f"{label} has mismatched one-sided slopes (jump ~ {jump:.3g})", at_t
-        )
+            f"{label} has mismatched one-sided slopes (jump ~ {jump:.3g})")
 
 
 def gh_derivative_1d(f: Ivf, x: float) -> Interval:
@@ -255,15 +251,11 @@ def gh_derivative_1d(f: Ivf, x: float) -> Interval:
         raise OutOfDomain(f"{x} is outside the domain")
     sample = _line_sampler(f, np.array([float(x)]), 0)
     return _deriv_1d_from_sampler(lambda ts: sample(ts - x),
-                                  float(x), f.domain[0], 1.0)[1]
+                                  float(x), f.domain[0], 1.0)
 
 
 def partial_gh_derivative(f: Ivf, x, i: int) -> Interval:
     """i-th partial gH-derivative (0-based axis index) at x."""
-    return _partial(f, x, i)[1]
-
-
-def _partial(f: Ivf, x, i: int) -> Tuple[Tuple[float, float], Interval]:
     x = np.asarray(x, dtype=float).ravel()
     if not f.contains(x):
         raise OutOfDomain(f"{x.tolist()} is outside the domain")
@@ -273,15 +265,9 @@ def _partial(f: Ivf, x, i: int) -> Tuple[Tuple[float, float], Interval]:
 
 
 def gh_gradient(f: Ivf, x) -> IVector:
-    """Vector of partial gH-derivatives over all axes."""
-    return _value_and_gradient(f, x)[1]
-
-
-def _value_and_gradient(f: Ivf, x) -> Tuple[Tuple[float, float], IVector]:
-    """F at x + 0.0 as (lo, hi), the row at offset 0 of the first axis's
-    stencil, and the gH-gradient: one stencil call per axis."""
-    parts = [_partial(f, x, i) for i in range(f.arity)]
-    return parts[0][0], IVector(tuple(d for _, d in parts))
+    """Vector of partial gH-derivatives over all axes: one stencil call
+    per axis."""
+    return IVector(tuple(partial_gh_derivative(f, x, i) for i in range(f.arity)))
 
 
 def directional_gh_derivative(f: Ivf, x, h) -> Interval:

@@ -30,6 +30,7 @@ from .errors import (
     LengthMismatch,
     MalformedNormIvf,
     MaxNotAttained,
+    NonFiniteDerivative,
     OutOfDomain,
 )
 from .expr import BinOp, Const, Norm
@@ -40,6 +41,7 @@ from .ivf import (
     Ivf,
     _lipschitz_max,
     directional_gh_derivative,
+    gh_derivative_1d,
     gh_gradient,
     lipschitz_estimate,  # noqa: F401  (callers import it from this module too)
 )
@@ -280,7 +282,8 @@ def subdiff_scan_1d(f: Ivf, x_bar: float,
 
     Marks each sampled candidate (g_lo, g_hi) with g_lo <= g_hi that
     satisfies the subgradient dominance at all grid samples.  Default
-    bounds are the gH-derivative plus/minus 3 units per endpoint.
+    bounds are the gH-derivative plus/minus 3 units per endpoint, or at a
+    kink, where there is none, the analytic box widened by 3 per endpoint.
     """
     if f.arity != 1:
         raise ValueError("subdiff_scan_1d needs a one-variable function")
@@ -290,16 +293,21 @@ def subdiff_scan_1d(f: Ivf, x_bar: float,
         steps = (steps, steps)
     if min(steps) < 2:
         raise ValueError(f"need at least 2 scan steps per axis, got {tuple(steps)}")
-    if g_bounds is None:
-        from .ivf import gh_derivative_1d
-        deriv = gh_derivative_1d(f, x_bar)
-        g_bounds = ((deriv.lo - 3.0, deriv.lo + 3.0),
-                    (deriv.hi - 3.0, deriv.hi + 3.0))
-    p_vals = np.linspace(g_bounds[0][0], g_bounds[0][1], steps[0])
-    q_vals = np.linspace(g_bounds[1][0], g_bounds[1][1], steps[1])
     x = np.array([float(x_bar)])
     box = _Constraints(_grid_values(f, grid), x, f.boundary(x)).box(tol)
     p_lb, p_ub, q_lb, q_ub = box
+    if g_bounds is None:
+        try:
+            deriv = gh_derivative_1d(f, x_bar)
+        except NonFiniteDerivative:
+            if not all(map(math.isfinite, box)):
+                raise
+            g_bounds = ((p_lb - 3.0, p_ub + 3.0), (q_lb - 3.0, q_ub + 3.0))
+        else:
+            g_bounds = ((deriv.lo - 3.0, deriv.lo + 3.0),
+                        (deriv.hi - 3.0, deriv.hi + 3.0))
+    p_vals = np.linspace(g_bounds[0][0], g_bounds[0][1], steps[0])
+    q_vals = np.linspace(g_bounds[1][0], g_bounds[1][1], steps[1])
     p_ok = (p_vals >= p_lb) & (p_vals <= p_ub)
     q_ok = (q_vals >= q_lb) & (q_vals <= q_ub)
     # the two parameter axes come from different linspaces, so cells on

@@ -249,14 +249,54 @@ base_point=0.5,0.5
 """
 
 
-def test_descent_on_a_smooth_2d_problem_says_it_is_unsupported(tmp_path, capsys):
-    path = tmp_path / "smooth2d.prob"
-    path.write_text(SMOOTH_2D)
-    assert main(["descent", str(path), "--grid", "21", "--iters", "5"]) == 2
-    err = capsys.readouterr().err
-    assert ("error: multivariate descent is unsupported where the gH-gradient "
-            "fails the sampled subgradient check") in err
-    assert "kink" not in err
+KINKED_2D = SMOOTH_2D.replace("[1,2]*pow2(x1) + [0,1]*pow2(x2) + pow2(x2 - 0.5)",
+                             "abs(x1)*[1,2] + abs(x2 - 0.3)*[0.5,1]")
+
+CONVEX_2D = """\
+arity=2
+domain=[-1,1]
+domain=[-0.5,2]
+objective=[1,2]*pow2(x1) + [0,1]*abs(x2 - 0.25) + [3,4]
+"""
+
+
+@pytest.mark.parametrize("text", [SMOOTH_2D, KINKED_2D], ids=["smooth", "kinked"])
+@pytest.mark.parametrize("w", ["0.5", "0.2"])
+def test_descent_on_a_2d_problem_ends_at_an_efficient_point(text, w, tmp_path, capsys):
+    path = tmp_path / "problem2d.prob"
+    path.write_text(text)
+    assert main(["descent", str(path), "--grid", "41", "--w", w]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("x_best=") and out.endswith(" efficient=1\n")
+
+
+# a point that starts with '-' but is no plain negative decimal is a value
+# in every place a point goes, as it is after '='
+@pytest.mark.parametrize("argv, rc, expected", [
+    (["descent", "CONVEX_2D", "--x0", "-0.5,0.5", "--grid", "41"], 0,
+     ["descent", "CONVEX_2D", "--x0=-0.5,0.5", "--grid", "41"]),
+    (["subgrad-check", str(PROBLEMS / "abs_slab.prob"), "--at", "-1e-3", "--g", "[1,3]"], 1,
+     "NO witness=0.0\n"),
+    (["eval", "CONVEX_2D", "-0.5,0.5"], 0, "x1,x2,f_lo,f_hi\n-0.5,0.5,3.25,4.75\n"),
+    (["subdiff-scan", str(PROBLEMS / "abs_slab.prob"), "--bounds", "-4,2,-2,4"], 0,
+     ["subdiff-scan", str(PROBLEMS / "abs_slab.prob"), "--bounds=-4,2,-2,4"]),
+], ids=["descent_x0", "subgrad_check_at", "eval_point", "subdiff_scan_bounds"])
+def test_a_point_with_a_leading_minus_is_a_value(argv, rc, expected, tmp_path, capsys):
+    path = tmp_path / "convex2d.prob"
+    path.write_text(CONVEX_2D)
+
+    def run(args):
+        code = main([str(path) if a == "CONVEX_2D" else a for a in args])
+        return code, capsys.readouterr()
+
+    code, captured = run(argv)
+    assert (code, captured.err) == (rc, "")
+    if isinstance(expected, list):
+        assert captured.out == run(expected)[1].out
+        if argv[0] == "descent":
+            assert captured.out.endswith(" efficient=1\n")
+    else:
+        assert captured.out == expected
 
 
 def test_parse_errors_exit_two(tmp_path, capsys):

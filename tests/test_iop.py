@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ghcalc import Interval, IVector, Ivf, WMapConfig
+from ghcalc import Interval, IVector, Ivf, WMapConfig, iop, subgrad
 from ghcalc.errors import (
     CandidateNotSubgradient,
     NonConvexObjective,
@@ -177,12 +177,17 @@ def test_one_full_grid_evaluation_per_call(monkeypatch, call):
 
     monkeypatch.setattr(Ivf, "eval_many", counted)
     if call == "descent":
+        built = []
+        for module in (subgrad, iop):
+            monkeypatch.setattr(module, "_Constraints", lambda *args: built.append(args),
+                                raising=False)
         trace = scalarized_descent(p, [-2.0], grid=grid).trace
-        # the grid once, then one gradient stencil per iteration, which holds
-        # the iterate, kinks included; at the domain edge -2 the one-sided
-        # stencil takes one call of four points
+        # one stencil of 2n + 1 rows per iteration, the iterate and a step
+        # to each side, kinks and the domain edge included; then the grid
+        # once, for the efficiency flag
         assert len(trace) == 600
-        assert sizes == [len(grid.points()), 4] + [7] * (len(trace) - 1)
+        assert sizes == [3] * len(trace) + [len(grid.points())]
+        assert built == []
     else:
         # F(x_bar) at every base point is read from the grid values
         union_boundedness_probe(f, grid)
@@ -198,12 +203,10 @@ def test_descent_keeps_the_sign_of_a_zero_start():
     assert math.copysign(1.0, first.scalarized) == -1.0
 
 
-@pytest.mark.xfail(strict=True, reason="the descent moves along w_map of the gH-gradient's "
-                   "endpoints, not along the slope of phi_w (ROADMAP, open item 2)")
 def test_descent_off_the_midpoint_weights_does_not_climb_phi_w():
     # F = [3x, 10 - x] on [0, 2]: phi_w = 0.2*3x + 0.8*(10 - x) falls to 7.6 at
-    # x = 2, but w_map of the gradient [min(3, -1), max(3, -1)] is +2.2, so the
-    # iteration walks to x = 0, where phi_w is 8.0.  x_best is the trace's
+    # x = 2, where w_map of the gH-gradient [min(3, -1), max(3, -1)] is +2.2
+    # and would walk to x = 0, where phi_w is 8.0.  x_best is the trace's
     # least phi_w, which never exceeds phi_w(x0), so the last iterate is asked.
     f = Ivf.from_text(1, "[0,10] ghsub x1*[-3,1]", ((0.0, 2.0),))
     cfg = WMapConfig(0.2, 0.8)
@@ -214,3 +217,26 @@ def test_descent_off_the_midpoint_weights_does_not_climb_phi_w():
 
     trace = scalarized_descent(Iop(f), [1.0], cfg, grid=f.grid(201)).trace
     assert phi_w(trace[-1].x) <= phi_w([1.0])
+
+
+# (objective, domain, start, the minimizer of phi_w at w = 0.5 and at 0.2)
+ND_DESCENTS = {
+    "smooth_2d": ("[1,2]*pow2(x1) + [0,1]*pow2(x2) + pow2(x2 - 0.5)", ((-1.0, 1.0),) * 2,
+                  (0.5, 0.5), {0.5: (0.0, 1 / 3), 0.2: (0.0, 1 / 3.6)}),
+    "kinked_2d": ("abs(x1)*[1,2] + abs(x2 - 0.3)*[0.5,1]", ((-1.0, 1.0),) * 2,
+                  (0.5, 0.5), {0.5: (0.0, 0.3), 0.2: (0.0, 0.3)}),
+    "separable_3d": ("[1,2]*pow2(x1 - 0.2) + abs(x2 + 0.4)*[0.5,1] + [0,1]*pow2(x3)",
+                     ((-1.0, 1.0), (-1.0, 1.0), (-0.5, 1.5)), (0.5, 0.5, 1.0),
+                     {0.5: (0.2, -0.4, 0.0), 0.2: (0.2, -0.4, 0.0)}),
+}
+
+
+@pytest.mark.parametrize("w", [0.5, 0.2])
+@pytest.mark.parametrize("name", sorted(ND_DESCENTS))
+def test_descent_in_several_variables_ends_at_a_certified_point(name, w):
+    text, domain, x0, minimizers = ND_DESCENTS[name]
+    f = Ivf.from_text(len(domain), text, domain)
+    grid = f.grid(41 if f.arity == 2 else 21)
+    result = scalarized_descent(Iop(f), x0, WMapConfig(w, 1.0 - w), grid=grid)
+    assert result.efficient
+    assert np.max(np.abs(np.array(result.x_best) - minimizers[w])) < 0.01

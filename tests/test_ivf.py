@@ -1,4 +1,3 @@
-import math
 import pickle
 import warnings
 
@@ -8,7 +7,6 @@ import pytest
 from ghcalc import Grid, Interval, Ivf, OneSidedDifferenceWarning
 from ghcalc.errors import NoConvergence, NonFiniteDerivative, OutOfDomain
 from ghcalc.ivf import (
-    _value_and_gradient,
     directional_gh_derivative,
     gh_derivative_1d,
     gh_gradient,
@@ -160,24 +158,12 @@ def test_gh_derivative_detects_kinks():
         gh_derivative_1d(piecewise_vee_ivf(), 2.0)
 
 
-def test_a_kink_error_carries_the_stencil_value_at_the_point():
-    f = piecewise_vee_ivf()
-    with pytest.raises(NonFiniteDerivative) as exc:
-        gh_gradient(f, (2.0,))
-    assert exc.value.sampled == f.boundary((2.0,))
+def test_a_gradient_at_a_kink_or_in_a_tiny_domain_raises():
+    with pytest.raises(NonFiniteDerivative, match="mismatched one-sided slopes"):
+        gh_gradient(piecewise_vee_ivf(), (2.0,))
     tiny = Ivf.from_text(1, "x1", ((0.0, 1e-6),))
-    with pytest.raises(NonFiniteDerivative) as exc:
+    with pytest.raises(NonFiniteDerivative, match="domain too small"):
         gh_gradient(tiny, (5e-7,))
-    assert exc.value.sampled is None
-
-
-def test_the_stencil_value_is_f_at_x_plus_zero():
-    # each stencil row is x + t*e_axis, -0.0 + 0.0 being 0.0, so a -0.0
-    # off the axis is 0.0 in the offset-0 row
-    f = Ivf.from_text(2, "x2*[1,1]", ((-1.0, 1.0), (-1.0, 1.0)))
-    (lo, hi), _ = _value_and_gradient(f, (0.5, -0.0))
-    assert math.copysign(1.0, lo) == math.copysign(1.0, hi) == 1.0
-    assert math.copysign(1.0, f.eval((0.5, -0.0)).lo) == -1.0
 
 
 def test_a_narrow_domain_refuses_a_stencil_that_would_leave_it():
@@ -186,9 +172,8 @@ def test_a_narrow_domain_refuses_a_stencil_that_would_leave_it():
         f = Ivf.from_text(1, "[1,2]*pow2(x1)", (domain,))
         for derivative in (lambda: gh_gradient(f, [0.0]), lambda: gh_derivative_1d(f, 0.0)):
             with pytest.raises(NonFiniteDerivative,
-                               match=r"^domain too small for the difference stencil$") as exc:
+                               match=r"^domain too small for the difference stencil$"):
                 derivative()
-            assert exc.value.sampled is None
 
 
 def test_derivatives_check_the_domain_once_per_stencil(monkeypatch):

@@ -8,12 +8,14 @@ blocked pair walk.  The subgradient references evaluate F on the whole
 grid at every check, where the library evaluates it once per verdict and
 shares the values between checks.  The pairing and the box-norm sup
 are kept here as written before the constraint set replaced them, so they
-are independent of the code under test.  The recursive tree walker is kept
-as written before the compiled evaluator replaced it.
+are independent of the code under test.  The descent reference evaluates
+F one axis at a time and clips with np.clip, where the library evaluates
+one stencil of 2n + 1 rows per iteration.  The recursive tree walker is
+kept as written before the compiled evaluator replaced it.
 """
 
 import math
-import warnings
+import re
 from pathlib import Path
 
 import numpy as np
@@ -21,14 +23,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghcalc import Grid, Interval, IVector, Ivf, WMapConfig, w_map
+from ghcalc import Grid, Interval, IVector, Ivf, WMapConfig
 from ghcalc import ivf as ivf_module
 from ghcalc.cli import parse_problem_file
 from ghcalc.errors import (
     EmptySubdifferentialEncountered,
     NonDegenerateRealNode,
-    NonFiniteDerivative,
-    NoSubgradientFound,
     OverlappingPieces,
     PiecewiseCoverageError,
     ZeroInDenominator,
@@ -56,10 +56,8 @@ from ghcalc.iop import (
     scalarized_descent,
 )
 from ghcalc.ivf import (
-    OneSidedDifferenceWarning,
     _row_blocks,
     _runs,
-    gh_gradient,
     is_convex_sampled,
     lipschitz_estimate,
 )
@@ -80,6 +78,7 @@ from ghcalc.subgrad import (
 )
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def convexity_reference(f, grid, tol=1e-10):
@@ -408,52 +407,45 @@ def feasible_box_reference(f, x_bar, grid, tol):
     return p_lb, p_ub, q_lb, q_ub
 
 
-def subgradient_at_reference(f, x, grid):
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", OneSidedDifferenceWarning)
-            grad = gh_gradient(f, x)
-        if subgradient_reference(f, SubgradientCandidate(grad, tuple(x)), grid)[0]:
-            return grad
-    except NonFiniteDerivative:
-        pass
-    if f.arity != 1:
-        raise NoSubgradientFound("multivariate descent is unsupported where the "
-                                 "gH-gradient fails the sampled subgradient check")
-    x0 = float(x[0])
-    p_lb, p_ub, q_lb, q_ub = feasible_box_reference(f, x0, grid, 1e-10)
-    if p_lb > p_ub or q_lb > q_ub or p_lb > q_ub:
-        raise NoSubgradientFound(f"empty feasible region at {x0}")
-    p = min(max(0.0, p_lb), p_ub)
-    q = min(max(0.0, q_lb), q_ub)
-    if p > q:
-        t = min(max(0.0, max(p_lb, q_lb)), min(p_ub, q_ub))
-        p = q = t
-    cand = SubgradientCandidate(IVector.of(Interval(p, q)), (x0,))
-    ok, witness = subgradient_reference(f, cand, grid, tol=2e-10)
-    if not ok:
-        raise NoSubgradientFound(f"kink candidate failed verification at {witness}")
-    return cand.g
-
-
 def descent_reference(p, x0, grid, cfg=WMapConfig(), iters=600):
+    """The projected iteration on phi_w = w*f_lo + w'*f_hi, one axis at a
+    time: the slope on axis i is the difference quotient of phi_w between
+    x -+ 1e-4*(1 + |x_i|)*e_i, each clipped to the box.  The best iterate
+    is picked from the strict-dominance matrix of the trace, and its flag
+    from that of the grid."""
     f = p.objective
     x = np.asarray(x0, dtype=float).ravel()
     lower = np.array([l for l, _ in f.domain])
     upper = np.array([u for _, u in f.domain])
+
+    def phi(lo, hi):
+        return cfg.w * lo + cfg.w_prime * hi
+
     trace = []
     for k in range(iters):
         value = f.eval(x)
-        g = subgradient_at_reference(f, x, grid)
-        direction = np.array(w_map(g, cfg))
+        slope = np.zeros(len(x))
+        for i in range(len(x)):
+            h = 1e-4 * (1.0 + abs(x[i]))
+            down, up = x.copy(), x.copy()
+            down[i] = np.clip(x[i] - h, lower[i], upper[i])
+            up[i] = np.clip(x[i] + h, lower[i], upper[i])
+            if up[i] > down[i]:
+                lo, hi = f.eval_many(np.stack([down, up]))
+                slope[i] = (phi(lo[1], hi[1]) - phi(lo[0], hi[0])) / (up[i] - down[i])
         step = 0.1 / math.sqrt(k + 1)
         trace.append(TraceRecord(k, tuple(float(v) for v in x), value,
-                                 cfg.w * value.lo + cfg.w_prime * value.hi, step))
-        if float(np.max(np.abs(direction))) <= 1e-12:
+                                 phi(value.lo, value.hi), step))
+        if float(np.max(np.abs(slope))) <= 1e-12:
             break
-        x = np.clip(x - step * direction, lower, upper)
-    best = _dominance_minimal(trace)
-    flagged = efficient_on_grid(p, grid).is_flagged_near(best.x)
+        x = np.clip(x - step * slope, lower, upper)
+    keep = pareto_reference(np.array([r.value.lo for r in trace]),
+                            np.array([r.value.hi for r in trace]))
+    best = min((r for r, kept in zip(trace, keep) if kept),
+               key=lambda r: (r.scalarized, r.iteration))
+    pts = grid.points()
+    nearest = int(np.argmin(np.linalg.norm(pts - np.array(best.x), axis=1)))
+    flagged = bool(pareto_reference(*f.eval_many(pts))[nearest])
     return DescentResult(best.x, best.value, flagged, tuple(trace))
 
 
@@ -499,8 +491,18 @@ def test_descent_matches_the_full_grid_per_iteration_loop(name):
     f, x0, samples = DESCENT_CASES[name]
     p, grid = Iop(f), f.grid(samples)
     result = scalarized_descent(p, [x0], grid=grid)
-    assert result == descent_reference(p, [x0], grid)
+    expected = descent_reference(p, [x0], grid)
+    assert result == expected
+    assert result.trace_to_csv() == expected.trace_to_csv()
     assert len(result.trace) > 1
+
+
+@pytest.mark.parametrize("x0", [-2.0, 6.0])
+def test_the_saved_vee_traces_are_the_reference_loop_s_bytes(x0):
+    # the CLI writes these traces, and a CLI test compares them byte for byte
+    p = Iop(piecewise_vee_ivf())
+    csv = descent_reference(p, [x0], p.objective.grid(201)).trace_to_csv()
+    assert (DATA / f"vee_descent_from_{x0:g}.csv").read_bytes() == csv.encode()
 
 
 def seeded_1d_objective(seed, kinked):
@@ -617,132 +619,21 @@ def test_k_row_constraints_match_single_point_builds(f):
             assert a.tobytes() == b[k:k + 1].tobytes()
 
 
-class Stencil:
-    """The gradient stencil, for the library's descent and for the reference
-    alike, returning its gradient plus 1.0 at the points in `nudge` and
-    raising at the points in `fail`; `seen` lists the points it ran at."""
-
-    def __init__(self, monkeypatch):
-        import ghcalc.iop
-        import ghcalc.ivf
-
-        self.nudge, self.fail, self.seen = set(), set(), []
-        self.original = ghcalc.ivf._value_and_gradient
-        monkeypatch.setattr(ghcalc.ivf, "_value_and_gradient", self)
-        monkeypatch.setattr(ghcalc.iop, "_value_and_gradient", self)
-
-    def __call__(self, f, x):
-        key = tuple(np.asarray(x, dtype=float).tolist())
-        self.seen.append(key)
-        if key in self.fail:
-            raise ZeroDivisionError(f"stencil refused at {key}")
-        fx, grad = self.original(f, x)
-        if key in self.nudge:
-            grad = IVector(tuple(Interval(c.lo + 1.0, c.hi + 1.0) for c in grad))
-        return fx, grad
-
-
-def record_batches(monkeypatch):
-    """The iterate indices of every batch of pending checks, and the
-    position of the first failure in each (None when it passed)."""
-    import ghcalc.iop
-
-    batches = []
-    first_failure = ghcalc.iop._first_failure
-
-    def recorded(values, pending):
-        failed = first_failure(values, pending)
-        batches.append(([k for k, _, _, _ in pending], failed))
-        return failed
-
-    monkeypatch.setattr(ghcalc.iop, "_first_failure", recorded)
-    return batches
-
-
-def place_nudges(monkeypatch, stencil, p, grid, rules):
-    """Add to stencil.nudge, one at a time, the iterates of the vee descent
-    from -2 that `rules` name, and return their indices.  A nudge moves only
-    the iterates after it, so each is chosen from the descent with the
-    earlier ones in place.  "next" is the iterate after the last one
-    nudged; ("end", m) and ("start", m) are the last and the first iterate
-    of the first batch of at least m pending checks after it."""
-    nudged = []
-    for rule in rules:
-        with monkeypatch.context() as m:
-            batches = record_batches(m)
-            trace = scalarized_descent(p, [-2.0], grid=grid).trace
-        last = nudged[-1] if nudged else -1
-        if rule == "next":
-            k = last + 1
-        else:
-            where, size = rule
-            ks = next(ks for ks, _ in batches if len(ks) >= size and ks[0] > last)
-            k = ks[-1] if where == "end" else ks[0]
-        nudged.append(k)
-        stencil.nudge.add(trace[k].x)
-    return nudged
-
-
-# A failure at the end of a batch wastes no stencil, since the next
-# iterate was not evaluated yet; one at its start wastes the rest.
-ROLLBACK_CASES = {
-    "batch_ends": [("end", 1), "next", "next", ("end", 2), "next", ("end", 8),
-                   ("end", 32), ("end", 64), "next"],
-    "batch_starts": [("start", 2), ("start", 8), "next", ("start", 64)],
-}
-
-
-@pytest.mark.parametrize("name", sorted(ROLLBACK_CASES))
-def test_descent_rolls_back_to_the_first_failed_gradient_check(monkeypatch, name):
+def test_an_error_of_f_at_a_trace_iterate_propagates_unchanged(monkeypatch):
     f = piecewise_vee_ivf()
     p, grid = Iop(f), f.grid(201)
-    stencil = Stencil(monkeypatch)
-    nudged = place_nudges(monkeypatch, stencil, p, grid, ROLLBACK_CASES[name])
-    sizes = []
+    point = scalarized_descent(p, [-2.0], grid=grid).trace[300].x
     eval_many = Ivf.eval_many
 
-    def counted(self, xs, check_domain=True):
-        sizes.append(len(xs))
+    def refusing(self, xs, check_domain=True):
+        if (np.asarray(xs) == point).all(axis=-1).any():
+            raise ZeroDivisionError(f"F refused at {point}")
         return eval_many(self, xs, check_domain)
 
-    with monkeypatch.context() as m:
-        batches = record_batches(m)
-        m.setattr(Ivf, "eval_many", counted)
-        result = scalarized_descent(p, [-2.0], grid=grid)
-    # every nudge failed its check and was rolled back to, in order
-    failed = [ks[i] for ks, i in batches if i is not None and ks[i] in nudged]
-    assert failed == nudged
-    assert result == descent_reference(p, [-2.0], grid)
-    stencils = [len(grid.points()), 4] + [7] * (len(result.trace) - 1)
-    if name == "batch_ends":
-        # as many stencil calls as checking every step at once makes
-        assert sizes == stencils
-    else:
-        # a failure ahead of pending iterates discards their stencils only
-        wasted = sum(len(ks) - 1 - i for ks, i in batches if i is not None)
-        assert wasted > 0
-        assert sizes == stencils + [7] * wasted
-
-
-def test_descent_raises_an_error_from_a_discarded_step_only_if_reached(monkeypatch):
-    f = piecewise_vee_ivf()
-    p, grid = Iop(f), f.grid(201)
-    stencil = Stencil(monkeypatch)
-    place_nudges(monkeypatch, stencil, p, grid, [("start", 8)])
-    stencil.seen.clear()
-    expected = scalarized_descent(p, [-2.0], grid=grid)
-    kept = {r.x for r in expected.trace}
-    discarded = [x for x in stencil.seen if x not in kept]
-    assert discarded
-    # a step run ahead of a failed check raises, and the descent goes on
-    stencil.fail.add(discarded[-1])
-    assert scalarized_descent(p, [-2.0], grid=grid) == expected
-    # an iterate of the trace raises as it would checking every step at once
-    stencil.fail.add(expected.trace[300].x)
-    with pytest.raises(ZeroDivisionError, match="stencil refused"):
-        scalarized_descent(p, [-2.0], grid=grid)
-    with pytest.raises(ZeroDivisionError, match="stencil refused"):
-        descent_reference(p, [-2.0], grid)
+    monkeypatch.setattr(Ivf, "eval_many", refusing)
+    for descent in (scalarized_descent, descent_reference):
+        with pytest.raises(ZeroDivisionError, match=f"^{re.escape(f'F refused at {point}')}$"):
+            descent(p, [-2.0], grid=grid)
 
 
 # (objective, grid samples, candidate)

@@ -9,9 +9,10 @@ from ghcalc.errors import (
     EmptySubdifferentialEncountered,
     LengthMismatch,
     MalformedNormIvf,
+    NonFiniteDerivative,
     OutOfDomain,
 )
-from ghcalc.ivf import gh_gradient
+from ghcalc.ivf import gh_derivative_1d, gh_gradient
 from ghcalc.problems import abs_slab_ivf, quartic_ivf, smooth_parabolic_ivf
 from ghcalc.subgrad import (
     LinearIvf,
@@ -88,6 +89,34 @@ def test_scan_of_a_constant_collapses_to_zero():
     marked = region.marked()
     assert marked.shape[0] == 1
     assert marked[0, 0] == 0.0 and marked[0, 1] == 0.0
+
+
+def test_default_scan_bounds_at_a_kink_come_from_the_analytic_box():
+    # the slab has no gH-derivative at 0; its subdifferential there is the
+    # box -3 <= g_lo <= 1, -1 <= g_hi <= 3, cut by g_lo <= g_hi
+    region = subdiff_scan_1d(abs_slab_ivf(), 0.0)
+    p_lb, p_ub, q_lb, q_ub = region.box
+    assert region.g_lo_values[[0, -1]].tolist() == [p_lb - 3.0, p_ub + 3.0]
+    assert region.g_hi_values[[0, -1]].tolist() == [q_lb - 3.0, q_ub + 3.0]
+    marked, step = region.marked(), max(region.step)
+    assert np.all((marked >= np.array([-3.0, -1.0]) - step)
+                  & (marked <= np.array([1.0, 3.0]) + step))
+    assert np.all(np.abs(marked.min(axis=0) - [-3.0, -1.0]) <= step)
+    assert np.all(np.abs(marked.max(axis=0) - [1.0, 3.0]) <= step)
+
+
+def test_default_scan_bounds_at_a_smooth_point_are_the_derivative_plus_minus_3():
+    f = quartic_ivf()
+    d = gh_derivative_1d(f, 1.0)
+    explicit = subdiff_scan_1d(f, 1.0, ((d.lo - 3.0, d.lo + 3.0), (d.hi - 3.0, d.hi + 3.0)))
+    region = subdiff_scan_1d(f, 1.0)
+    assert region.to_csv() == explicit.to_csv()
+
+
+def test_default_scan_bounds_raise_without_a_derivative_or_a_finite_box():
+    # at the end of a domain too narrow for the stencil the box is one-sided
+    with pytest.raises(NonFiniteDerivative, match="domain too small"):
+        subdiff_scan_1d(Ivf.from_text(1, "x1", ((0.0, 1e-6),)), 0.0)
 
 
 def test_scan_rejects_bad_inputs():
