@@ -27,7 +27,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from typing import Callable, List, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -270,6 +270,118 @@ def _compile_piecewise(node: Piecewise):
             raise PiecewiseCoverageError(f"no guard covers point {xs[~covered][0].tolist()}")
         return out_lo, out_hi
     return fn
+
+
+def compile_row(node: Expr, arity: int) -> Callable[[Sequence[float]], Optional[Tuple[float, float]]]:
+    """Generate once a function of a point's floats that returns compile_lo_hi's
+    finite (lo, hi) there, bit for bit, or None: at a non-degenerate or NaN
+    abs/pow argument, a denominator holding 0 or not finite, an uncovered
+    point, pieces that overlap beyond the tolerance, or a non-finite end.  A
+    non-finite operand reaches the value but through these checks, so None
+    covers every point where compile_lo_hi raises, warns or is not finite."""
+    writer = _RowWriter(arity)
+    lo, hi = writer.emit(node)
+    writer.lines.append(f"    if -inf < {lo} <= {hi} < inf: return {lo}, {hi}")
+    namespace = dict(writer.consts, inf=math.inf, tol=_PIECE_AGREEMENT_TOL,
+                     sqrt=math.sqrt, power=_power)
+    exec(compile("\n".join(writer.lines), "<row kernel>", "exec"), namespace)
+    return namespace["row"]
+
+
+def _power(v: float, e: int) -> float:
+    # numpy's power of an array, which differs from Python's ** in the last bit
+    with np.errstate(all="ignore"):
+        return (np.array([v]) ** e)[0].item()
+
+
+def _pairwise(terms: List[str]) -> str:
+    """The sum of terms in the order of numpy's pairwise row reduction."""
+    n = len(terms)
+    if n < 8:
+        return "(" + " + ".join(terms or ["0.0"]) + ")"
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return f"({_pairwise(terms[:half])} + {_pairwise(terms[half:])})"
+    r = terms[:8]
+    for i in range(8, n - n % 8):
+        r[i % 8] = f"({r[i % 8]} + {terms[i]})"
+    return "(" + " + ".join([f"(({r[0]} + {r[1]}) + ({r[2]} + {r[3]}))"
+                             f" + (({r[4]} + {r[5]}) + ({r[6]} + {r[7]}))"]
+                            + terms[n - n % 8:]) + ")"
+
+
+class _RowWriter:
+    """Writes compile_row's function, one operation per line.  emit returns
+    the names of a node's (lo, hi), one name twice if it is real-valued."""
+
+    def __init__(self, arity: int):
+        self.arity, self.consts, self.pad = arity, {}, "    "
+        self.lines = ["def row(x):", f"    ({''.join(f'x{i}, ' for i in range(arity))}) = x"]
+
+    def let(self, expr: str) -> str:
+        name = f"t{len(self.lines)}"
+        self.lines.append(f"{self.pad}{name} = {expr}")
+        return name
+
+    def refuse(self, cond: str) -> None:
+        self.lines.append(f"{self.pad}if {cond}: return None")
+
+    def const(self, value: float) -> str:
+        self.consts[f"c{len(self.consts)}"] = value
+        return f"c{len(self.consts) - 1}"
+
+    def pick(self, a: str, b: str, cmp: str) -> str:
+        # np.minimum (cmp "<") and np.maximum (">"): NaN passes, a tie takes b
+        return self.let(f"{a} if {a} {cmp} {b} or {a} != {a} else {b}")
+
+    def emit(self, node: Expr):
+        if isinstance(node, Const):
+            lo, hi = node.value.lo, node.value.hi
+            if lo == hi and math.copysign(1.0, lo) == math.copysign(1.0, hi):
+                return (self.const(lo),) * 2
+            return self.const(lo), self.const(hi)
+        if isinstance(node, Var):
+            return (f"x{node.index}",) * 2
+        if isinstance(node, Norm):
+            return (self.let(f"sqrt{_pairwise([f'x{i}*x{i}' for i in range(self.arity)])}"),) * 2
+        if isinstance(node, (Abs, Pow)):
+            v, w = self.emit(node.child)
+            self.refuse(f"not {v} == {w}")
+            e = node.exponent if isinstance(node, Pow) else 0
+            return (self.let({0: f"abs({v})", 1: v, 2: f"{v}*{v}"}.get(e, f"power({v}, {e})")),) * 2
+        if isinstance(node, BinOp):
+            (llo, lhi), (rlo, rhi) = self.emit(node.left), self.emit(node.right)
+            sym = "-" if node.op == "ghsub" else node.op
+            if node.op == "/":
+                self.refuse(f"not (0.0 < {rlo} and {rhi} < inf or -inf < {rlo} and {rhi} < 0.0)")
+            if llo == lhi and rlo == rhi:
+                return (self.let(f"{llo} {sym} {rlo}"),) * 2
+            if node.op in ("+", "-"):
+                a, b = (rlo, rhi) if node.op == "+" else (rhi, rlo)
+                return self.let(f"{llo} {sym} {a}"), self.let(f"{lhi} {sym} {b}")
+            if node.op == "ghsub" or llo == lhi or rlo == rhi:
+                ends = self.let(f"{llo} {sym} {rlo}"), self.let(f"{lhi} {sym} {rhi}")
+                return self.pick(*ends, "<"), self.pick(*ends, ">")
+            # the four corners, reduced in order as np.stack(...).min(axis=0) does
+            lo = hi = self.let(f"{llo} {sym} {rlo}")
+            for c in (self.let(f"{a} {sym} {b}") for a, b in ((llo, rhi), (lhi, rlo), (lhi, rhi))):
+                lo, hi = self.pick(lo, c, "<"), self.pick(hi, c, ">")
+            return lo, hi
+        # a piecewise node: the first piece whose guard holds gives the value,
+        # and every later one must agree with it within the tolerance
+        lo, hi, covered = self.let("None"), self.let("None"), self.let("False")
+        outer = self.pad
+        for guard, body in node.pieces:
+            self.lines.append(outer + "if " + " and ".join(
+                f"x{c.var_index} {c.op} {self.const(c.bound)}" for c in guard.comparisons) + ":")
+            self.pad = outer + "    "
+            blo, bhi = self.emit(body)
+            self.lines += [f"{self.pad}if not {covered}: {lo}, {hi}, {covered} = {blo}, {bhi}, True",
+                           f"{self.pad}elif not (abs({blo} - {lo}) <= tol and "
+                           f"abs({bhi} - {hi}) <= tol): return None"]
+            self.pad = outer
+        self.refuse(f"not {covered}")
+        return lo, hi
 
 
 # --------------------------------------------------------------------------

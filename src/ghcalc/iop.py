@@ -230,14 +230,14 @@ def scalarized_descent(p: Iop, x0, cfg: WMapConfig = WMapConfig(),
     """Projected iteration on the scalarization phi_w = w*f_lo + w'*f_hi.
 
     phi_w is convex when F passes the convexity check, and for w, w' > 0
-    each of its minimizers is efficient (Wu 2007).  An iteration is one
-    `eval_many` call on 2n + 1 rows: x itself, which gives F(x), and
+    each of its minimizers is efficient (Wu 2007).  An iteration evaluates
+    F at 2n + 1 rows with `Ivf._eval_rows`: x itself, which gives F(x), and
     x -+ h_i*e_i with h_i = _FD_STEP_SCALE*(1 + |x_i|), clipped to the box.
     The slope on axis i is the difference quotient of phi_w between those
     two rows, 0 on an axis of zero width.  The iterate moves against the
     slopes with the given step schedule (default 0.1/sqrt(k+1)) and is
     projected onto the box; it stops early when every slope vanishes.  The
-    stencil and the step are built on floats, and clip as np.clip does,
+    stencil, phi_w and the step are floats, those of eval_many and np.clip
     bit for bit.  Returns the dominance-minimal trace iterate
     (scalarized value breaks ties among mutually incomparable candidates),
     the full trace, and the efficiency flag of the grid node nearest to the
@@ -256,6 +256,7 @@ def scalarized_descent(p: Iop, x0, cfg: WMapConfig = WMapConfig(),
         raise OutOfDomain(f"{x.tolist()} is outside the domain")
     x = tuple(x.tolist())
     n = f.arity
+    w, w_prime = float(cfg.w), float(cfg.w_prime)  # a float32 weight widens, as in arrays
     trace: List[TraceRecord] = []
     for k in range(iters):
         # the stencil: x, then x - h_i*e_i on every axis, then x + h_i*e_i
@@ -263,11 +264,11 @@ def scalarized_descent(p: Iop, x0, cfg: WMapConfig = WMapConfig(),
         down = [_clip(v - h, *b) for v, h, b in zip(x, hs, f.domain)]
         up = [_clip(v + h, *b) for v, h, b in zip(x, hs, f.domain)]
         rows = [x] + [x[:i] + (v,) + x[i + 1:] for side in (down, up) for i, v in enumerate(side)]
-        lo, hi = f.eval_many(np.array(rows), check_domain=False)
-        phi = (cfg.w * lo + cfg.w_prime * hi).tolist()
+        values = f._eval_rows(rows)
+        phi = [w * lo + w_prime * hi for lo, hi in values]
         slopes = [(phi[1 + n + i] - phi[1 + i]) / (u - d) if u > d else 0.0
                   for i, (d, u) in enumerate(zip(down, up))]
-        value = Interval(lo[0], hi[0])
+        value = Interval(*values[0])
         step = step_schedule(k)
         trace.append(TraceRecord(k, x, value,
                                  cfg.w * value.lo + cfg.w_prime * value.hi, step))

@@ -21,7 +21,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import NoConvergence, NonFiniteDerivative, OutOfDomain
-from .expr import Expr, compile_lo_hi, parse_expr
+from .expr import Expr, compile_lo_hi, compile_row, parse_expr
 from .interval import Interval
 from .ivector import IVector
 
@@ -48,7 +48,8 @@ class OneSidedDifferenceWarning(UserWarning):
 
 @dataclass(frozen=True)
 class Grid:
-    """Rectangular sampling of a box: per-axis bounds and sample counts."""
+    """Rectangular sampling of a box: per-axis bounds and sample counts.
+    An axis of zero width, a fixed variable, has one node."""
 
     lower: Tuple[float, ...]
     upper: Tuple[float, ...]
@@ -57,10 +58,12 @@ class Grid:
     def __post_init__(self):
         if not (len(self.lower) == len(self.upper) == len(self.counts)):
             raise ValueError("axis arrays must have equal lengths")
-        if any(c < 2 for c in self.counts):
+        if any(l > u for l, u in zip(self.lower, self.upper)):
+            raise ValueError("each axis needs lower <= upper")
+        counts = tuple(1 if l == u else c for l, u, c in zip(self.lower, self.upper, self.counts))
+        if any(c < 2 for l, u, c in zip(self.lower, self.upper, counts) if l != u):
             raise ValueError("need at least 2 samples per axis")
-        if any(l >= u for l, u in zip(self.lower, self.upper)):
-            raise ValueError("each axis needs lower < upper")
+        object.__setattr__(self, "counts", counts)
 
     @property
     def dim(self) -> int:
@@ -68,7 +71,7 @@ class Grid:
 
     @property
     def step(self) -> Tuple[float, ...]:
-        return tuple((u - l) / (c - 1)
+        return tuple((u - l) / (c - 1) if c > 1 else 0.0
                      for l, u, c in zip(self.lower, self.upper, self.counts))
 
     def axes(self) -> List[np.ndarray]:
@@ -149,6 +152,17 @@ class Ivf:
         if check_domain and not self._inside(xs):
             raise OutOfDomain("evaluation point outside the domain box")
         return self._lo_hi(xs)
+
+    def _eval_rows(self, rows: Sequence[Tuple[float, ...]]) -> List[Tuple[float, float]]:
+        """(lo, hi) at a few points, tuples of floats, unchecked, from the row
+        kernel (`expr.compile_row`); if it refuses one, eval_many's for all."""
+        if "_row" not in vars(self):  # generated on first use; not a field
+            object.__setattr__(self, "_row", compile_row(self.body, self.arity))
+        values = [self._row(x) for x in rows]
+        if None in values:
+            lo, hi = self.eval_many(np.array(rows), check_domain=False)
+            return list(zip(lo.tolist(), hi.tolist()))
+        return values
 
     def eval(self, x) -> Interval:
         lo, hi = self.eval_many(x)

@@ -270,6 +270,16 @@ def test_descent_on_a_2d_problem_ends_at_an_efficient_point(text, w, tmp_path, c
     assert out.startswith("x_best=") and out.endswith(" efficient=1\n")
 
 
+def test_a_fixed_variable_is_sampled_at_one_node(tmp_path, capsys):
+    path = tmp_path / "fixed2d.prob"
+    path.write_text(CONVEX_2D.replace("domain=[-0.5,2]", "domain=[0.3,0.3]"))
+    assert main(["efficient", str(path), "--grid", "61"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 62 and [l for l in lines if l.endswith(",1")] == ["0.0,0.3,3.0,4.05,1"]
+    assert main(["descent", str(path), "--x0", "-0.5,0.3", "--grid", "61"]) == 0
+    assert capsys.readouterr().out.endswith(" efficient=1\n")
+
+
 # a point that starts with '-' but is no plain negative decimal is a value
 # in every place a point goes, as it is after '='
 @pytest.mark.parametrize("argv, rc, expected", [

@@ -1,4 +1,6 @@
 import math
+import pickle
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from ghcalc.errors import (
     CandidateNotSubgradient,
     NonConvexObjective,
     OutOfDomain,
+    PiecewiseCoverageError,
 )
 from ghcalc.iop import (
     Iop,
@@ -177,16 +180,25 @@ def test_one_full_grid_evaluation_per_call(monkeypatch, call):
 
     monkeypatch.setattr(Ivf, "eval_many", counted)
     if call == "descent":
-        built = []
+        built, stencils = [], []
         for module in (subgrad, iop):
             monkeypatch.setattr(module, "_Constraints", lambda *args: built.append(args),
                                 raising=False)
+        eval_rows = Ivf._eval_rows
+
+        def rows_counted(self, rows):
+            stencils.append(len(rows))
+            return eval_rows(self, rows)
+
+        monkeypatch.setattr(Ivf, "_eval_rows", rows_counted)
         trace = scalarized_descent(p, [-2.0], grid=grid).trace
         # one stencil of 2n + 1 rows per iteration, the iterate and a step
-        # to each side, kinks and the domain edge included; then the grid
-        # once, for the efficiency flag
+        # to each side, kinks and the domain edge included, which the row
+        # kernel evaluates without eval_many; then the grid once, for the
+        # efficiency flag
         assert len(trace) == 600
-        assert sizes == [3] * len(trace) + [len(grid.points())]
+        assert stencils == [3] * len(trace)
+        assert sizes == [len(grid.points())]
         assert built == []
     else:
         # F(x_bar) at every base point is read from the grid values
@@ -240,3 +252,63 @@ def test_descent_in_several_variables_ends_at_a_certified_point(name, w):
     result = scalarized_descent(Iop(f), x0, WMapConfig(w, 1.0 - w), grid=grid)
     assert result.efficient
     assert np.max(np.abs(np.array(result.x_best) - minimizers[w])) < 0.01
+
+
+# domain=[0.3,0.3] fixes a variable: the grid samples its axis at one node
+FIXED = {
+    1: Ivf.from_text(1, "[1,2]*pow2(x1 - 0.25) + [3,4]", ((0.3, 0.3),)),
+    2: Ivf.from_text(2, "[1,2]*pow2(x1) + [0,1]*abs(x2 - 0.25) + [3,4]",
+                     ((-1.0, 1.0), (0.3, 0.3))),
+}
+
+
+@pytest.mark.parametrize("arity", sorted(FIXED))
+def test_a_problem_with_a_fixed_variable_runs(arity):
+    f = FIXED[arity]
+    p, grid = Iop(f), f.grid(61)
+    assert grid.counts == (61, 1)[-arity:] and grid.step[-1] == 0.0
+    report = efficient_on_grid(p, grid)
+    assert report.points.shape == (len(grid.points()), arity)
+    assert (report.points[:, -1] == 0.3).all()
+    result = scalarized_descent(p, [-0.5, 0.3][-arity:], grid=grid)
+    # the fixed axis has no stencil step, so its slope is 0
+    assert all(r.x[-1] == 0.3 for r in result.trace)
+    assert result.efficient
+    if arity == 1:
+        # every slope is 0 at the start, which stops the descent
+        assert len(result.trace) == 1 and report.efficient.all()
+    else:
+        assert abs(result.x_best[0]) < 1e-3
+        assert report.efficient_points().tolist() == [[0.0, 0.3]]
+
+
+def test_descent_compiles_a_row_kernel_that_is_no_field():
+    f, g = piecewise_vee_ivf(), piecewise_vee_ivf()
+    p = Iop(f)
+    grid = f.grid(201)
+    efficient_on_grid(p, grid)
+    optimality_zero_condition(p, [2.0], grid)
+    union_boundedness_probe(f, grid)
+    # the grid paths never generate the kernel
+    assert "_row" not in vars(f)
+    pickled = pickle.dumps(f)
+    scalarized_descent(p, [-2.0], iters=5, grid=grid)
+    assert "_row" in vars(f)
+    assert f == g and hash(f) == hash(g) and repr(f) == repr(g)
+    assert pickle.dumps(f) == pickled == pickle.dumps(g)
+    h = pickle.loads(pickled)
+    assert h == f and "_row" not in vars(h)
+
+
+def test_a_stencil_the_kernel_refuses_raises_eval_many_s_error():
+    # no guard covers (0.501, 0.505), which the grids of Iop() and of the
+    # efficiency flag miss; the first stencil's lower row falls in it
+    f = Ivf.from_text(1, "piecewise{ x1 <= 0.501 => [1,2]*x1; x1 >= 0.505 => [1,2]*x1; }",
+                      ((0.0, 1.0),))
+    p, x0 = Iop(f), 0.50505
+    h = 1e-4 * (1.0 + x0)
+    with pytest.raises(PiecewiseCoverageError) as expected:
+        f.eval_many(np.array([[x0], [x0 - h], [x0 + h]]))
+    assert str(expected.value).startswith("no guard covers point [0.504")
+    with pytest.raises(PiecewiseCoverageError, match=f"^{re.escape(str(expected.value))}$"):
+        scalarized_descent(p, [x0], grid=f.grid(201))

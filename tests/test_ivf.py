@@ -56,6 +56,13 @@ def test_grid_on_domain_scalar_count():
     assert g.counts == (11, 11)
 
 
+def test_a_zero_width_axis_is_sampled_at_one_node():
+    g = Grid.on_domain(((0.0, 2.0), (0.3, 0.3)), 11)
+    assert g == Grid((0.0, 0.3), (2.0, 0.3), (11, 1))
+    assert g.counts == (11, 1) and g.step == (0.2, 0.0)
+    assert g.points().shape == (11, 2) and (g.points()[:, 1] == 0.3).all()
+
+
 # ---------------------------------------------------------------------------
 # Ivf basics
 # ---------------------------------------------------------------------------

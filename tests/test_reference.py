@@ -11,7 +11,8 @@ are kept here as written before the constraint set replaced them, so they
 are independent of the code under test.  The descent reference evaluates
 F one axis at a time and clips with np.clip, where the library evaluates
 one stencil of 2n + 1 rows per iteration.  The recursive tree walker is
-kept as written before the compiled evaluator replaced it.
+kept as written before the compiled evaluator replaced it, and the
+compiled evaluator is the reference of the generated row kernel.
 """
 
 import math
@@ -43,7 +44,9 @@ from ghcalc.expr import (
     Piecewise,
     Pow,
     Var,
+    _power,
     compile_lo_hi,
+    compile_row,
     eval_lo_hi,
 )
 from ghcalc.iop import (
@@ -621,16 +624,24 @@ def test_k_row_constraints_match_single_point_builds(f):
 
 def test_an_error_of_f_at_a_trace_iterate_propagates_unchanged(monkeypatch):
     f = piecewise_vee_ivf()
-    p, grid = Iop(f), f.grid(201)
-    point = scalarized_descent(p, [-2.0], grid=grid).trace[300].x
-    eval_many = Ivf.eval_many
+    grid = f.grid(201)
+    point = scalarized_descent(Iop(f), [-2.0], grid=grid).trace[300].x
+    eval_many, compile_row = Ivf.eval_many, ivf_module.compile_row
 
     def refusing(self, xs, check_domain=True):
         if (np.asarray(xs) == point).all(axis=-1).any():
             raise ZeroDivisionError(f"F refused at {point}")
         return eval_many(self, xs, check_domain)
 
+    def refusing_row(node, arity):
+        # the row kernel refuses the iterate, so its stencil goes to eval_many
+        row = compile_row(node, arity)
+        return lambda x: None if tuple(x) == point else row(x)
+
     monkeypatch.setattr(Ivf, "eval_many", refusing)
+    monkeypatch.setattr(ivf_module, "compile_row", refusing_row)
+    # a fresh objective, whose row kernel is generated under the patch
+    p = Iop(piecewise_vee_ivf())
     for descent in (scalarized_descent, descent_reference):
         with pytest.raises(ZeroDivisionError, match=f"^{re.escape(f'F refused at {point}')}$"):
             descent(p, [-2.0], grid=grid)
@@ -810,7 +821,7 @@ def trees(arity=2):
             st.builds(BinOp, st.sampled_from(["+", "-", "ghsub", "*", "/"]),
                       children, children),
             st.builds(Abs, children),
-            st.builds(Pow, st.integers(1, 4), children),
+            st.builds(Pow, st.integers(1, 6), children),
             st.builds(lambda pieces, extra: Piecewise(pieces + tuple(extra)),
                       cut, st.lists(st.tuples(guards, children), max_size=1)),
         )
@@ -867,3 +878,129 @@ def test_compiled_evaluator_matches_on_the_grammar(text):
             assert got == expected
         else:
             assert same_floats(got[0], expected[0]) and same_floats(got[1], expected[1])
+
+
+# --------------------------------------------------------------------------
+# The row kernel against the compiled evaluator
+# --------------------------------------------------------------------------
+
+
+def row_path(node, xs):
+    """The rows of xs through Ivf._eval_rows: the generated row kernel, and
+    eval_many on every row when the kernel refuses one."""
+    f = Ivf(xs.shape[1], node, ((0.0, 1.0),) * xs.shape[1])
+    values = f._eval_rows([tuple(x) for x in xs.tolist()])
+    return tuple(np.array([v[i] for v in values]) for i in (0, 1))
+
+
+# per arity, built once: hypothesis is slow to draw from a strategy built anew
+ROW_CASES = {n: (trees(n), st.lists(st.tuples(*[POINT_FLOATS] * n), min_size=1, max_size=4))
+             for n in range(1, 10)}
+
+
+@st.composite
+def trees_and_rows(draw):
+    tree, rows = ROW_CASES[draw(st.integers(1, 9))]
+    return draw(tree), np.array(draw(rows), dtype=float)
+
+
+@settings(max_examples=800, deadline=None)
+@given(trees_and_rows())
+def test_the_row_path_matches_the_compiled_evaluator(case):
+    node, xs = case
+    got = outcome_of(lambda _, p: row_path(_, p), node, xs)
+    expected = outcome_of(lambda _, p: compile_lo_hi(_)(p), node, xs)
+    if isinstance(expected[0], type):
+        assert got == expected
+    else:
+        assert not isinstance(got[0], type), got
+        assert same_floats(got[0], expected[0]) and same_floats(got[1], expected[1])
+    # a row the kernel takes is one where the compiled evaluator neither
+    # raises nor warns, and its value is finite
+    row = compile_row(node, xs.shape[1])
+    for x in xs:
+        value = row(tuple(x.tolist()))
+        if value is not None:
+            with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
+                lo, hi = compile_lo_hi(node)(x[None, :])
+            assert value == (lo[0], hi[0]) and math.isfinite(value[0]) and math.isfinite(value[1])
+
+
+# at these rows compile_lo_hi warns: an overflowed denominator divides to
+# 0, a later piece's NaN at an overlap is dropped, and a NaN meets a finite
+# value in np.minimum and np.maximum, which let it through
+@pytest.mark.parametrize("text, x", [
+    ("1 / (x1*1e300)", 1e300),
+    ("[1,2] / (x1*[1e300,1e301])", 1e300),
+    ("piecewise{ x1 <= 1 => x1; x1 >= 1 => x1*1e300*1e300 - x1*1e300*1e300; }", 1.0),
+    ("x1*[-1e300,1] ghsub x1*[-1e300,2]", 1e300),
+])
+def test_a_row_where_the_compiled_evaluator_warns_goes_to_eval_many(text, x):
+    f = Ivf.from_text(1, text, ((0.0, 1.0),))
+    assert compile_row(f.body, 1)((x,)) is None
+    with pytest.warns(RuntimeWarning):
+        values = f._eval_rows([(x,)])
+    with np.errstate(all="ignore"):
+        expected = f.eval_many(np.array([[x]]), check_domain=False)
+    assert all(same_floats([v[i] for v in values], expected[i]) for i in (0, 1))
+
+
+def test_the_row_kernel_takes_the_benchmarked_objectives():
+    # no refusal on the descent's objectives, so the fallback stays rare
+    for f in (piecewise_vee_ivf(), seeded_1d_objective(301, False), seeded_1d_objective(401, True),
+              quartic_ivf()):
+        pts = f.grid(401).points()
+        row = compile_row(f.body, f.arity)
+        lo, hi = f.eval_many(pts)
+        assert [row(tuple(x)) for x in pts.tolist()] == list(zip(lo.tolist(), hi.tolist()))
+
+
+# Facts about numpy's floats that the row kernel reproduces, each measured
+# on this numpy: if one stops holding, the kernel must follow it.
+DRAWS = np.random.default_rng(1501).uniform(-5.0, 5.0, 200_000)
+
+
+def test_numpy_squares_as_x_times_x_where_python_s_power_does_not():
+    assert np.array_equal((DRAWS ** 2).view(np.int64), (DRAWS * DRAWS).view(np.int64))
+    assert sum(v ** 2 != v * v for v in DRAWS.tolist()) > 50
+
+
+@pytest.mark.parametrize("e", [3, 4, 5, 6])
+def test_numpy_s_power_of_three_or_more_is_not_python_s(e):
+    draws = DRAWS[:20_000]
+    array = (draws ** e).tolist()
+    assert sum(a != v ** e for a, v in zip(array, draws.tolist())) > 100
+    assert [_power(v, e) for v in draws.tolist()] == array
+
+
+def test_numpy_sums_a_row_sequentially_below_8_and_pairwise_from_8():
+    rng = np.random.default_rng(1502)
+    for n in list(range(1, 20)) + [130, 200]:
+        xs = rng.uniform(-5, 5, (2000, n)) * 10.0 ** rng.integers(-8, 8, (2000, n))
+        squares = xs * xs
+        sequential = [sum_in_order(r) for r in squares.tolist()]
+        differs = np.count_nonzero(np.sum(squares, axis=1) != sequential)
+        assert (differs == 0) if n < 8 else (differs > 0), n
+        row, (norm, _) = compile_row(Norm(), n), compile_lo_hi(Norm())(xs)
+        assert [row(tuple(x))[0] for x in xs.tolist()] == norm.tolist(), n
+
+
+def sum_in_order(values):
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def test_numpy_min_and_max_take_the_second_operand_on_a_tie_and_pass_nan():
+    for n in (1, 3, 17):
+        zero, negzero = np.zeros(n), -np.zeros(n)
+        for fn in (np.minimum, np.maximum):
+            assert np.signbit(fn(zero, negzero)).all() and not np.signbit(fn(negzero, zero)).any()
+            assert np.isnan(fn(np.full(n, np.nan), zero)).all()
+            assert np.isnan(fn(zero, np.full(n, np.nan))).all()
+    # the kernel's corners of [-0,0] * [-0,0] follow the same ties
+    node = BinOp("*", Const(Interval(-0.0, 0.0)), BinOp("*", Var(0), Const(Interval(-0.0, 0.0))))
+    for x in (1.0, -1.0, 0.0, -0.0):
+        lo, hi = compile_lo_hi(node)(np.array([[x]]))
+        assert repr(compile_row(node, 1)((x,))) == repr((lo[0].item(), hi[0].item()))
