@@ -7,9 +7,11 @@ and reported with the grid step, so every claim is resolution-qualified.
 
 The descent driver is a heuristic: a projected iteration on the
 scalarization phi_w = w*f_lo + w'*f_hi, in any number of variables, with
-slopes from one central-difference stencil per iteration.  The optimality
-conditions and the grid efficiency flag are the principled part; the
-driver only produces candidate points for them to certify.
+slopes from one central-difference stencil per iteration and Polyak steps
+to a level, first the grid's least phi_w, then just below the best value
+found.  The optimality conditions and the grid efficiency flag are the
+principled part; the driver only produces candidate points for them to
+certify, and the grid it is given serves both the first level and the flag.
 """
 
 from __future__ import annotations
@@ -230,19 +232,28 @@ def scalarized_descent(p: Iop, x0, cfg: WMapConfig = WMapConfig(),
     """Projected iteration on the scalarization phi_w = w*f_lo + w'*f_hi.
 
     phi_w is convex when F passes the convexity check, and for w, w' > 0
-    each of its minimizers is efficient (Wu 2007).  An iteration evaluates
-    F at 2n + 1 rows with `Ivf._eval_rows`: x itself, which gives F(x), and
-    x -+ h_i*e_i with h_i = _FD_STEP_SCALE*(1 + |x_i|), clipped to the box.
-    The slope on axis i is the difference quotient of phi_w between those
-    two rows, 0 on an axis of zero width.  The iterate moves against the
-    slopes with the given step schedule (default 0.1/sqrt(k+1)) and is
-    projected onto the box; it stops early when every slope vanishes.  The
-    stencil, phi_w and the step are floats, those of eval_many and np.clip
-    bit for bit.  Returns the dominance-minimal trace iterate
-    (scalarized value breaks ties among mutually incomparable candidates),
-    the full trace, and the efficiency flag of the grid node nearest to the
-    iterate, which certifies it: F is evaluated on the grid once, after
-    the iteration.
+    each of its minimizers is efficient (Wu 2007).  F is evaluated on the
+    grid once, before the iteration: the least phi_w there is the first
+    level phi*, and the same values give the efficiency flag at the end.
+    An iteration evaluates F at 2n + 1 rows with `Ivf._eval_rows`: x
+    itself, which gives F(x), and x -+ h_i*e_i with h_i =
+    _FD_STEP_SCALE*(1 + |x_i|), clipped to the box.  The slope g_i is the
+    difference quotient of phi_w between those two rows, 0 on an axis of
+    zero width.  The iterate moves by -s*g and is projected onto the box,
+    with the Polyak step s = (phi_w(x) - level)/|g|^2 (Polyak 1969), or
+    step_schedule(k) where that is larger (default 0.1/sqrt(k+1)), so an
+    axis with a small slope still moves when a kinked axis dominates
+    |g|^2.  Once an iterate reaches phi*, the level is the record (the
+    least phi_w so far) less delta (Goffin & Kiwiel 1999): delta starts
+    at 1e-3*(1 + |record|) and halves whenever an iterate fails to lower
+    the record by delta/2.  The descent stops when every slope vanishes
+    or delta falls to 1e-9*(1 + |record|), or after `iters` iterations.
+    The stencil, phi_w and the step are floats, those of eval_many and
+    np.clip bit for bit.  The trace's `step` is the s taken, 0 on the row
+    where the descent stops.  Returns the dominance-minimal trace iterate
+    (scalarized value breaks ties among mutually incomparable
+    candidates), the full trace, and the efficiency flag of the grid node
+    nearest to that iterate, which certifies it.
     """
     if iters < 1:
         raise ValueError(f"iters must be at least 1, got {iters}")
@@ -257,6 +268,9 @@ def scalarized_descent(p: Iop, x0, cfg: WMapConfig = WMapConfig(),
     x = tuple(x.tolist())
     n = f.arity
     w, w_prime = float(cfg.w), float(cfg.w_prime)  # a float32 weight widens, as in arrays
+    grid_values = _grid_values(f, grid)
+    level = float(np.min(w * grid_values.lo + w_prime * grid_values.hi))
+    record = delta = None  # set once an iterate reaches the grid's least phi_w
     trace: List[TraceRecord] = []
     for k in range(iters):
         # the stencil: x, then x - h_i*e_i on every axis, then x + h_i*e_i
@@ -268,16 +282,29 @@ def scalarized_descent(p: Iop, x0, cfg: WMapConfig = WMapConfig(),
         phi = [w * lo + w_prime * hi for lo, hi in values]
         slopes = [(phi[1 + n + i] - phi[1 + i]) / (u - d) if u > d else 0.0
                   for i, (d, u) in enumerate(zip(down, up))]
+        if delta is None:
+            if phi[0] <= level:
+                record, delta = phi[0], 1e-3 * (1.0 + abs(phi[0]))
+        elif phi[0] <= record - delta / 2.0:
+            record = phi[0]
+        else:
+            record, delta = min(record, phi[0]), delta / 2.0
+        stop = (all(abs(d) <= 1e-12 for d in slopes)
+                or (delta is not None and delta <= 1e-9 * (1.0 + abs(record))))
+        if delta is not None:
+            level = record - delta
+        step = 0.0
+        if not stop:
+            # a float32 floor is widened, as by float64 arrays
+            step = float(max(step_schedule(k), (phi[0] - level) / sum(d * d for d in slopes)))
         value = Interval(*values[0])
-        step = step_schedule(k)
         trace.append(TraceRecord(k, x, value,
                                  cfg.w * value.lo + cfg.w_prime * value.hi, step))
-        if all(abs(d) <= 1e-12 for d in slopes):
+        if stop:
             break
-        s = float(step)  # a float32 step is widened, as by float64 arrays
-        x = tuple(_clip(v - s * d, *b) for v, d, b in zip(x, slopes, f.domain))
+        x = tuple(_clip(v - step * d, *b) for v, d, b in zip(x, slopes, f.domain))
     best = _dominance_minimal(trace)
-    flagged = _efficiency(_grid_values(f, grid), grid).is_flagged_near(best.x)
+    flagged = _efficiency(grid_values, grid).is_flagged_near(best.x)
     return DescentResult(best.x, best.value, flagged, tuple(trace))
 
 

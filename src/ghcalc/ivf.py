@@ -196,7 +196,8 @@ def _deriv_1d_from_sampler(sample, t: float, span: Tuple[float, float],
 
     Central differences with two Richardson refinements in the interior;
     second-order one-sided stencils (with a warning) at span boundaries.
-    Raises when the two one-sided slopes disagree, which signals a kink.
+    A kink of either boundary raises, unless the two swap their one-sided
+    slopes so that F itself has a gH-derivative there.
     """
     h0 = _FD_STEP_SCALE * (1.0 + abs(t)) * max(scale, 1.0)
     lo_edge = t - h0 * 1.001 < span[0]
@@ -219,8 +220,22 @@ def _deriv_1d_from_sampler(sample, t: float, span: Tuple[float, float],
         lo, hi = lo.tolist(), hi.tolist()
         d_lo = _central_richardson(lo, h0)
         d_hi = _central_richardson(hi, h0)
-        _check_no_kink(lo, h0, d_lo, "lower boundary")
-        _check_no_kink(hi, h0, d_hi, "upper boundary")
+        sides = (_one_sided_slopes(lo, h0), _one_sided_slopes(hi, h0))
+        tols = [_KINK_REL_TOL * (1.0 + abs(d)) for d in (d_lo, d_hi)]
+        kinks = [(label, fwd - back) for label, (back, fwd), tol
+                 in zip(("lower", "upper"), sides, tols) if abs(fwd - back) > tol]
+        if kinks:
+            # F is still gH-differentiable where lo and hi swap their
+            # one-sided slopes: then the hull of the two backward slopes is
+            # that of the two forward ones (Chalco-Cano, Roman-Flores &
+            # Jimenez-Gamero 2011), and it is the derivative
+            back = sorted(b for b, _ in sides)
+            fwd = sorted(f for _, f in sides)
+            if any(abs(f - b) > max(tols) for b, f in zip(back, fwd)):
+                label, jump = kinks[0]
+                raise NonFiniteDerivative(
+                    f"{label} boundary has mismatched one-sided slopes (jump ~ {jump:.3g})")
+            d_lo, d_hi = (back[0] + fwd[0]) / 2.0, (back[1] + fwd[1]) / 2.0
     if not (math.isfinite(d_lo) and math.isfinite(d_hi)):
         raise NonFiniteDerivative("difference quotients diverged")
     return Interval(min(d_lo, d_hi), max(d_lo, d_hi))
@@ -245,16 +260,13 @@ def _central_richardson(vals: List[float], h: float) -> float:
     return (16.0 * r2 - r1) / 15.0
 
 
-def _check_no_kink(vals: List[float], h: float, deriv: float, label: str) -> None:
-    # forward minus backward quotient extrapolated to step 0: nonzero limit
-    # means the one-sided derivatives differ.
+def _one_sided_slopes(vals: List[float], h: float) -> Tuple[float, float]:
+    # vals sampled at offsets (-h, -h/2, -h/4, 0, h/4, h/2, h): the backward
+    # and forward quotients at steps h and h/2, each extrapolated to step 0
     center = vals[3]
-    delta_h = ((vals[6] - center) / h) - ((center - vals[0]) / h)
-    delta_h2 = ((vals[5] - center) / (0.5 * h)) - ((center - vals[1]) / (0.5 * h))
-    jump = 2.0 * delta_h2 - delta_h
-    if abs(jump) > _KINK_REL_TOL * (1.0 + abs(deriv)):
-        raise NonFiniteDerivative(
-            f"{label} has mismatched one-sided slopes (jump ~ {jump:.3g})")
+    back = 2.0 * (center - vals[1]) / (0.5 * h) - (center - vals[0]) / h
+    fwd = 2.0 * (vals[5] - center) / (0.5 * h) - (vals[6] - center) / h
+    return back, fwd
 
 
 def gh_derivative_1d(f: Ivf, x: float) -> Interval:

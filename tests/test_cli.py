@@ -6,6 +6,7 @@ from ghcalc import problems
 from ghcalc.cli import main, parse_problem_file, parse_problem_text
 from ghcalc.errors import ParseError
 from ghcalc.interval import Interval
+from ghcalc.iop import Iop, scalarized_descent
 from ghcalc.ivector import IVector
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -206,9 +207,15 @@ def test_descent(quartic_file, tmp_path, capsys):
     assert " efficient=" in out
     x_best = float(out.split("=", 1)[1].split(" ", 1)[0])
     assert abs(x_best) < 0.05
+    # the file holds the descent's trace, one row per iteration; it stops
+    # before its 200 iterations, and the row where it stops has step 0
+    f = parse_problem_file(quartic_file).ivf
+    result = scalarized_descent(Iop(f), [2.0], iters=200, grid=f.grid(201))
+    assert trace_path.read_text() == result.trace_to_csv()
     lines = trace_path.read_text().splitlines()
     assert lines[0] == "iter,x1,f_lo,f_hi,scalarized_value,step"
-    assert len(lines) == 201
+    assert 1 < len(result.trace) == len(lines) - 1 < 200
+    assert lines[-1].endswith(",0.0")
 
 
 @pytest.mark.parametrize("x0", ["-2", "6"])

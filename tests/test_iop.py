@@ -158,52 +158,57 @@ def test_a_float32_step_moves_the_iterate_as_its_float64_value():
     # the projection works on floats, where float32 * float stays float32
     p = Iop(piecewise_vee_ivf())
     grid = p.objective.grid(51)
-    narrow = scalarized_descent(p, [-2.0], iters=50, grid=grid,
-                                step_schedule=lambda k: np.float32(0.1) / np.float32(k + 1))
+
+    def floor(k):
+        return np.float32(0.1) / np.float32(k + 1)
+
+    narrow = scalarized_descent(p, [-2.0], iters=50, grid=grid, step_schedule=floor)
     wide = scalarized_descent(p, [-2.0], iters=50, grid=grid,
-                              step_schedule=lambda k: float(np.float32(0.1) / np.float32(k + 1)))
+                              step_schedule=lambda k: float(floor(k)))
     assert narrow == wide
     assert [repr(r.x) for r in narrow.trace] == [repr(r.x) for r in wide.trace]
-    assert -2.0 < narrow.trace[-1].x[0] < -1.0
+    # the float32 floor, no float64 of 0.1/(k+1), is the step of an iterate
+    # that moves
+    assert any(r.step == float(floor(r.iteration)) != 0.1 / (r.iteration + 1)
+               for r in narrow.trace[:-1])
 
 
 @pytest.mark.parametrize("call", ["descent", "probe"])
 def test_one_full_grid_evaluation_per_call(monkeypatch, call):
     f = piecewise_vee_ivf()
     p, grid = Iop(f), f.grid(201)
-    sizes = []
+    calls = []
     eval_many = Ivf.eval_many
 
     def counted(self, xs, check_domain=True):
-        sizes.append(len(xs))
+        calls.append(len(xs))
         return eval_many(self, xs, check_domain)
 
     monkeypatch.setattr(Ivf, "eval_many", counted)
     if call == "descent":
-        built, stencils = [], []
+        built = []
         for module in (subgrad, iop):
             monkeypatch.setattr(module, "_Constraints", lambda *args: built.append(args),
                                 raising=False)
         eval_rows = Ivf._eval_rows
 
         def rows_counted(self, rows):
-            stencils.append(len(rows))
+            calls.append(("rows", len(rows)))
             return eval_rows(self, rows)
 
         monkeypatch.setattr(Ivf, "_eval_rows", rows_counted)
         trace = scalarized_descent(p, [-2.0], grid=grid).trace
-        # one stencil of 2n + 1 rows per iteration, the iterate and a step
-        # to each side, kinks and the domain edge included, which the row
-        # kernel evaluates without eval_many; then the grid once, for the
-        # efficiency flag
-        assert len(trace) == 600
-        assert stencils == [3] * len(trace)
-        assert sizes == [len(grid.points())]
+        # the grid once, before the first iterate, for the level and the
+        # efficiency flag; then one stencil of 2n + 1 rows per iteration, the
+        # iterate and a step to each side, kinks and the domain edge
+        # included, which the row kernel evaluates without eval_many
+        assert len(trace) > 1
+        assert calls == [len(grid.points())] + [("rows", 3)] * len(trace)
         assert built == []
     else:
         # F(x_bar) at every base point is read from the grid values
         union_boundedness_probe(f, grid)
-        assert sizes == [len(grid.points())]
+        assert calls == [len(grid.points())]
 
 
 def test_descent_keeps_the_sign_of_a_zero_start():
@@ -229,6 +234,43 @@ def test_descent_off_the_midpoint_weights_does_not_climb_phi_w():
 
     trace = scalarized_descent(Iop(f), [1.0], cfg, grid=f.grid(201)).trace
     assert phi_w(trace[-1].x) <= phi_w([1.0])
+
+
+@pytest.mark.parametrize("x0", [-2.0, 6.0])
+@pytest.mark.parametrize("w", [0.2, 0.5, 0.8])
+def test_the_vee_descent_ends_at_its_minimizer_at_any_weight(w, x0):
+    # phi_w of the vee is w*|x - 2| plus a constant near 2
+    p = Iop(piecewise_vee_ivf())
+    result = scalarized_descent(p, [x0], WMapConfig(w, 1.0 - w), grid=p.objective.grid(201))
+    assert abs(result.x_best[0] - 2.0) <= 1e-9
+    assert result.efficient
+
+
+def seeded_valley(seed):
+    """[a,b]*abs(x1 - c) + [al,be]*pow2(x1 - e) + [1,2] with |e - c| >= 0.8,
+    a weight w and a start, and the minimizer of phi_w in closed form:
+    phi_w = A|x - c| + B(x - e)^2 + const with A = w*a + w'*b <= 1.2 and
+    B = w*al + w'*be >= 1, so x* = e - sign(e - c)*A/(2B) is off the kink."""
+    rng = np.random.default_rng(seed)
+    a, al = (round(float(rng.uniform(lo, hi)), 3) for lo, hi in ((0.2, 0.6), (1.0, 2.0)))
+    b, be = round(a + float(rng.uniform(0.0, 0.6)), 3), round(al + float(rng.uniform(0.0, 1.0)), 3)
+    c = round(float(rng.uniform(-0.5, 0.5)), 3)
+    e = round(c + float(rng.choice((-1.0, 1.0)) * rng.uniform(0.8, 1.2)), 3)
+    w = round(float(rng.uniform(0.2, 0.8)), 3)
+    domain = (min(c, e) - 1.5, max(c, e) + 1.5)
+    f = Ivf.from_text(1, f"[{a},{b}]*abs(x1 - ({c})) + [{al},{be}]*pow2(x1 - ({e})) + [1,2]",
+                      (domain,))
+    A, B = w * a + (1.0 - w) * b, w * al + (1.0 - w) * be
+    return f, float(rng.uniform(*domain)), w, e - math.copysign(A / (2.0 * B), e - c)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_a_valley_descent_stops_near_the_minimizer_of_phi_w(seed):
+    f, x0, w, minimizer = seeded_valley(seed)
+    result = scalarized_descent(Iop(f), [x0], WMapConfig(w, 1.0 - w), grid=f.grid(201))
+    assert abs(result.x_best[0] - minimizer) <= 1e-3
+    assert result.efficient
+    assert len(result.trace) <= 100
 
 
 # (objective, domain, start, the minimizer of phi_w at w = 0.5 and at 0.2)

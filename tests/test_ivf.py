@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ghcalc import Grid, Interval, Ivf, OneSidedDifferenceWarning
+from ghcalc import Grid, Interval, IVector, Ivf, OneSidedDifferenceWarning
 from ghcalc.errors import NoConvergence, NonFiniteDerivative, OutOfDomain
 from ghcalc.ivf import (
     directional_gh_derivative,
@@ -163,6 +163,17 @@ def test_gh_derivative_detects_kinks():
         gh_derivative_1d(abs_slab_ivf(), 0.0)
     with pytest.raises(NonFiniteDerivative):
         gh_derivative_1d(piecewise_vee_ivf(), 2.0)
+
+
+@pytest.mark.parametrize("text, slope", [("[-1,1]*x1", Interval(-1.0, 1.0)),
+                                         ("[-1,2]*x1", Interval(-1.0, 2.0))])
+def test_a_point_where_lo_and_hi_swap_their_one_sided_slopes_is_differentiable(text, slope):
+    # lo and hi both kink at 0, but (F(t) gh- F(0))/t = [-1, 1] or [-1, 2]
+    # from either side
+    f = Ivf.from_text(1, text, ((-1.0, 1.0),))
+    assert gh_derivative_1d(f, 0.0) == slope
+    assert partial_gh_derivative(f, [0.0], 0) == slope
+    assert gh_gradient(f, [0.0]) == IVector.of(slope)
 
 
 def test_a_gradient_at_a_kink_or_in_a_tiny_domain_raises():

@@ -413,9 +413,13 @@ def feasible_box_reference(f, x_bar, grid, tol):
 def descent_reference(p, x0, grid, cfg=WMapConfig(), iters=600):
     """The projected iteration on phi_w = w*f_lo + w'*f_hi, one axis at a
     time: the slope on axis i is the difference quotient of phi_w between
-    x -+ 1e-4*(1 + |x_i|)*e_i, each clipped to the box.  The best iterate
-    is picked from the strict-dominance matrix of the trace, and its flag
-    from that of the grid."""
+    x -+ 1e-4*(1 + |x_i|)*e_i, each clipped to the box.  The step is the
+    larger of 0.1/sqrt(k+1) and the Polyak step to the level: the grid's
+    least phi_w until an iterate reaches it, then the record less delta,
+    where delta halves after every iterate that lowers the record by less
+    than delta/2.  The best iterate is picked from the strict-dominance
+    matrix of the trace, and its flag from that of the grid, which is
+    evaluated before the first iterate."""
     f = p.objective
     x = np.asarray(x0, dtype=float).ravel()
     lower = np.array([l for l, _ in f.domain])
@@ -424,6 +428,10 @@ def descent_reference(p, x0, grid, cfg=WMapConfig(), iters=600):
     def phi(lo, hi):
         return cfg.w * lo + cfg.w_prime * hi
 
+    pts = grid.points()
+    grid_lo, grid_hi = f.eval_many(pts)
+    least = float(np.min(phi(grid_lo, grid_hi)))
+    record = delta = None
     trace = []
     for k in range(iters):
         value = f.eval(x)
@@ -436,19 +444,31 @@ def descent_reference(p, x0, grid, cfg=WMapConfig(), iters=600):
             if up[i] > down[i]:
                 lo, hi = f.eval_many(np.stack([down, up]))
                 slope[i] = (phi(lo[1], hi[1]) - phi(lo[0], hi[0])) / (up[i] - down[i])
-        step = 0.1 / math.sqrt(k + 1)
-        trace.append(TraceRecord(k, tuple(float(v) for v in x), value,
-                                 phi(value.lo, value.hi), step))
-        if float(np.max(np.abs(slope))) <= 1e-12:
+        phi_x = phi(value.lo, value.hi)
+        if record is None:
+            if phi_x <= least:
+                record, delta = phi_x, 1e-3 * (1.0 + abs(phi_x))
+        elif phi_x <= record - delta / 2.0:
+            record = phi_x
+        else:
+            record, delta = min(record, phi_x), delta / 2.0
+        level = least if record is None else record - delta
+        done = (float(np.max(np.abs(slope))) <= 1e-12
+                or (record is not None and delta <= 1e-9 * (1.0 + abs(record))))
+        step = 0.0
+        if not done:
+            step = max(0.1 / math.sqrt(k + 1),
+                       (phi_x - level) / sum(float(d) * float(d) for d in slope))
+        trace.append(TraceRecord(k, tuple(float(v) for v in x), value, phi_x, step))
+        if done:
             break
         x = np.clip(x - step * slope, lower, upper)
     keep = pareto_reference(np.array([r.value.lo for r in trace]),
                             np.array([r.value.hi for r in trace]))
     best = min((r for r, kept in zip(trace, keep) if kept),
                key=lambda r: (r.scalarized, r.iteration))
-    pts = grid.points()
     nearest = int(np.argmin(np.linalg.norm(pts - np.array(best.x), axis=1)))
-    flagged = bool(pareto_reference(*f.eval_many(pts))[nearest])
+    flagged = bool(pareto_reference(grid_lo, grid_hi)[nearest])
     return DescentResult(best.x, best.value, flagged, tuple(trace))
 
 
@@ -625,7 +645,10 @@ def test_k_row_constraints_match_single_point_builds(f):
 def test_an_error_of_f_at_a_trace_iterate_propagates_unchanged(monkeypatch):
     f = piecewise_vee_ivf()
     grid = f.grid(201)
-    point = scalarized_descent(Iop(f), [-2.0], grid=grid).trace[300].x
+    trace = scalarized_descent(Iop(f), [-2.0], grid=grid).trace
+    # an iterate after the start and off the grid, so only a stencil meets it
+    point = trace[len(trace) // 2].x
+    assert len(trace) > 2 and not (grid.points() == point).all(axis=-1).any()
     eval_many, compile_row = Ivf.eval_many, ivf_module.compile_row
 
     def refusing(self, xs, check_domain=True):
