@@ -14,7 +14,6 @@ from .errors import (
     LengthMismatch,
     MalformedNormIvf,
     MaxNotAttained,
-    NoConvergence,
     NonConvexObjective,
     NonDegenerateRealNode,
     NonFiniteDerivative,
@@ -57,7 +56,6 @@ from .ivector import (
 from .ivf import (
     Grid,
     Ivf,
-    OneSidedDifferenceWarning,
     directional_gh_derivative,
     gh_derivative_1d,
     gh_gradient,

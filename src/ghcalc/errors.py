@@ -49,12 +49,8 @@ class ParseError(GhcalcError, ValueError):
 
 
 class NonFiniteDerivative(GhcalcError, ArithmeticError):
-    """No finite gH-derivative: a kink, diverging quotients, or a domain too
-    small for the difference stencil."""
-
-
-class NoConvergence(GhcalcError, ArithmeticError):
-    """Iterative limit estimate did not converge within the refinement budget."""
+    """No finite gH-derivative: a kink, a slope that is not finite, or an axis
+    of zero width."""
 
 
 class MaxNotAttained(GhcalcError):

@@ -6,8 +6,6 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .interval import Interval
-from .ivector import IVector
 from .iop import Iop, efficient_on_grid, optimality_zero_condition, scalarized_descent
 from .problems import abs_slab_ivf, piecewise_vee_ivf, smooth_parabolic_ivf
 from .subgrad import directional_max_check, subdiff_scan_1d

@@ -129,6 +129,14 @@ class Guard:
             mask &= comp.holds(xs)
         return mask
 
+    def ahead(self, x: Sequence[float], h: Optional[Sequence[float]] = None) -> bool:
+        """Holds at x and, given h, at x + t*h for small t > 0; on a bound, h_i's sign decides."""
+        for c in self.comparisons:
+            s, v = (1.0 if c.op == "<=" else -1.0), x[c.var_index]
+            if not (s * v < s * c.bound or v == c.bound and (h is None or s * h[c.var_index] <= 0.0)):
+                return False
+        return True
+
 
 @dataclass(frozen=True)
 class Piecewise(Expr):
@@ -382,6 +390,85 @@ class _RowWriter:
             self.pad = outer
         self.refuse(f"not {covered}")
         return lo, hi
+
+
+def tangents(node: Expr, x: Sequence[float], dirs: Sequence[Sequence[float]]):
+    """(lo, hi, dlo, dhi): F's endpoints at the point x and their one-sided
+    derivatives along each h in dirs, as lists, by forward mode on floats
+    (Griewank & Walther 2008; one-sided rules of Griewank 2013).  None
+    wherever compile_row refuses, at a value that is not finite, and where
+    an abs/pow argument or the pieces fail along some h."""
+    if isinstance(node, BinOp):
+        left, right = tangents(node.left, x, dirs), tangents(node.right, x, dirs)
+        if left is None or right is None:
+            return None
+        (llo, lhi, dllo, dlhi), (rlo, rhi, drlo, drhi) = left, right
+        if node.op == "+":
+            return (llo + rlo, lhi + rhi, [s + t for s, t in zip(dllo, drlo)],
+                    [s + t for s, t in zip(dlhi, drhi)])
+        if node.op == "-":
+            return (llo - rhi, lhi - rlo, [s - t for s, t in zip(dllo, drhi)],
+                    [s - t for s, t in zip(dlhi, drlo)])
+        # an end of ghsub, * or / is the min or max of corners (a op b); where
+        # corners tie at it, its tangent is the min or max of theirs.  A real
+        # operand has one end, so * and / take two corners, as compile_row does
+        ends = [(llo, dllo), (lhi, dlhi)], [(rlo, drlo), (rhi, drhi)]
+        if node.op == "ghsub":
+            corners = [(a - b, [s - t for s, t in zip(da, db)]) for (a, da), (b, db) in zip(*ends)]
+        else:
+            lends, rends = (e[:1] if e[0] == e[1] else e for e in ends)
+            if node.op == "*":
+                corners = [(a * b, [s * b + a * t for s, t in zip(da, db)])
+                           for a, da in lends for b, db in rends]
+            elif 0.0 < rlo and rhi < math.inf or -math.inf < rlo and rhi < 0.0:
+                corners = [(a / b, [(s - a / b * t) / b for s, t in zip(da, db)])
+                           for a, da in lends for b, db in rends]
+            else:
+                return None
+        if not all(math.isfinite(c) for c, _ in corners):
+            return None
+        lo, hi = min(c for c, _ in corners), max(c for c, _ in corners)
+        return (lo, hi, [min(ts) for ts in zip(*(d for c, d in corners if c == lo))],
+                [max(ts) for ts in zip(*(d for c, d in corners if c == hi))])
+    if isinstance(node, Const):
+        zero = [0.0] * len(dirs)
+        return node.value.lo, node.value.hi, zero, zero
+    if isinstance(node, Var):
+        d = [h[node.index] for h in dirs]
+        return x[node.index], x[node.index], d, d
+    if isinstance(node, Norm):  # the squares summed in numpy's order, as compile_row does
+        r = math.sqrt(float(np.sum([v * v for v in x])))
+        d = [math.sqrt(sum(t * t for t in h)) if r == 0.0
+             else sum(v * t for v, t in zip(x, h)) / r for h in dirs]
+        return r, r, d, d
+    if isinstance(node, (Abs, Pow)):
+        arg = tangents(node.child, x, dirs)
+        if arg is None or not (arg[0] == arg[1] and arg[2] == arg[3]):
+            return None
+        v, _, d, _ = arg
+        if isinstance(node, Abs):
+            value, d = abs(v), [abs(t) if v == 0.0 else t if v > 0.0 else -t for t in d]
+        else:
+            e = node.exponent
+            value = v if e == 1 else v * v if e == 2 else _power(v, e)
+            if not math.isfinite(value):
+                return None
+            d = [e * v ** (e - 1) * t for t in d]  # |v|**(e-1) <= max(1, |value|): finite
+        return value, value, d, d
+    # a piecewise node: the first piece that holds at x gives the value, and every
+    # later one must agree; along h, the first that holds ahead gives the tangent,
+    # so each piece is walked with the directions it is picked for
+    held = [(guard, body) for guard, body in node.pieces if guard.ahead(x)]
+    picks = [next((k for k, (guard, _) in enumerate(held) if guard.ahead(x, h)), None) for h in dirs]
+    walks = [tangents(body, x, [h for h, k in zip(dirs, picks) if k == j])
+             for j, (_, body) in enumerate(held)]
+    tol = _PIECE_AGREEMENT_TOL
+    if not walks or None in picks + walks or not all(
+            abs(w[0] - walks[0][0]) <= tol and abs(w[1] - walks[0][1]) <= tol for w in walks):
+        return None
+    ends = [iter(zip(w[2], w[3])) for w in walks]
+    ds = [next(ends[k]) for k in picks]
+    return walks[0][0], walks[0][1], [a for a, _ in ds], [b for _, b in ds]
 
 
 # --------------------------------------------------------------------------

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import CandidateNotSubgradient, GhcalcError, NonConvexObjective, OutOfDomain
 from .interval import Interval
 from .ivector import IVector, WMapConfig
-from .ivf import _FD_STEP_SCALE, Grid, Ivf, is_convex_sampled
+from .ivf import Grid, Ivf, is_convex_sampled
 from .subgrad import (
     _DOM_SLACK,
     SubgradientCandidate,
@@ -35,6 +35,8 @@ from .subgrad import (
     _evaluate,
     _grid_values,
 )
+
+_FD_STEP_SCALE = 1e-4  # the descent's stencil steps by this times 1 + |x_i|
 
 
 @dataclass(frozen=True)

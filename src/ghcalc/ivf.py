@@ -1,49 +1,30 @@
 """Interval-valued functions on compact box domains.
 
 Wraps an expression tree with an arity and a domain box, and provides the
-numeric calculus used throughout: boundary extraction, gH-derivatives
+calculus used throughout: boundary extraction, gH-derivatives
 (one-dimensional, partial, gradient, directional) and sampled diagnostics
 for convexity, continuity and Lipschitz behaviour.
 
-All derivative verdicts are numeric.  Boundary functions are differenced
-separately and recombined as [min, max] of the two slopes; a function whose
-boundary slopes disagree between the two sides of a point is reported as
-non-differentiable rather than silently averaged.
+The derivatives are exact up to rounding: one forward walk of the tree
+(`expr.tangents`) gives the one-sided derivatives of both boundary
+functions, and [min, max] of the two is the gH-directional derivative.
+Where the slopes along e_i and -e_i disagree, there is no gH-derivative.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import NoConvergence, NonFiniteDerivative, OutOfDomain
-from .expr import Expr, compile_lo_hi, compile_row, parse_expr
+from .errors import LengthMismatch, NonFiniteDerivative, OutOfDomain
+from .expr import Expr, compile_lo_hi, compile_row, parse_expr, tangents
 from .interval import Interval
 from .ivector import IVector
 
 _DOMAIN_TOL = 1e-9
-
-# numeric differentiation defaults: relative initial step, two Richardson
-# refinements; kink threshold is relative to the derivative scale
-_FD_STEP_SCALE = 1e-4
-_KINK_REL_TOL = 1e-4
-
-# directional-derivative refinement schedule
-_DIR_LAMBDA0 = 1e-2
-_DIR_RATIO = 0.5
-_DIR_TOL = 1e-7
-_DIR_MAX_REFINES = 40
-
-# central stencil offsets, in units of the step h0
-_CENTRAL_OFFSETS = np.array([-1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0])
-
-
-class OneSidedDifferenceWarning(UserWarning):
-    """Derivative was taken at a domain boundary with a one-sided stencil."""
 
 
 @dataclass(frozen=True)
@@ -118,7 +99,6 @@ class Ivf:
         box = [(l - t, u + t) for (l, u), t in zip(domain, tol)]
         object.__setattr__(self, "_edges", tuple(box))
         object.__setattr__(self, "_box", np.array(box, ndmin=2).T)
-        object.__setattr__(self, "_units", np.eye(self.arity))
         object.__setattr__(self, "_lo_hi", compile_lo_hi(self.body))
 
     def __reduce__(self):
@@ -182,165 +162,75 @@ class Ivf:
 # --------------------------------------------------------------------------
 
 
-def _line_sampler(f: Ivf, x: np.ndarray, axis: int) -> Callable:
-    """Sampler t -> boundary values of f along x + t*e_axis, unchecked:
-    callers check x, and `_deriv_1d_from_sampler` keeps t in the span."""
-    def sample(ts: np.ndarray):
-        return f.eval_many(x + ts[:, None] * f._units[axis], check_domain=False)
-    return sample
+def _point(f: Ivf, x) -> List[float]:
+    """x as floats; OutOfDomain unless it is finite and in f's domain."""
+    x = np.asarray(x, dtype=float).ravel()
+    if not (np.isfinite(x).all() and f.contains(x)):
+        raise OutOfDomain(f"{x.tolist()} is outside the domain")
+    return x.tolist()
 
 
-def _deriv_1d_from_sampler(sample, t: float, span: Tuple[float, float],
-                           scale: float) -> Interval:
-    """Differentiate both boundary functions of a 1-d sampler at t.
-
-    Central differences with two Richardson refinements in the interior;
-    second-order one-sided stencils (with a warning) at span boundaries.
-    A kink of either boundary raises, unless the two swap their one-sided
-    slopes so that F itself has a gH-derivative there.
-    """
-    h0 = _FD_STEP_SCALE * (1.0 + abs(t)) * max(scale, 1.0)
-    lo_edge = t - h0 * 1.001 < span[0]
-    hi_edge = t + h0 * 1.001 > span[1]
-    if lo_edge or hi_edge:
-        sgn = 1.0 if lo_edge else -1.0
-        # the one-sided stencil reaches t + 2*sgn*h0, past span[1] if both edges are near
-        if not span[0] <= t + 2.0 * sgn * h0 <= span[1]:
-            raise NonFiniteDerivative("domain too small for the difference stencil")
-        warnings.warn("one-sided difference used at a domain boundary",
-                      OneSidedDifferenceWarning, stacklevel=3)
-        # steps h0 and h0/2 share t and t + sgn*h0, since 2*sgn*(h0/2) == sgn*h0
-        h = h0 / 2.0
-        lo, hi = sample(np.array([t, t + sgn * h, t + sgn * h0, t + 2.0 * sgn * h0]))
-        lo, hi = lo.tolist(), hi.tolist()
-        d_lo = _one_sided_richardson(lo, sgn, h0)
-        d_hi = _one_sided_richardson(hi, sgn, h0)
-    else:
-        lo, hi = sample(t + _CENTRAL_OFFSETS * h0)
-        lo, hi = lo.tolist(), hi.tolist()
-        d_lo = _central_richardson(lo, h0)
-        d_hi = _central_richardson(hi, h0)
-        sides = (_one_sided_slopes(lo, h0), _one_sided_slopes(hi, h0))
-        tols = [_KINK_REL_TOL * (1.0 + abs(d)) for d in (d_lo, d_hi)]
-        kinks = [(label, fwd - back) for label, (back, fwd), tol
-                 in zip(("lower", "upper"), sides, tols) if abs(fwd - back) > tol]
-        if kinks:
-            # F is still gH-differentiable where lo and hi swap their
-            # one-sided slopes: then the hull of the two backward slopes is
-            # that of the two forward ones (Chalco-Cano, Roman-Flores &
-            # Jimenez-Gamero 2011), and it is the derivative
-            back = sorted(b for b, _ in sides)
-            fwd = sorted(f for _, f in sides)
-            if any(abs(f - b) > max(tols) for b, f in zip(back, fwd)):
-                label, jump = kinks[0]
-                raise NonFiniteDerivative(
-                    f"{label} boundary has mismatched one-sided slopes (jump ~ {jump:.3g})")
-            d_lo, d_hi = (back[0] + fwd[0]) / 2.0, (back[1] + fwd[1]) / 2.0
-    if not (math.isfinite(d_lo) and math.isfinite(d_hi)):
-        raise NonFiniteDerivative("difference quotients diverged")
-    return Interval(min(d_lo, d_hi), max(d_lo, d_hi))
+def _slopes(f: Ivf, x: List[float], dirs: List[List[float]]) -> List[Interval]:
+    """D(h) = [min(dlo, dhi), max(dlo, dhi)] for each h in dirs, from one walk.
+    Where it refuses, eval_many at x raises, or else NonFiniteDerivative."""
+    walk = tangents(f.body, x, dirs)
+    if walk is None or not all(map(math.isfinite, [*walk[:2], *walk[2], *walk[3]])):
+        f.eval_many([x])
+        raise NonFiniteDerivative(f"no finite one-sided derivative at {x}")
+    return [Interval(min(a, b), max(a, b)) for a, b in zip(walk[2], walk[3])]
 
 
-def _one_sided_richardson(vals: List[float], sgn: float, h0: float) -> float:
-    # vals sampled at offsets (0, sgn*h0/2, sgn*h0, 2*sgn*h0): second-order
-    # one-sided quotients at steps h0 and h0/2, then one Richardson step
-    h = h0 / 2.0
-    d_h0 = sgn * (-3.0 * vals[0] + 4.0 * vals[2] - vals[3]) / (2.0 * h0)
-    d_h = sgn * (-3.0 * vals[0] + 4.0 * vals[1] - vals[2]) / (2.0 * h)
-    return (4.0 * d_h - d_h0) / 3.0
-
-
-def _central_richardson(vals: List[float], h: float) -> float:
-    # vals sampled at offsets (-h, -h/2, -h/4, 0, h/4, h/2, h)
-    d_h = (vals[6] - vals[0]) / (2.0 * h)
-    d_h2 = (vals[5] - vals[1]) / h
-    d_h4 = (vals[4] - vals[2]) / (0.5 * h)
-    r1 = (4.0 * d_h2 - d_h) / 3.0
-    r2 = (4.0 * d_h4 - d_h2) / 3.0
-    return (16.0 * r2 - r1) / 15.0
-
-
-def _one_sided_slopes(vals: List[float], h: float) -> Tuple[float, float]:
-    # vals sampled at offsets (-h, -h/2, -h/4, 0, h/4, h/2, h): the backward
-    # and forward quotients at steps h and h/2, each extrapolated to step 0
-    center = vals[3]
-    back = 2.0 * (center - vals[1]) / (0.5 * h) - (center - vals[0]) / h
-    fwd = 2.0 * (vals[5] - center) / (0.5 * h) - (vals[6] - center) / h
-    return back, fwd
+def _partials(f: Ivf, x: List[float], axes: Sequence[int]) -> List[Interval]:
+    """Partial gH-derivatives at x along the axes, from one walk.  Inside
+    the box the one along e_i exists iff D(e_i) == -D(-e_i), compared
+    exactly: away from ties every tangent rule is odd in h, bit for bit.  At
+    a bound, the one-sided slope into the box is the derivative."""
+    if any(f.domain[i][0] == f.domain[i][1] for i in axes):
+        raise NonFiniteDerivative("no gH-derivative along an axis of zero width")
+    # +e_i unless x is at the upper bound, -e_i unless it is at the lower one
+    sides = [(i, s) for i in axes for s in (1.0, -1.0)
+             if (x[i] < f.domain[i][1] if s > 0.0 else x[i] > f.domain[i][0])]
+    units = [[s if j == i else 0.0 for j in range(f.arity)] for i, s in sides]
+    grad = {}  # per axis, the first slope: from the right unless x is at the upper bound
+    for (i, s), d in zip(sides, _slopes(f, x, units)):
+        d = d if s > 0.0 else Interval(0.0 - d.hi, 0.0 - d.lo)  # -D(-e_i), without -0.0
+        if grad.setdefault(i, d) != d:
+            raise NonFiniteDerivative(f"mismatched one-sided slopes along x{i + 1}: "
+                                      f"{d} from the left, {grad[i]} from the right")
+    return [grad[i] for i in axes]
 
 
 def gh_derivative_1d(f: Ivf, x: float) -> Interval:
     """gH-derivative of a one-variable function at x."""
     if f.arity != 1:
         raise ValueError("gh_derivative_1d needs a one-variable function")
-    if not f.contains([x]):
-        raise OutOfDomain(f"{x} is outside the domain")
-    sample = _line_sampler(f, np.array([float(x)]), 0)
-    return _deriv_1d_from_sampler(lambda ts: sample(ts - x),
-                                  float(x), f.domain[0], 1.0)
+    return _partials(f, _point(f, [x]), [0])[0]
 
 
 def partial_gh_derivative(f: Ivf, x, i: int) -> Interval:
     """i-th partial gH-derivative (0-based axis index) at x."""
-    x = np.asarray(x, dtype=float).ravel()
-    if not f.contains(x):
-        raise OutOfDomain(f"{x.tolist()} is outside the domain")
-    xi = float(x[i])
-    span = (f.domain[i][0] - xi, f.domain[i][1] - xi)
-    return _deriv_1d_from_sampler(_line_sampler(f, x, i), 0.0, span, 1.0 + abs(xi))
+    if i not in range(f.arity):
+        raise ValueError(f"axis {i} is not one of the {f.arity} axes")
+    return _partials(f, _point(f, x), [i])[0]
 
 
 def gh_gradient(f: Ivf, x) -> IVector:
-    """Vector of partial gH-derivatives over all axes: one stencil call
-    per axis."""
-    return IVector(tuple(partial_gh_derivative(f, x, i) for i in range(f.arity)))
+    """Partial gH-derivatives over all axes, from one walk along the +-e_i."""
+    return IVector(tuple(_partials(f, _point(f, x), range(f.arity))))
 
 
 def directional_gh_derivative(f: Ivf, x, h) -> Interval:
-    """One-sided directional gH-derivative at x in direction h.
-
-    Estimated with a geometric step refinement plus endpoint-wise linear
-    extrapolation; stops when successive extrapolants differ by less than
-    the tolerance in the interval norm.
-    """
-    x = np.asarray(x, dtype=float).ravel()
-    h = np.asarray(h, dtype=float).ravel()
-    if not f.contains(x):
-        raise OutOfDomain(f"{x.tolist()} is outside the domain")
-    lam_max = _max_feasible_step(f, x, h)
-    if lam_max <= 1e-14:
+    """One-sided directional gH-derivative at x in direction h, which must
+    point into the box: D(h) from one walk of the tree."""
+    x = _point(f, x)
+    h = np.asarray(h, dtype=float).ravel().tolist()
+    if len(h) != f.arity:
+        raise LengthMismatch(f"expected a direction of length {f.arity}, got {len(h)}")
+    if not all(map(math.isfinite, h)):
+        raise ValueError(f"direction must be finite, got {h}")
+    if any(t > 0.0 and v >= u or t < 0.0 and v <= l for v, t, (l, u) in zip(x, h, f.domain)):
         raise OutOfDomain("direction leaves the domain immediately")
-    f0_lo, f0_hi = f.eval_many(x[None, :])
-    lam = min(_DIR_LAMBDA0, 0.5 * lam_max)
-    prev_quot = None
-    prev_extrap = None
-    for _ in range(_DIR_MAX_REFINES):
-        lo, hi = f.eval_many(x[None, :] + lam * h[None, :])
-        d_lo = lo[0] - f0_lo[0]
-        d_hi = hi[0] - f0_hi[0]
-        quot = (min(d_lo, d_hi) / lam, max(d_lo, d_hi) / lam)
-        if prev_quot is not None:
-            extrap = (2.0 * quot[0] - prev_quot[0], 2.0 * quot[1] - prev_quot[1])
-            extrap = (min(extrap), max(extrap))
-            if prev_extrap is not None:
-                drift = max(abs(extrap[0] - prev_extrap[0]),
-                            abs(extrap[1] - prev_extrap[1]))
-                if drift < _DIR_TOL:
-                    return Interval(extrap[0], extrap[1])
-            prev_extrap = extrap
-        prev_quot = quot
-        lam *= _DIR_RATIO
-    raise NoConvergence("directional derivative estimate did not settle")
-
-
-def _max_feasible_step(f: Ivf, x: np.ndarray, h: np.ndarray) -> float:
-    lam = math.inf
-    for i in range(f.arity):
-        if h[i] > 0:
-            lam = min(lam, (f.domain[i][1] - x[i]) / h[i])
-        elif h[i] < 0:
-            lam = min(lam, (f.domain[i][0] - x[i]) / h[i])
-    return lam if math.isfinite(lam) else 1.0
+    return _slopes(f, x, [h])[0]
 
 
 # --------------------------------------------------------------------------
@@ -441,9 +331,7 @@ def is_gh_continuous_at(f: Ivf, x, tol: float = 1e-6,
                         radii: Optional[Sequence[float]] = None,
                         n_directions: int = 16) -> bool:
     """Check that the gH-difference norm vanishes along shrinking radii."""
-    x = np.asarray(x, dtype=float).ravel()
-    if not f.contains(x):
-        raise OutOfDomain(f"{x.tolist()} is outside the domain")
+    x = np.array(_point(f, x))
     if radii is None:
         radii = [0.1 * 0.5 ** k for k in range(22)]
     if f.arity == 1:

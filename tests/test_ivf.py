@@ -4,8 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from ghcalc import Grid, Interval, IVector, Ivf, OneSidedDifferenceWarning
-from ghcalc.errors import NoConvergence, NonFiniteDerivative, OutOfDomain
+from ghcalc import Grid, Interval, IVector, Ivf
+from ghcalc.errors import LengthMismatch, NonFiniteDerivative, OutOfDomain
+from ghcalc.expr import Comparison, Guard, Piecewise, Var
 from ghcalc.ivf import (
     directional_gh_derivative,
     gh_derivative_1d,
@@ -176,25 +177,22 @@ def test_a_point_where_lo_and_hi_swap_their_one_sided_slopes_is_differentiable(t
     assert gh_gradient(f, [0.0]) == IVector.of(slope)
 
 
-def test_a_gradient_at_a_kink_or_in_a_tiny_domain_raises():
+def test_a_gradient_at_a_kink_raises_and_a_tiny_domain_does_not():
     with pytest.raises(NonFiniteDerivative, match="mismatched one-sided slopes"):
         gh_gradient(piecewise_vee_ivf(), (2.0,))
     tiny = Ivf.from_text(1, "x1", ((0.0, 1e-6),))
-    with pytest.raises(NonFiniteDerivative, match="domain too small"):
-        gh_gradient(tiny, (5e-7,))
+    assert gh_gradient(tiny, (5e-7,)) == IVector.of(Interval(1.0, 1.0))
 
 
-def test_a_narrow_domain_refuses_a_stencil_that_would_leave_it():
-    # 0 is inside, but the one-sided stencil from it would reach 2e-4
+def test_a_narrow_domain_gives_the_exact_derivative():
+    # no stencil has to fit: 0 is inside, and the derivative there is 0
     for domain in ((-5e-5, 1.5e-4), (-1.5e-4, 5e-5)):
         f = Ivf.from_text(1, "[1,2]*pow2(x1)", (domain,))
-        for derivative in (lambda: gh_gradient(f, [0.0]), lambda: gh_derivative_1d(f, 0.0)):
-            with pytest.raises(NonFiniteDerivative,
-                               match=r"^domain too small for the difference stencil$"):
-                derivative()
+        assert gh_gradient(f, [0.0]) == IVector.of(Interval(0.0, 0.0))
+        assert gh_derivative_1d(f, 0.0) == Interval(0.0, 0.0)
 
 
-def test_derivatives_check_the_domain_once_per_stencil(monkeypatch):
+def test_derivatives_check_the_domain_once_per_call(monkeypatch):
     f = Ivf.from_text(2, "[1,2]*pow2(x1) + x2", ((-1.0, 1.0), (-1.0, 1.0)))
     with pytest.raises(OutOfDomain, match=r"^\[1\.5, 0\.0\] is outside the domain$"):
         partial_gh_derivative(f, [1.5, 0.0], 1)
@@ -203,19 +201,52 @@ def test_derivatives_check_the_domain_once_per_stencil(monkeypatch):
     checks = []
     inside = Ivf._inside
     monkeypatch.setattr(Ivf, "_inside", lambda self, arr: checks.append(arr.shape) or inside(self, arr))
-    gh_gradient(f, (0.5, 0.25))
-    assert checks == [(1, 2), (1, 2)]
+    assert gh_gradient(f, (0.5, 0.25)) == IVector.of(Interval(1.0, 2.0), Interval(1.0, 1.0))
+    assert checks == [(1, 2)]
     checks.clear()
-    with pytest.warns(OneSidedDifferenceWarning):
-        gh_gradient(f, (1.0, -1.0))
-    assert checks == [(1, 2), (1, 2)]
+    assert gh_gradient(f, (1.0, -1.0)) == IVector.of(Interval(2.0, 4.0), Interval(1.0, 1.0))
+    assert checks == [(1, 2)]
 
 
-def test_one_sided_stencil_warns_at_boundary():
+def test_a_derivative_at_a_bound_is_one_sided_and_exact():
     q = quartic_ivf()
-    with pytest.warns(OneSidedDifferenceWarning):
-        d = gh_derivative_1d(q, 0.0)
-    assert abs(d.lo) < 1e-5 and abs(d.hi) < 1e-5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert gh_derivative_1d(q, 0.0) == Interval(0.0, 0.0)
+        # lo = x^4 + 1 and hi = x^2 + 40, from the left at 2.5
+        assert gh_derivative_1d(q, 2.5) == Interval(5.0, 62.5)
+
+
+def test_derivatives_are_exact_at_the_canned_points():
+    assert gh_derivative_1d(quartic_ivf(), 1.0) == Interval(2.0, 4.0)
+    assert gh_derivative_1d(smooth_parabolic_ivf(), 0.5) == Interval(-1.0, 2.0)
+    vee = piecewise_vee_ivf()
+    # each side of a join takes the slope of the piece on that side
+    assert directional_gh_derivative(vee, [1.0], [1.0]) == Interval(-1.0, 0.0)
+    assert directional_gh_derivative(vee, [1.0], [-1.0]) == Interval(1.0, 2.0)
+    assert directional_gh_derivative(vee, [3.0], [1.0]) == Interval(1.0, 2.0)
+    assert directional_gh_derivative(vee, [3.0], [-1.0]) == Interval(-1.0, 0.0)
+
+
+def test_a_join_whose_slopes_differ_by_rounding_reads_as_a_kink():
+    # both pieces are 0.3*x1, but 0.1*3 rounds to 0.30000000000000004; the
+    # two one-sided slopes come from different pieces and are compared exactly
+    f = Ivf.from_text(1, "piecewise{ x1 <= 1 => x1*0.1*3; x1 >= 1 => x1*0.3; }", ((0.0, 2.0),))
+    assert directional_gh_derivative(f, [1.0], [-1.0]) == Interval(-0.30000000000000004,
+                                                                     -0.30000000000000004)
+    assert directional_gh_derivative(f, [1.0], [1.0]) == Interval(0.3, 0.3)
+    with pytest.raises(NonFiniteDerivative, match="mismatched one-sided slopes"):
+        gh_derivative_1d(f, 1.0)
+
+
+def test_a_piece_that_holds_at_a_join_gives_only_the_slopes_it_is_picked_for():
+    # the inner piecewise covers nothing beyond 1, but along +1 the outer one
+    # takes its slope from its second piece
+    x1 = Var(0)
+    below, above = Guard((Comparison(0, "<=", 1.0),)), Guard((Comparison(0, ">=", 1.0),))
+    f = Ivf(1, Piecewise(((below, Piecewise(((below, x1),))), (above, x1))), ((0.0, 2.0),))
+    assert gh_derivative_1d(f, 1.0) == Interval(1.0, 1.0)
+    assert directional_gh_derivative(f, [1.0], [-1.0]) == Interval(-1.0, -1.0)
 
 
 def test_partials_and_gradient_of_linear():
@@ -241,15 +272,51 @@ def test_directional_derivative_matches_gradient_when_smooth():
     assert abs(d.lo - 2.0) < 1e-5 and abs(d.hi - 4.0) < 1e-5
 
 
-def test_directional_derivative_that_never_settles_raises():
+def test_a_steep_directional_derivative_is_exact():
     f = Ivf.from_text(1, "1e20*pow3(x1)", ((-1.0, 1.0),))
-    with pytest.raises(NoConvergence, match=r"^directional derivative estimate did not settle$"):
-        directional_gh_derivative(f, [0.0], [1.0])
+    assert directional_gh_derivative(f, [0.0], [1.0]) == Interval(0.0, 0.0)
+
+
+def test_directional_derivative_follows_the_scale_of_h():
+    d = directional_gh_derivative(abs_slab_ivf(), [1.0], [1e-300])
+    assert d == Interval(1e-300, 3e-300)
 
 
 def test_directional_derivative_needs_room():
     with pytest.raises(OutOfDomain):
         directional_gh_derivative(abs_slab_ivf(), [2.0], [1.0])
+
+
+@pytest.mark.parametrize("i", [-1, 2])
+def test_a_partial_derivative_refuses_an_axis_out_of_range(i):
+    f = Ivf.from_text(2, "[1,2]*x1 + x2", ((-1.0, 1.0), (-1.0, 1.0)))
+    with pytest.raises(ValueError, match=f"^axis {i} is not one of the 2 axes$"):
+        partial_gh_derivative(f, [0.5, 0.5], i)
+
+
+def test_a_direction_of_the_wrong_length_is_refused():
+    f = Ivf.from_text(2, "x1 + x2", ((-1.0, 1.0),) * 2)
+    for h in ([1.0], [1.0, 0.0, 0.0]):
+        with pytest.raises(LengthMismatch, match="^expected a direction of length 2, got"):
+            directional_gh_derivative(f, [0.0, 0.0], h)
+
+
+def test_a_non_finite_point_is_out_of_the_domain():
+    f = Ivf.from_text(2, "abs(x1)*[1,2] + x2", ((-1.0, 1.0), (-1.0, 1.0)))
+    for x in ([np.nan, 0.5], [0.5, -np.nan], [np.inf, 0.5]):
+        for derivative in (lambda: gh_gradient(f, x), lambda: partial_gh_derivative(f, x, 1),
+                           lambda: directional_gh_derivative(f, x, [1.0, 0.0]),
+                           lambda: is_gh_continuous_at(f, x)):
+            with pytest.raises(OutOfDomain, match="is outside the domain$"):
+                derivative()
+    with pytest.raises(OutOfDomain):
+        gh_derivative_1d(abs_slab_ivf(), np.nan)
+
+
+def test_a_non_finite_direction_is_refused():
+    for h in ([np.nan], [np.inf], [-np.inf]):
+        with pytest.raises(ValueError, match="^direction must be finite"):
+            directional_gh_derivative(abs_slab_ivf(), [0.5], h)
 
 
 # ---------------------------------------------------------------------------

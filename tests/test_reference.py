@@ -48,6 +48,7 @@ from ghcalc.expr import (
     compile_lo_hi,
     compile_row,
     eval_lo_hi,
+    tangents,
 )
 from ghcalc.iop import (
     DescentResult,
@@ -947,6 +948,23 @@ def test_the_row_path_matches_the_compiled_evaluator(case):
             with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
                 lo, hi = compile_lo_hi(node)(x[None, :])
             assert value == (lo[0], hi[0]) and math.isfinite(value[0]) and math.isfinite(value[1])
+
+
+# The tangent walker takes a point where the row kernel does, with the same
+# endpoints (== here: a tie may pick the other signed zero), and refuses or
+# gives a non-finite endpoint elsewhere.  A direction can only add refusals.
+@settings(max_examples=300, deadline=None)
+@given(trees_and_rows(), st.lists(POINT_FLOATS, min_size=9, max_size=9))
+def test_the_tangent_walker_refuses_where_the_row_kernel_does(case, h):
+    node, xs = case
+    row = compile_row(node, xs.shape[1])
+    for x in xs.tolist():
+        value, walk = row(tuple(x)), tangents(node, x, [])
+        assert (value is not None) == (walk is not None and math.isfinite(walk[0])
+                                       and math.isfinite(walk[1]))
+        along = tangents(node, x, [h[:len(x)]])
+        if value is not None:
+            assert walk[:2] == value and (along is None or along[:2] == value)
 
 
 # at these rows compile_lo_hi warns: an overflowed denominator divides to

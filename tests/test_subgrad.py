@@ -114,9 +114,9 @@ def test_default_scan_bounds_at_a_smooth_point_are_the_derivative_plus_minus_3()
 
 
 def test_default_scan_bounds_raise_without_a_derivative_or_a_finite_box():
-    # at the end of a domain too narrow for the stencil the box is one-sided
-    with pytest.raises(NonFiniteDerivative, match="domain too small"):
-        subdiff_scan_1d(Ivf.from_text(1, "x1", ((0.0, 1e-6),)), 0.0)
+    # a domain of zero width has no derivative, and no sample off x_bar bounds the box
+    with pytest.raises(NonFiniteDerivative, match="zero width"):
+        subdiff_scan_1d(Ivf.from_text(1, "x1", ((0.0, 0.0),)), 0.0)
 
 
 def test_scan_rejects_bad_inputs():
