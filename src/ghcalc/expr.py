@@ -27,7 +27,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -469,6 +469,187 @@ def tangents(node: Expr, x: Sequence[float], dirs: Sequence[Sequence[float]]):
     ends = [iter(zip(w[2], w[3])) for w in walks]
     ds = [next(ends[k]) for k in picks]
     return walks[0][0], walks[0][1], [a for a, _ in ds], [b for _, b in ds]
+
+
+# --------------------------------------------------------------------------
+# Convexity certificate
+# --------------------------------------------------------------------------
+
+# The curvature of an endpoint function as bits: affine is convex and concave.
+UNKNOWN, CONVEX, CONCAVE, AFFINE = 0, 1, 2, 3
+
+
+class Convexity(NamedTuple):
+    """What `convexity` proves of a node over a box: lo <= f_lo(x) and
+    f_hi(x) <= hi at every x of the box, whether f_lo == f_hi, and the
+    curvature of f_lo and of f_hi."""
+
+    lo: float
+    hi: float
+    real: bool
+    lo_curv: int
+    hi_curv: int
+
+    @property
+    def convex(self) -> bool:
+        """Both endpoint functions are convex: F is convex under the LU order."""
+        return bool(self.lo_curv & self.hi_curv & CONVEX)
+
+
+_UNKNOWN = Convexity(-math.inf, math.inf, False, UNKNOWN, UNKNOWN)
+
+
+def convexity(node: Expr, domain: Sequence[Tuple[float, float]]) -> Convexity:
+    """Prove the curvature of F's endpoint functions over the domain box from
+    the tree, by disciplined convex programming's composition rules (Grant,
+    Boyd & Ye 2006) on natural interval enclosures (Moore, Kearfott & Cloud
+    2009).  Every enclosure is rounded outward, so its sign tests are sound
+    in exact arithmetic: a sum is stepped by one ulp with `math.nextafter`
+    unless its TwoSum error is 0, a product, quotient or power always is, and
+    never past 0 where the exact sign is known.  The rules:
+
+    - abs and an even pow are convex of an affine argument, and keep a
+      convex one that is >= 0 over the box (or flip a concave one <= 0); an
+      odd pow keeps a convex argument >= 0 and a concave one <= 0; norm()
+      is convex;
+    - `+` adds curvatures, `-` pairs lo - hi and hi - lo (Moore), and ghsub
+      with a real operand is that difference;
+    - a constant times G, or G divided by a nonzero real constant, scales
+      G's ends by the constant's ends; if the constant is not real, G must
+      not change sign over the box.
+
+    Everything else is unknown: a piecewise node, ghsub of two non-real
+    operands, a product of two non-constants, a non-real abs or pow
+    argument, and any node whose enclosure is not finite.  Unknown is no
+    verdict.  Under the LU order, F(lam*x + lam'*y) <= lam*F(x) + lam'*F(y)
+    (Minkowski) holds iff both endpoints are convex (`Convexity.convex`)."""
+    return _convexity(node, [(float(l), float(u)) for l, u in domain])
+
+
+def _flip(curv: int) -> int:
+    """The curvature of -g."""
+    return (curv & CONVEX) << 1 | (curv & CONCAVE) >> 1
+
+
+def _sum(a: float, b: float, side: float) -> float:
+    """a + b, moved one ulp toward side (-inf or inf) unless that rounding
+    already bounds the exact sum, as TwoSum's error term (Knuth) tells."""
+    s = a + b
+    t = s - a
+    err = (a - (s - t)) + (b - t)  # a + b == s + err exactly, if finite
+    if (err <= 0.0) if side > 0.0 else (err >= 0.0):
+        return s
+    return math.nextafter(s, side)
+
+
+def _product(v: float, a: float, b: float, side: float) -> float:
+    """v = a*b or a/b rounded to nearest, moved one ulp toward side so that it
+    bounds the exact value.  That is 0 if a or b is, and otherwise has the
+    sign of a*b, so the bound does not cross 0."""
+    if a == 0.0 or b == 0.0:
+        return 0.0
+    r = math.nextafter(v, side)
+    return max(r, 0.0) if (a > 0.0) == (b > 0.0) else min(r, 0.0)
+
+
+def _power_bound(v: float, e: int, side: float) -> float:
+    """A bound on v**e toward side, by e - 1 rounded products of |v|."""
+    if v < 0.0:  # only odd powers take a negative v
+        return -_power_bound(-v, e, -side)
+    r = v
+    for _ in range(e - 1):
+        r = _product(r * v, r, v, side)
+    return r
+
+
+def _scale(k: float, curv: int) -> int:
+    """The curvature of k*g."""
+    return AFFINE if k == 0.0 else curv if k > 0.0 else _flip(curv)
+
+
+def _convexity(node: Expr, box: List[Tuple[float, float]]) -> Convexity:
+    if isinstance(node, Const):
+        lo, hi = node.value.lo, node.value.hi
+        c = Convexity(lo, hi, lo == hi, AFFINE, AFFINE)
+    elif isinstance(node, Var):
+        c = Convexity(*box[node.index], True, AFFINE, AFFINE)
+    elif isinstance(node, Norm):
+        sq = 0.0
+        for l, u in box:
+            m = max(-l, u)
+            sq = _sum(sq, _product(m * m, m, m, math.inf), math.inf)
+        c = Convexity(0.0, math.nextafter(math.sqrt(sq), math.inf), True, CONVEX, CONVEX)
+    elif isinstance(node, (Abs, Pow)):
+        g = _convexity(node.child, box)
+        e = node.exponent if isinstance(node, Pow) else 0  # abs counts as even
+        if not g.real:
+            return _UNKNOWN
+        if e == 1:
+            return g
+        even = e % 2 == 0
+        # the outer function is convex and rises where its argument is >= 0;
+        # where it is <= 0, abs and an even pow fall, and an odd pow is concave
+        if g.lo >= 0.0:
+            curv = CONVEX if g.lo_curv & CONVEX else UNKNOWN
+            m, big = g.lo, g.hi
+        elif g.hi <= 0.0:
+            curv = (CONVEX if even else CONCAVE) if g.lo_curv & CONCAVE else UNKNOWN
+            m, big = -g.hi, -g.lo
+        else:
+            curv = CONVEX if even and g.lo_curv == AFFINE else UNKNOWN
+            m, big = 0.0, max(-g.lo, g.hi)
+        if e == 0:
+            lo, hi = m, big
+        elif even:
+            lo, hi = _power_bound(m, e, -math.inf), _power_bound(big, e, math.inf)
+        else:
+            lo, hi = _power_bound(g.lo, e, -math.inf), _power_bound(g.hi, e, math.inf)
+        c = Convexity(lo, hi, True, curv, curv)
+    elif isinstance(node, BinOp):
+        left, right = _convexity(node.left, box), _convexity(node.right, box)
+        if left is _UNKNOWN or right is _UNKNOWN:  # even 0 times it may not evaluate
+            return _UNKNOWN
+        c = _convexity_binop(node, left, right)
+    else:  # a piecewise node
+        return _UNKNOWN
+    return c if math.isfinite(c.lo) and math.isfinite(c.hi) else _UNKNOWN
+
+
+def _convexity_binop(node: BinOp, left: Convexity, right: Convexity) -> Convexity:
+    op, real = node.op, left.real and right.real
+    if op == "ghsub" and (left.real or right.real):
+        op = "-"  # a real operand has lo == hi, so the gH-difference is Moore's
+    if op == "+":
+        return Convexity(_sum(left.lo, right.lo, -math.inf), _sum(left.hi, right.hi, math.inf),
+                         real, left.lo_curv & right.lo_curv, left.hi_curv & right.hi_curv)
+    if op == "-":
+        return Convexity(_sum(left.lo, -right.hi, -math.inf), _sum(left.hi, -right.lo, math.inf),
+                         real, left.lo_curv & _flip(right.hi_curv),
+                         left.hi_curv & _flip(right.lo_curv))
+    # g times a constant [a,b] (a Const node, or a real node whose enclosure
+    # is one value), or g over a nonzero real constant [a,a]
+    if op == "/" and right.real and right.lo == right.hi != 0.0:
+        k, g = right, left
+    elif op == "*" and (isinstance(node.left, Const) or left.real and left.lo == left.hi):
+        k, g = left, right
+    elif op == "*" and (isinstance(node.right, Const) or right.real and right.lo == right.hi):
+        k, g = right, left
+    else:
+        return _UNKNOWN
+    a, b = k.lo, k.hi
+    if a == b or g.lo >= 0.0:
+        k_lo, k_hi = a, b
+    elif g.hi <= 0.0:
+        k_lo, k_hi = b, a
+    else:  # [a,b]*g picks its ends by g's sign, which changes over the box
+        return _UNKNOWN
+    # f_lo = k_lo*g_lo if k_lo >= 0 else k_lo*g_hi, and f_hi = k_hi*g_hi or k_hi*g_lo
+    lo_curv = _scale(k_lo, g.lo_curv if k_lo >= 0.0 else g.hi_curv)
+    hi_curv = _scale(k_hi, g.hi_curv if k_hi >= 0.0 else g.lo_curv)
+    fn = _REAL_OPS[op]
+    ends = [(fn(v, w), v, w) for v in (g.lo, g.hi) for w in {a, b}]
+    return Convexity(min(_product(*e, -math.inf) for e in ends),
+                     max(_product(*e, math.inf) for e in ends), real, lo_curv, hi_curv)
 
 
 # --------------------------------------------------------------------------

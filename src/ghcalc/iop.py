@@ -1,6 +1,11 @@
 """Interval optimization over a box: efficiency on grids, subgradient
 optimality conditions, and a scalarized descent heuristic.
 
+An `Iop` holds a convex objective.  Its convexity is proved from the
+expression tree when the composition rules of `expr.convexity` settle
+it; only an objective they cannot settle is sampled with
+`ivf.is_convex_sampled`, whose acceptance is evidence, not a proof.
+
 A point is efficient when no feasible point has a strictly dominating
 objective value.  Efficiency here is always decided relative to a grid
 and reported with the grid step, so every claim is resolution-qualified.
@@ -24,6 +29,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import CandidateNotSubgradient, GhcalcError, NonConvexObjective, OutOfDomain
+from .expr import convexity
 from .interval import Interval
 from .ivector import IVector, WMapConfig
 from .ivf import Grid, Ivf, is_convex_sampled
@@ -43,19 +49,34 @@ _FD_STEP_SCALE = 1e-4  # the descent's stencil steps by this times 1 + |x_i|
 class Iop:
     """Minimization of a convex interval objective over its domain box.
 
-    Construction runs the sampled convexity check and refuses objectives
-    that fail it; the certificate triple is included in the error.
+    Construction first tries to prove F convex from its expression tree
+    (`expr.convexity`); that proof needs no samples.  Only an objective the
+    proof cannot settle goes to the sampled convexity check on
+    `convexity_samples` nodes per axis, which is evidence, not a proof, and
+    refuses objectives that fail it; the violating triple is included in
+    the error.  `convexity_method` says which of the two answered.
     """
 
     objective: Ivf
     convexity_samples: int = 21
 
     def __post_init__(self):
-        grid = self.objective.grid(self.convexity_samples)
-        ok, witness = is_convex_sampled(self.objective, grid)
-        if not ok:
-            raise NonConvexObjective(
-                f"objective failed the sampled convexity check at {witness}")
+        f = self.objective
+        method = "certificate"
+        if not convexity(f.body, f.domain).convex:
+            ok, witness = is_convex_sampled(f, f.grid(self.convexity_samples))
+            if not ok:
+                raise NonConvexObjective(
+                    f"objective failed the sampled convexity check at {witness}")
+            method = "sampled"
+        # not a field, so ==, hash and repr ignore it
+        object.__setattr__(self, "_convexity_method", method)
+
+    @property
+    def convexity_method(self) -> str:
+        """"certificate" if the tree proved F convex, "sampled" if the
+        sampled check accepted it."""
+        return self._convexity_method
 
     @property
     def domain(self):
@@ -233,7 +254,7 @@ def scalarized_descent(p: Iop, x0, cfg: WMapConfig = WMapConfig(),
                        grid: Optional[Grid] = None) -> DescentResult:
     """Projected iteration on the scalarization phi_w = w*f_lo + w'*f_hi.
 
-    phi_w is convex when F passes the convexity check, and for w, w' > 0
+    phi_w is convex when F is, as `Iop` requires, and for w, w' > 0
     each of its minimizers is efficient (Wu 2007).  F is evaluated on the
     grid once, before the iteration: the least phi_w there is the first
     level phi*, and the same values give the efficiency flag at the end.

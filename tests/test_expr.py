@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -9,12 +11,17 @@ from ghcalc.errors import (
     ZeroInDenominator,
 )
 from ghcalc.expr import (
+    AFFINE,
+    CONCAVE,
+    CONVEX,
+    UNKNOWN,
     Abs,
     BinOp,
     Const,
     Norm,
     Pow,
     Var,
+    convexity,
     eval_lo_hi,
     parse_expr,
 )
@@ -138,3 +145,60 @@ def test_tree_nodes_are_frozen_dataclasses():
     node = parse_expr("[1,1] * x1")
     assert node == BinOp("*", Const(Interval(1, 1)), Var(0))
     assert parse_expr("abs(x1)") == Abs(Var(0))
+
+
+# (text, domain, curvature of f_lo, of f_hi)
+CURVATURE_RULES = [
+    ("x1 - 2*x2 + [1,3]", [(-1, 1), (-1, 1)], AFFINE, AFFINE),
+    ("abs(x1 - 0.5)", [(-1, 1)], CONVEX, CONVEX),
+    ("pow2(x1 + x2)", [(-1, 1), (-1, 1)], CONVEX, CONVEX),
+    ("pow3(x1)", [(0, 1)], CONVEX, CONVEX),
+    ("pow3(x1)", [(-1, 0)], CONCAVE, CONCAVE),
+    ("pow3(x1)", [(-1, 1)], UNKNOWN, UNKNOWN),
+    ("pow3(pow2(x1) + 1)", [(-1, 1)], CONVEX, CONVEX),  # rises on a convex argument >= 0
+    ("pow2(0 - pow2(x1) - 1)", [(-1, 1)], CONVEX, CONVEX),  # falls on a concave one <= 0
+    ("pow2(pow2(x1) - 0.5)", [(-1, 1)], UNKNOWN, UNKNOWN),
+    ("abs(0 - abs(x1) - 1)", [(-1, 1)], CONVEX, CONVEX),
+    ("norm()*[0,2]", [(-1, 1), (-3, 2)], AFFINE, CONVEX),
+    ("[-3,-1]*abs(x1)", [(-1, 1)], CONCAVE, CONCAVE),
+    ("[-1,2]*abs(x1)", [(-1, 1)], CONCAVE, CONVEX),
+    ("[1,2]*(0 - abs(x1) - 1)", [(-1, 1)], CONCAVE, CONCAVE),
+    ("[-2,-1]*(0 - abs(x1) - 1)", [(-1, 1)], CONVEX, CONVEX),
+    ("[0,2]*(x1 + 1)", [(-1, 2)], AFFINE, AFFINE),  # x1 + 1 >= 0 exactly
+    ("[0,2]*(x1 + 1)", [(-2, 1)], UNKNOWN, UNKNOWN),
+    ("(x1 + [0,1])*[2,3]", [(0, 1)], AFFINE, AFFINE),
+    ("abs(x1)*(2 + 1)", [(-1, 1)], CONVEX, CONVEX),  # 2 + 1 sums exactly to one value
+    ("abs(x1)*x1", [(-1, 1)], UNKNOWN, UNKNOWN),
+    ("abs(x1)/[1,2]", [(-1, 1)], UNKNOWN, UNKNOWN),
+    ("abs(x1)/-4", [(-1, 1)], CONCAVE, CONCAVE),
+    ("2/abs(x1 + 2)", [(-1, 1)], UNKNOWN, UNKNOWN),
+    ("[1,2]*pow2(x1) - [0,1]*abs(x1)", [(-1, 1)], UNKNOWN, CONVEX),
+    ("abs(x1)*[1,3] ghsub x1", [(-1, 1)], CONVEX, CONVEX),
+    ("x1 ghsub abs(x1)*[1,3]", [(-1, 1)], CONCAVE, CONCAVE),
+    ("abs(x1)*[1,3] ghsub [0,1]", [(-1, 1)], UNKNOWN, UNKNOWN),
+    ("abs(x1 + [0,1])", [(-1, 1)], UNKNOWN, UNKNOWN),
+    ("0*abs([0,1])", [(-1, 1)], UNKNOWN, UNKNOWN),  # evaluating it raises
+    ("piecewise{ x1 <= 0 => x1; x1 >= 0 => x1; }", [(-1, 1)], UNKNOWN, UNKNOWN),
+]
+
+
+@pytest.mark.parametrize("text,domain,lo_curv,hi_curv", CURVATURE_RULES)
+def test_convexity_applies_the_composition_rules(text, domain, lo_curv, hi_curv):
+    c = convexity(parse_expr(text), domain)
+    assert (c.lo_curv, c.hi_curv) == (lo_curv, hi_curv)
+    assert c.convex == bool(lo_curv & hi_curv & CONVEX)
+
+
+def test_convexity_encloses_the_values_and_rounds_outward():
+    c = convexity(parse_expr("[1,2]*pow2(x1 - 0.1) + [3,4]"), [(-1, 1)])
+    values = ev("[1,2]*pow2(x1 - 0.1) + [3,4]", *np.linspace(-1, 1, 201)[:, None])
+    assert c.lo <= min(v[0] for v in values) and max(v[1] for v in values) <= c.hi
+    assert not c.real and c.lo == 3.0  # 0 * ... and 3 are exact
+    # 0.1 + 0.2 rounds up, so its lower bound steps one ulp down; exact sums stay
+    assert convexity(parse_expr("x1 + 0.2"), [(0.1, 1)]).lo == 0.3
+    assert convexity(parse_expr("x1 + 1"), [(-1, 2)])[:3] == (0.0, 3.0, True)
+    # rounded to nearest, 0.1 + 0.2 - 0.30000000000000004 is 0; exactly, it is
+    # below 0, and so is the enclosure's lower end
+    assert (0.1 + 0.2) - 0.30000000000000004 == 0.0
+    assert Fraction(0.1) + Fraction(0.2) - Fraction(0.30000000000000004) < 0
+    assert convexity(parse_expr("x1 + 0.2 - 0.30000000000000004"), [(0.1, 1)]).lo < 0.0

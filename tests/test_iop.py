@@ -12,6 +12,7 @@ from ghcalc.errors import (
     OutOfDomain,
     PiecewiseCoverageError,
 )
+from ghcalc.expr import convexity
 from ghcalc.iop import (
     Iop,
     efficient_on_grid,
@@ -19,6 +20,7 @@ from ghcalc.iop import (
     optimality_zero_condition,
     scalarized_descent,
 )
+from ghcalc.ivf import is_convex_sampled
 from ghcalc.problems import (
     abs_slab_ivf,
     piecewise_vee_ivf,
@@ -354,3 +356,120 @@ def test_a_stencil_the_kernel_refuses_raises_eval_many_s_error():
     assert str(expected.value).startswith("no guard covers point [0.504")
     with pytest.raises(PiecewiseCoverageError, match=f"^{re.escape(str(expected.value))}$"):
         scalarized_descent(p, [x0], grid=f.grid(201))
+
+
+def separable(seed, n):
+    """The benchmark's seeded family: sum_i [a_i,b_i]*abs(x_i - c_i) +
+    [al_i,be_i]*pow2(x_i - e_i) + [u,v] with 0 <= a_i <= b_i and
+    0 <= al_i <= be_i, on a box around the centres."""
+    rng = np.random.default_rng(seed)
+    terms, domain = [], []
+    for i in range(n):
+        a, al = (round(float(rng.uniform(0.0, 1.5)), 4) for _ in range(2))
+        b, be = (round(v + float(rng.uniform(0.0, 2.0)), 4) for v in (a, al))
+        c, e = (round(float(rng.uniform(-1.0, 1.0)), 4) for _ in range(2))
+        terms += [f"[{a!r},{b!r}]*abs(x{i + 1} - ({c!r}))",
+                  f"[{al!r},{be!r}]*pow2(x{i + 1} - ({e!r}))"]
+        domain.append((round(min(c, e) - float(rng.uniform(0.5, 2.5)), 4),
+                       round(max(c, e) + float(rng.uniform(0.5, 2.5)), 4)))
+    u = round(float(rng.uniform(-3.0, 3.0)), 4)
+    terms.append(f"[{u!r},{round(u + float(rng.uniform(0.0, 2.0)), 4)!r}]")
+    return Ivf.from_text(n, " + ".join(terms), tuple(domain))
+
+
+@pytest.fixture
+def no_evaluation(monkeypatch):
+    """Fail at the first Ivf.eval_many call, so a test that uses it asserts
+    0 calls.  It fails at once, not after counting: the sampled check of a
+    4-D objective at 21 samples per axis would test 1.9e10 pairs."""
+    def refuse(self, xs, check_domain=True):
+        raise AssertionError(f"eval_many called on {len(xs)} points")
+    monkeypatch.setattr(Ivf, "eval_many", refuse)
+
+
+@pytest.mark.parametrize("text", ["abs(x1)*[1,3] + [1e9,1e9]", "[1e9,1e9] + abs(x1)",
+                                  "[1e300,2e300]*pow2(x1)", "[1,2]*pow2(x1) + [1e17,1e17]"])
+def test_shifted_and_scaled_convex_objectives_are_proved_convex(text, no_evaluation):
+    # the sampled check's absolute 1e-10 slack is below the rounding at 1e9,
+    # so it called the first two non-convex at ([-1.0], [-0.8], 0.25)
+    p = Iop(Ivf.from_text(1, text, ((-1.0, 1.0),)))
+    assert p.convexity_method == "certificate"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("seed", range(5))
+def test_the_benchmark_family_is_proved_convex_without_evaluation(n, seed, no_evaluation):
+    # at the default convexity_samples=21, 4-D would test 1.9e10 pairs
+    p = Iop(separable(100 * n + seed, n))
+    assert p.convexity_samples == 21
+    assert p.convexity_method == "certificate"
+
+
+@pytest.mark.parametrize("f", [abs_slab_ivf(), smooth_parabolic_ivf()])
+def test_canned_convex_objectives_are_proved_convex(f, no_evaluation):
+    assert Iop(f).convexity_method == "certificate"
+
+
+UNCERTIFIED = {
+    # (objective, domain, whether the sampled check accepts it)
+    "mixed_sign_coefficient": ("[-1,1]*abs(x1)", ((-1.0, 1.0),), False),
+    "concave": ("0 - pow2(x1)", ((-1.0, 1.0),), False),
+    "factor_changes_sign": ("[0,2]*(x1 + 1)", ((-2.0, 1.0),), False),
+    "saddle_2d": ("[1,2]*pow2(x1) - pow2(x2)", ((-1.0, 1.0), (-1.0, 1.0)), False),
+    "not_finite": ("[1,2]*pow2(1e200*x1)", ((-1.0, 1.0),), True),
+    # fl(fl(0.1 + 0.2) - 0.30000000000000004) is 0, but the exact value of
+    # x1 + 0.2 - 0.30000000000000004 at x1 = 0.1 is -2.8e-17: the factor
+    # changes sign, so f_lo = min(0, 2*(...)) is not convex
+    "sign_within_an_ulp": ("[0,2]*(x1 + 0.2 - 0.30000000000000004)", ((0.1, 1.0),), True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNCERTIFIED))
+def test_objectives_the_proof_refuses_get_the_sampled_verdict(name, monkeypatch):
+    text, domain, accepted = UNCERTIFIED[name]
+    f = Ivf.from_text(len(domain), text, domain)
+    assert not convexity(f.body, f.domain).convex
+    sampled = []
+    monkeypatch.setattr(iop, "is_convex_sampled",
+                        lambda *args: sampled.append(args) or is_convex_sampled(*args))
+    with np.errstate(over="ignore"):  # pow2(1e200*x1) overflows
+        ok, witness = is_convex_sampled(f, f.grid(21))
+        assert ok == accepted
+        if accepted:
+            assert Iop(f).convexity_method == "sampled"
+        else:
+            with pytest.raises(NonConvexObjective) as refused:
+                Iop(f)
+            assert str(refused.value) == f"objective failed the sampled convexity check at {witness}"
+    assert len(sampled) == 1
+
+
+@pytest.mark.parametrize("f", [piecewise_vee_ivf(), quartic_ivf()])
+def test_the_vee_and_the_quartic_are_accepted_by_the_sampled_check(f):
+    # the vee is piecewise with a ghsub of two intervals; the quartic's
+    # upper end is convex only once x^4 - x^4 cancels
+    assert Iop(f).convexity_method == "sampled"
+
+
+def test_the_convexity_method_is_no_field():
+    p, q = Iop(abs_slab_ivf()), Iop(abs_slab_ivf(), convexity_samples=21)
+    r = Iop(piecewise_vee_ivf())
+    assert p == q and hash(p) == hash(q)
+    assert repr(p) == f"Iop(objective={abs_slab_ivf()!r}, convexity_samples=21)"
+    assert "convexity_method" not in repr(r)
+    with pytest.raises(AttributeError):
+        p.convexity_method = "sampled"
+    assert pickle.loads(pickle.dumps(r)).convexity_method == "sampled"
+
+
+def test_an_uncertified_iop_evaluates_the_refined_lattice_once(monkeypatch):
+    f, calls = piecewise_vee_ivf(), []
+    eval_many = Ivf.eval_many
+
+    def counted(self, xs, check_domain=True):
+        calls.append(len(xs))
+        return eval_many(self, xs, check_domain)
+
+    monkeypatch.setattr(Ivf, "eval_many", counted)
+    assert Iop(f).convexity_method == "sampled"
+    assert calls == [4 * (21 - 1) + 1]

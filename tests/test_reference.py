@@ -12,7 +12,9 @@ are independent of the code under test.  The descent reference evaluates
 F one axis at a time and clips with np.clip, where the library evaluates
 one stencil of 2n + 1 rows per iteration.  The recursive tree walker is
 kept as written before the compiled evaluator replaced it, and the
-compiled evaluator is the reference of the generated row kernel.
+compiled evaluator is the reference of the generated row kernel.  What the
+convexity proof claims of random trees is checked at the samples of the
+sampled convexity check and against evaluation.
 """
 
 import math
@@ -21,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ghcalc import Grid, Interval, IVector, Ivf, WMapConfig
@@ -35,6 +37,8 @@ from ghcalc.errors import (
     ZeroInDenominator,
 )
 from ghcalc.expr import (
+    CONCAVE,
+    CONVEX,
     Abs,
     BinOp,
     Comparison,
@@ -47,6 +51,7 @@ from ghcalc.expr import (
     _power,
     compile_lo_hi,
     compile_row,
+    convexity,
     eval_lo_hi,
     tangents,
 )
@@ -902,6 +907,74 @@ def test_compiled_evaluator_matches_on_the_grammar(text):
             assert got == expected
         else:
             assert same_floats(got[0], expected[0]) and same_floats(got[1], expected[1])
+
+
+# --------------------------------------------------------------------------
+# The convexity proof against the sampled check
+# --------------------------------------------------------------------------
+
+CONVEXITY_BOX = ((-1.0, 1.0), (-0.5, 2.0))
+
+
+def subtrees(node):
+    yield node
+    for child in ((node.left, node.right) if isinstance(node, BinOp)
+                  else (node.child,) if isinstance(node, (Abs, Pow)) else ()):
+        yield from subtrees(child)
+
+
+def composed_trees(arity=2):
+    """Trees of the shapes the proof's rules take apart: constants times,
+    sums, differences, ghsub, abs and pow of subtrees, and quotients by
+    constants, with coefficients of either sign."""
+    def extend(children):
+        return st.one_of(
+            st.builds(BinOp, st.sampled_from(["+", "-", "ghsub"]), children, children),
+            st.builds(lambda k, g, left: BinOp("*", k, g) if left else BinOp("*", g, k),
+                      constants(), children, st.booleans()),
+            st.builds(lambda g, k: BinOp("/", g, k), children, constants()),
+            st.builds(Abs, children),
+            st.builds(Pow, st.integers(1, 4), children),
+        )
+    return st.recursive(st.one_of(constants(), st.builds(Var, st.integers(0, arity - 1))),
+                        extend, max_leaves=8)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(trees(), composed_trees()))
+def test_what_the_proof_claims_holds_at_the_samples(node):
+    # with every value up to 1e3 the rounding of F stays far below the
+    # 1e-10 slack; the proof is about exact arithmetic
+    assume(all(max(-c.lo, c.hi) <= 1e3 for c in (convexity(t, CONVEXITY_BOX)
+                                                 for t in subtrees(node))))
+    claim, f = convexity(node, CONVEXITY_BOX), Ivf(2, node, CONVEXITY_BOX)
+    grid = f.grid(9)
+    if claim.convex:
+        assert is_convex_sampled(f, grid) == (True, None)
+    # each endpoint's claimed curvature, on its own, at the same mixtures
+    pts = grid.points()
+    ii, jj = np.triu_indices(pts.shape[0], k=1)
+    ends = f.eval_many(pts)
+    for lam in (0.25, 0.5, 0.75):
+        mixed = f.eval_many(lam * pts[ii] + (1.0 - lam) * pts[jj])
+        for curv, v, mix in zip((claim.lo_curv, claim.hi_curv), ends, mixed):
+            gap = mix - (lam * v[ii] + (1.0 - lam) * v[jj])
+            assert not curv & CONVEX or gap.max() <= 1e-10
+            assert not curv & CONCAVE or gap.min() >= -1e-10
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(trees(), composed_trees()),
+       st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-0.5, 2.0)), min_size=1, max_size=6))
+def test_the_enclosure_holds_the_values_over_the_box(node, rows):
+    c = convexity(node, CONVEXITY_BOX)
+    assume(math.isfinite(c.lo))
+    # a node with a finite enclosure evaluates without an error or a warning
+    lo, hi = eval_lo_hi(node, np.array(rows))
+    # it bounds exact values, and the floats may round past a tight bound
+    slack = 1e-12 * max(1.0, -c.lo, c.hi)
+    assert c.lo - slack <= lo.min() and hi.max() <= c.hi + slack
+    assert not c.real or np.array_equal(lo, hi)
 
 
 # --------------------------------------------------------------------------
