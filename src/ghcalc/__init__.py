@@ -13,7 +13,6 @@ from .errors import (
     InvalidInterval,
     LengthMismatch,
     MalformedNormIvf,
-    MaxNotAttained,
     NonConvexObjective,
     NonDegenerateRealNode,
     NonFiniteDerivative,

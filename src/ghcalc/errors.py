@@ -53,10 +53,6 @@ class NonFiniteDerivative(GhcalcError, ArithmeticError):
     of zero width."""
 
 
-class MaxNotAttained(GhcalcError):
-    """No sampled element dominates all others under the partial order."""
-
-
 class MalformedNormIvf(GhcalcError, ValueError):
     """Function is not of the required constant-times-norm shape."""
 

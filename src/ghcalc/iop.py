@@ -29,7 +29,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import CandidateNotSubgradient, GhcalcError, NonConvexObjective, OutOfDomain
-from .expr import convexity
 from .interval import Interval
 from .ivector import IVector, WMapConfig
 from .ivf import Grid, Ivf, is_convex_sampled
@@ -40,6 +39,7 @@ from .subgrad import (
     _endpoints,
     _evaluate,
     _grid_values,
+    _in_exact_box,
 )
 
 _FD_STEP_SCALE = 1e-4  # the descent's stencil steps by this times 1 + |x_i|
@@ -63,7 +63,7 @@ class Iop:
     def __post_init__(self):
         f = self.objective
         method = "certificate"
-        if not convexity(f.body, f.domain).convex:
+        if not f._proved_convex():
             ok, witness = is_convex_sampled(f, f.grid(self.convexity_samples))
             if not ok:
                 raise NonConvexObjective(
@@ -161,15 +161,18 @@ def _pareto_flags(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 def optimality_zero_condition(p: Iop, x_bar, grid: Optional[Grid] = None) -> bool:
     """Sufficient condition: the zero vector is a subgradient at x_bar.
 
-    When it holds, the grid point nearest x_bar is cross-checked against
-    the efficiency report; the condition is sufficient but not necessary,
-    so False verdicts say nothing about efficiency.
+    For a one-variable F that `expr.convexity` proves convex, zero inside
+    the exact box (`subgrad._exact_box`) holds without sampling; otherwise
+    the grid samples decide.  When it holds, the grid point nearest x_bar
+    is cross-checked against the efficiency report; the condition is
+    sufficient but not necessary, so False verdicts say nothing about
+    efficiency.
     """
     f = p.objective
     x = np.asarray(x_bar, dtype=float).ravel()
     cand = SubgradientCandidate(IVector.zero(f.arity), tuple(x))
     values, _, cons = _evaluate(f, cand, grid)
-    ok, _ = cons.check(cand.g, _DOM_SLACK)
+    ok = _in_exact_box(f, cand, grid, _DOM_SLACK) or cons.check(cand.g, _DOM_SLACK)[0]
     if ok and not _efficiency(values, grid or f.grid()).is_flagged_near(x):
         raise GhcalcError(
             "zero-subgradient point was not flagged efficient; "

@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import LengthMismatch, NonFiniteDerivative, OutOfDomain
-from .expr import Expr, compile_lo_hi, compile_row, parse_expr, tangents
+from .expr import Expr, compile_lo_hi, compile_row, convexity, parse_expr, tangents
 from .interval import Interval
 from .ivector import IVector
 
@@ -143,6 +143,13 @@ class Ivf:
             lo, hi = self.eval_many(np.array(rows), check_domain=False)
             return list(zip(lo.tolist(), hi.tolist()))
         return values
+
+    def _proved_convex(self) -> bool:
+        """Whether `expr.convexity` proves both endpoint functions convex over
+        the domain: proved on first use and kept, not as a field."""
+        if "_convex" not in vars(self):
+            object.__setattr__(self, "_convex", convexity(self.body, self.domain).convex)
+        return self._convex
 
     def eval(self, x) -> Interval:
         lo, hi = self.eval_many(x)

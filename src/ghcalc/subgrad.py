@@ -1,4 +1,4 @@
-"""gH-subgradients and sampled subdifferential regions.
+"""gH-subgradients and subdifferential regions.
 
 A candidate interval vector G is a gH-subgradient of F at x_bar when
 
@@ -6,20 +6,24 @@ A candidate interval vector G is a gH-subgradient of F at x_bar when
 
 checked here at grid samples with a small dominance slack.  One-variable
 subdifferentials are scanned over a rectangular (g_lo, g_hi) parameter
-grid; the feasible set is, for fixed samples, an axis-aligned box
-intersected with the half-plane g_lo <= g_hi, so the scan first derives
-that box analytically from the sample quotients and then rasterizes it.
-The module also provides the operator norm of linear interval-valued
-maps, the directional-derivative maximum characterization, chain and sum
-rules for transporting subgradients, and boundedness/Lipschitz probes
-over the union of subdifferentials.
+grid; the feasible set is an axis-aligned box intersected with the
+half-plane g_lo <= g_hi, so the scan first derives that box and then
+rasterizes it.  For a one-variable F that `expr.convexity` proves convex
+the box is exact: four one-sided slopes from one `expr.tangents` walk give
+it (`_exact_box`), and subgradient membership, the region scan, the
+boundedness probe and the Lipschitz bound read it without sampling F.
+Every other F takes the sampled path, whose box comes from the quotients at
+the grid samples.  The module also provides the operator norm of linear
+interval-valued maps, the directional-derivative maximum characterization,
+chain and sum rules for transporting subgradients, and boundedness/Lipschitz
+probes over the union of subdifferentials.
 """
 
 from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -29,11 +33,10 @@ from .errors import (
     EmptySubdifferentialEncountered,
     LengthMismatch,
     MalformedNormIvf,
-    MaxNotAttained,
     NonFiniteDerivative,
     OutOfDomain,
 )
-from .expr import BinOp, Const, Norm
+from .expr import BinOp, Const, Norm, tangents
 from .interval import Interval
 from .ivector import IVector, dot
 from .ivf import (
@@ -77,12 +80,16 @@ class LinearIvf:
 
 @dataclass(frozen=True)
 class SubdiffRegion1D:
-    """Sampled one-variable subdifferential over a (g_lo, g_hi) rectangle.
+    """One-variable subdifferential rasterized over a (g_lo, g_hi) rectangle.
 
     `bitmap[i, j]` marks feasibility of (g_lo_values[i], g_hi_values[j]).
-    `box` is the analytic feasible rectangle (p_lb, p_ub, q_lb, q_ub)
-    derived from the sample constraints; the true region is its
-    intersection with {g_lo <= g_hi}.
+    `box` is the feasible rectangle (p_lb, p_ub, q_lb, q_ub); the region is
+    its intersection with {g_lo <= g_hi}.  For a one-variable F that
+    `expr.convexity` proves convex it is the exact box of the one-sided
+    slopes, and the scan marks cells up to its tol beyond it; otherwise it is
+    the box the grid samples cut out, with the scan's tol as slack on F.
+    `method` says which: "exact" or "sampled".  It takes no part in == or
+    repr.
     """
 
     x_bar: float
@@ -90,6 +97,7 @@ class SubdiffRegion1D:
     g_hi_values: np.ndarray
     bitmap: np.ndarray
     box: Tuple[float, float, float, float]
+    method: str = field(default="sampled", compare=False, repr=False)
 
     @property
     def is_empty(self) -> bool:
@@ -224,6 +232,57 @@ def _cut_box_empty(box):
     return (p_lb > p_ub) | (q_lb > q_ub) | (p_lb > q_ub)
 
 
+def _exact_box(f: Ivf, x_bar: float, grid: Optional[Grid] = None):
+    """The box (p_lb, p_ub, q_lb, q_ub) whose cut by {g_lo <= g_hi} is the
+    subdifferential at x_bar of a one-variable F that `expr.convexity`
+    proves convex.  None if F is not proved convex, x_bar or the grid's
+    nodes leave the domain (the sampled path then raises), the walk
+    refuses, or a slope it needs is not finite.
+
+    For convex f_lo the quotient (f_lo(x) - f_lo(x_bar))/(x - x_bar) is
+    nondecreasing in x (Rockafellar 1970, Thm 24.1), and so is f_hi's.  So
+    every constraint of `_Constraints` binds as x -> x_bar from either side,
+    and with the one-sided slopes lo'-, lo'+, hi'-, hi'+ of one
+    `expr.tangents` walk along +-1 the box is
+
+        min(lo'-, hi'-) <= g_lo <= min(lo'+, hi'+)
+        max(lo'-, hi'-) <= g_hi <= max(lo'+, hi'+),
+
+    unbounded on the outer side at a domain bound.  The samples of any grid
+    inside the domain cut out a box that holds it.
+    """
+    if f.arity != 1:
+        return None
+    (l, u), = f.domain
+    x_bar = float(x_bar)
+    if not l <= x_bar <= u or l == u or grid is not None and (
+            grid.dim != 1 or grid.lower[0] < l or grid.upper[0] > u):
+        return None
+    if not f._proved_convex():
+        return None
+    walk = tangents(f.body, [x_bar], [[1.0], [-1.0]])
+    if walk is None:
+        return None
+    (lo_right, lo_left), (hi_right, hi_left) = walk[2], walk[3]
+    left = [0.0 - lo_left, 0.0 - hi_left] if x_bar > l else []
+    right = [lo_right, hi_right] if x_bar < u else []
+    if not all(map(math.isfinite, left + right)):
+        return None
+    return (min(left, default=-math.inf), min(right, default=math.inf),
+            max(left, default=-math.inf), max(right, default=math.inf))
+
+
+def _in_exact_box(f: Ivf, cand: SubgradientCandidate, grid: Optional[Grid],
+                  tol: float) -> bool:
+    """Whether a one-variable candidate lies in the exact box at its base
+    point, widened by tol; False wherever `_exact_box` gives none."""
+    box = _exact_box(f, cand.base_point[0], grid) if len(cand.g) == 1 else None
+    if box is None:
+        return False
+    g = cand.g[0]
+    return box[0] - tol <= g.lo <= box[1] + tol and box[2] - tol <= g.hi <= box[3] + tol
+
+
 def _evaluate(f: Ivf, cand: SubgradientCandidate, grid: Optional[Grid]):
     """F on the grid, F(x_bar) and the constraints at the candidate's base point."""
     x_bar = np.asarray(cand.base_point, dtype=float)
@@ -247,9 +306,13 @@ def is_subgradient(f: Ivf, cand: SubgradientCandidate,
                    tol: float = _DOM_SLACK):
     """Check the subgradient dominance at every grid sample.
 
-    F is evaluated on the grid once per call.  Returns (True, None) or
-    (False, witness) with the first violating sample in grid order.
+    A one-variable G inside the exact box (`_exact_box`, widened by tol) of
+    a proved-convex F is accepted without sampling.  Otherwise F is
+    evaluated on the grid once per call.  Returns (True, None) or (False,
+    witness) with the first violating sample in grid order.
     """
+    if _in_exact_box(f, cand, grid, tol):
+        return True, None
     return _evaluate(f, cand, grid)[2].check(cand.g, tol)
 
 
@@ -280,10 +343,13 @@ def subdiff_scan_1d(f: Ivf, x_bar: float,
                     tol: float = _DOM_SLACK) -> SubdiffRegion1D:
     """Scan the subdifferential of a one-variable function at x_bar.
 
-    Marks each sampled candidate (g_lo, g_hi) with g_lo <= g_hi that
-    satisfies the subgradient dominance at all grid samples.  Default
-    bounds are the gH-derivative plus/minus 3 units per endpoint, or at a
-    kink, where there is none, the analytic box widened by 3 per endpoint.
+    Marks each sampled candidate (g_lo, g_hi) with g_lo <= g_hi inside the
+    feasible box.  For an F that `expr.convexity` proves convex that is the
+    exact box of `_exact_box`, and the grid is not sampled; its marks reach
+    tol beyond it.  Otherwise it is the box of the subgradient dominance,
+    with slack tol, at all grid samples.  Default bounds are the
+    gH-derivative plus/minus 3 units per endpoint, or at a kink, where there
+    is none, the box widened by 3 per endpoint.
     """
     if f.arity != 1:
         raise ValueError("subdiff_scan_1d needs a one-variable function")
@@ -293,8 +359,13 @@ def subdiff_scan_1d(f: Ivf, x_bar: float,
         steps = (steps, steps)
     if min(steps) < 2:
         raise ValueError(f"need at least 2 scan steps per axis, got {tuple(steps)}")
-    x = np.array([float(x_bar)])
-    box = _Constraints(_grid_values(f, grid), x, f.boundary(x)).box(tol)
+    exact = _exact_box(f, x_bar, grid)
+    if exact is None:
+        x = np.array([float(x_bar)])
+        box, widen = _Constraints(_grid_values(f, grid), x, f.boundary(x)).box(tol), 0.0
+    else:
+        # tol widens the raster only: the box, and the maximum read from it, stay exact
+        box, widen = exact, tol
     p_lb, p_ub, q_lb, q_ub = box
     if g_bounds is None:
         try:
@@ -308,13 +379,14 @@ def subdiff_scan_1d(f: Ivf, x_bar: float,
                         (deriv.hi - 3.0, deriv.hi + 3.0))
     p_vals = np.linspace(g_bounds[0][0], g_bounds[0][1], steps[0])
     q_vals = np.linspace(g_bounds[1][0], g_bounds[1][1], steps[1])
-    p_ok = (p_vals >= p_lb) & (p_vals <= p_ub)
-    q_ok = (q_vals >= q_lb) & (q_vals <= q_ub)
+    p_ok = (p_vals >= p_lb - widen) & (p_vals <= p_ub + widen)
+    q_ok = (q_vals >= q_lb - widen) & (q_vals <= q_ub + widen)
     # the two parameter axes come from different linspaces, so cells on
     # the mathematical diagonal can differ by one ulp; tolerate that
     bitmap = (p_ok[:, None] & q_ok[None, :]
               & (p_vals[:, None] <= q_vals[None, :] + 1e-12))
-    return SubdiffRegion1D(float(x_bar), p_vals, q_vals, bitmap, box)
+    return SubdiffRegion1D(float(x_bar), p_vals, q_vals, bitmap, box,
+                           "sampled" if exact is None else "exact")
 
 
 def _scan_candidates_2d(f: Ivf, x_bar: np.ndarray, bounds, steps,
@@ -375,26 +447,27 @@ def directional_max_check(f: Ivf, x_bar: float, h: float,
     """Dominance-maximum of {h (.) G} over the region vs the directional
     derivative.
 
-    Returns (M, match) where M is the componentwise least upper bound of
-    the sampled products, verified attained within one scan step; raises
-    MaxNotAttained otherwise.
+    For an exact region (`region.method`) the region is `region.box` cut by
+    the scan rectangle and {g_lo <= g_hi}.  Over it the maximum M has a
+    closed form and is attained: by G = [min(p_ub, q_ub), q_ub] for h >= 0,
+    and by G = [p_lb, max(q_lb, p_lb)] for h < 0.  For a sampled region M is
+    read from the marked cells: their largest (h >= 0) or least (h < 0)
+    g_lo and g_hi, which one marked cell attains.  Returns (M, match);
+    raises EmptySubdifferentialEncountered if the scan marked no candidate.
     """
     if region.is_empty:
         raise EmptySubdifferentialEncountered("region holds no candidates")
-    marked = region.marked()
+    p, q = region.g_lo_values, region.g_hi_values
     h = float(h)
-    if h >= 0.0:
-        prod_lo, prod_hi = h * marked[:, 0], h * marked[:, 1]
+    if region.method == "exact":
+        p_lb, p_ub = max(region.box[0], float(p.min())), min(region.box[1], float(p.max()))
+        q_lb, q_ub = max(region.box[2], float(q.min())), min(region.box[3], float(q.max()))
+        g = Interval(min(p_ub, q_ub), q_ub) if h >= 0.0 else Interval(p_lb, max(q_lb, p_lb))
     else:
-        prod_lo, prod_hi = h * marked[:, 1], h * marked[:, 0]
-    m_lo = float(prod_lo.max())
-    m_hi = float(prod_hi.max())
-    slack = abs(h) * max(region.step) + 1e-12
-    attained = np.any((prod_lo >= m_lo - slack) & (prod_hi >= m_hi - slack))
-    if not attained:
-        raise MaxNotAttained(
-            "no sampled candidate dominates all others in this direction")
-    maximum = Interval(m_lo, m_hi)
+        p, q = p[region.bitmap.any(axis=1)], q[region.bitmap.any(axis=0)]
+        g = (Interval(float(p.max()), float(q.max())) if h >= 0.0
+             else Interval(float(p.min()), float(q.min())))
+    maximum = g.scale(h)
     deriv = directional_gh_derivative(f, [x_bar], [h])
     match = (abs(maximum.lo - deriv.lo) <= tol
              and abs(maximum.hi - deriv.hi) <= tol)
@@ -514,33 +587,62 @@ def union_boundedness_probe(f: Ivf, grid: Optional[Grid] = None,
     Base points are the interior grid nodes: at the two domain endpoints
     the dominance constraint is one-sided and the feasible set is a
     half-infinite strip, so endpoint subdifferentials are excluded from
-    the boundedness probe.  Every extreme candidate contributing to the
-    sup is re-verified against the full sample set, which also exercises
-    closedness: the feasible region is cut out by non-strict
-    inequalities, so its frontier points must themselves pass.  F is
-    evaluated once, on the grid, and F(x_bar) is read from those values.
-    `on_empty` is "skip" (ignore base points with no feasible candidate)
-    or "raise" (raise EmptySubdifferentialEncountered).
+    the boundedness probe.  `on_empty` is "skip" (ignore base points with
+    no feasible candidate) or "raise" (raise
+    EmptySubdifferentialEncountered).
+
+    For an F that `expr.convexity` proves convex, and no scan bounds, the
+    subdifferentials are the exact boxes of `_exact_box`, none empty.  Each
+    of their bounds is nondecreasing in x, and the cut by {g_lo <= g_hi}
+    keeps a candidate at each bound, so the sup is the largest |bound| at
+    the two extreme interior nodes: two walks, and F is not evaluated.
+    Otherwise F is evaluated once, on the grid, and the sampled boxes are
+    read at every interior node (`_boundedness_probe`).
     """
-    return _boundedness_probe(f, grid, scan_bounds, tol, on_empty)[0]
+    grid = _probe_grid(f, grid, on_empty)
+    interior = grid.axes()[0][1:-1]
+    if scan_bounds is None and interior.size:
+        sup = _slope_sup(f, grid, {interior[0], interior[-1]})
+        if sup is not None:
+            return sup
+    return _boundedness_probe(_grid_values(f, grid), scan_bounds, tol, on_empty)
 
 
-def _boundedness_probe(f: Ivf, grid: Optional[Grid], scan_bounds, tol: float,
-                       on_empty: str) -> Tuple[float, _GridValues]:
-    """union_boundedness_probe's sup, and the grid values it was read from.
-
-    The interior base points are handled in array passes over blocks of
-    _MAX_ROWS, and errors are raised for the first base point, in grid
-    order, that would raise one on its own.
-    """
+def _probe_grid(f: Ivf, grid: Optional[Grid], on_empty: str) -> Grid:
+    """The grid of a probe, f's default one if None, once f and on_empty
+    are checked."""
     if on_empty not in ("skip", "raise"):
         raise ValueError(f"on_empty must be 'skip' or 'raise', got {on_empty!r}")
     if f.arity != 1:
         raise ValueError("the boundedness probe supports one variable only")
-    if grid is None:
-        grid = f.grid()
-    values = _grid_values(f, grid)
-    x_bar = grid.axes()[0][1:-1, None]
+    return f.grid() if grid is None else grid
+
+
+def _slope_sup(f: Ivf, grid: Grid, xs) -> Optional[float]:
+    """The largest |bound| of the exact boxes at the points xs, over their
+    finite bounds; None if `_exact_box` gives none at one of them."""
+    sup = 0.0
+    for x in xs:
+        box = _exact_box(f, x, grid)
+        if box is None:
+            return None
+        sup = max([sup] + [abs(b) for b in box if abs(b) != math.inf])
+    return sup
+
+
+def _boundedness_probe(values: _GridValues, scan_bounds, tol: float, on_empty: str) -> float:
+    """union_boundedness_probe's sampled sup, from F at the nodes of a
+    one-variable grid.
+
+    Every extreme candidate contributing to the sup is re-verified against
+    the full sample set, which also exercises closedness: the feasible
+    region is cut out by non-strict inequalities, so its frontier points
+    must themselves pass.  F(x_bar) is read from the grid values.  The
+    interior base points are handled in array passes over blocks of
+    _MAX_ROWS, and errors are raised for the first base point, in grid
+    order, that would raise one on its own.
+    """
+    x_bar = values.pts[1:-1]
     f0_lo, f0_hi = values.lo[1:-1], values.hi[1:-1]
     # base points before the first whose F(x_bar) is no interval; that one
     # raises below as f.eval would
@@ -553,7 +655,7 @@ def _boundedness_probe(f: Ivf, grid: Optional[Grid], scan_bounds, tol: float,
                                     scan_bounds, tol, on_empty))
     if rows < x_bar.shape[0]:
         Interval(f0_lo[rows], f0_hi[rows])
-    return sup, values
+    return sup
 
 
 def _probe_block(values: _GridValues, x_bar: np.ndarray, f0, scan_bounds, tol: float,
@@ -602,8 +704,16 @@ def lipschitz_from_subgradients_check(f: Ivf, grid: Optional[Grid] = None,
                                       tol: float = 1e-6) -> bool:
     """Check the sampled Lipschitz quotient against the subgradient sup.
 
-    The probe and the Lipschitz quotient share one evaluation of F on the
-    grid.
+    For an F that `expr.convexity` proves convex, and no scan bounds, the
+    sup is over the open domain: the largest |slope| into the domain at its
+    two bounds, from two walks, which bounds the quotient of every pair of
+    samples.  Otherwise it is the sampled probe's, which raises on an empty
+    subdifferential.  F is evaluated once, on the grid, which the sampled
+    probe shares.
     """
-    sup, values = _boundedness_probe(f, grid, scan_bounds, _DOM_SLACK, "raise")
+    grid = _probe_grid(f, grid, "raise")
+    values = _grid_values(f, grid)
+    sup = None if scan_bounds is not None else _slope_sup(f, grid, f.domain[0])
+    if sup is None:
+        sup = _boundedness_probe(values, scan_bounds, _DOM_SLACK, "raise")
     return _lipschitz_max(values.pts, values.lo, values.hi) <= sup + tol

@@ -20,6 +20,7 @@ sampled convexity check and against evaluation.
 import math
 import re
 from pathlib import Path
+from typing import NamedTuple, Tuple
 
 import numpy as np
 import pytest
@@ -78,7 +79,9 @@ from ghcalc.problems import (
 )
 from ghcalc.subgrad import (
     SubgradientCandidate,
+    _boundedness_probe,
     _Constraints,
+    _exact_box,
     _grid_values,
     is_subgradient,
     is_subgradient_strict_variant,
@@ -594,23 +597,148 @@ def outcome(call):
 
 @pytest.mark.parametrize("name", sorted(PROBE_CASES))
 def test_probe_and_lipschitz_check_match_the_per_vertex_probe(name):
+    # the sampled kernel on every case; the public calls take it where F is
+    # not proved convex or scan bounds are given.  The kinked objective and
+    # the slab are proved convex, so there they read exact boxes, which
+    # test_the_exact_probe_and_lipschitz_bound_read_the_closed_form_slopes checks
     f, bounds = PROBE_CASES[name]
     grid = f.grid(101)
-    assert union_boundedness_probe(f, grid, bounds) == probe_reference(f, grid, bounds)
+    values = _grid_values(f, grid)
+    assert _boundedness_probe(values, bounds, 1e-10, "skip") == probe_reference(f, grid, bounds)
     expected = outcome(lambda: lipschitz_estimate(f, grid)
                        <= probe_reference(f, grid, bounds, on_empty="raise") + 1e-6)
-    assert outcome(lambda: lipschitz_from_subgradients_check(f, grid, bounds)) == expected
+    assert outcome(lambda: lipschitz_estimate(f, grid)
+                   <= _boundedness_probe(values, bounds, 1e-10, "raise") + 1e-6) == expected
+    assert (bounds is None and f._proved_convex()) == (name in ("kinked", "slab"))
+    if name not in ("kinked", "slab"):
+        assert union_boundedness_probe(f, grid, bounds) == probe_reference(f, grid, bounds)
+        assert outcome(lambda: lipschitz_from_subgradients_check(f, grid, bounds)) == expected
 
 
 def test_probe_names_the_frontier_point_the_per_vertex_probe_names():
     # at this scale the slack is far below the rounding of the box
     # quotients, so a box vertex fails its re-verification; here the
-    # vertices of the seventh base point fail at different samples
+    # vertices of the seventh base point fail at different samples.  The
+    # objective is proved convex, so only the sampled kernel reads them
     f = Ivf.from_text(1, "[7e299,5e300]*pow4(x1)", ((-1.0, 1.0),))
     grid = f.grid(31)
     expected = outcome(lambda: probe_reference(f, grid))
     assert expected.startswith("raised: frontier candidate failed re-verification")
-    assert outcome(lambda: union_boundedness_probe(f, grid)) == expected
+    assert outcome(lambda: _boundedness_probe(_grid_values(f, grid), None, 1e-10, "skip")) \
+        == expected
+
+
+class Family(NamedTuple):
+    """[a,b]*abs(x1 - c) + [al,be]*pow2(x1 - e) + [u,v] on a domain, the
+    benchmark's separable objectives in one variable, with 0 <= a <= b and
+    0 <= al <= be, and its one-sided slopes in closed form."""
+
+    a: float
+    b: float
+    al: float
+    be: float
+    c: float
+    e: float
+    u: float
+    v: float
+    domain: Tuple[float, float]
+
+    def ivf(self, shift: float = 0.0) -> Ivf:
+        text = (f"[{self.a!r},{self.b!r}]*abs(x1 - ({self.c!r}))"
+                f" + [{self.al!r},{self.be!r}]*pow2(x1 - ({self.e!r})) + [{self.u!r},{self.v!r}]")
+        if shift:
+            text += f" + [{shift!r},{shift!r}]"
+        return Ivf.from_text(1, text, (self.domain,))
+
+    def box(self, x: float):
+        """(p_lb, p_ub, q_lb, q_ub) from the slopes of f_lo and f_hi to the
+        left and to the right of x: min and max of the two, each side."""
+        l, r = self.domain
+
+        def slopes(side):
+            sign = 1.0 if x > self.c or x == self.c and side > 0.0 else -1.0
+            return [k * sign + 2.0 * w * (x - self.e) for k, w in ((self.a, self.al), (self.b, self.be))]
+
+        left, right = slopes(-1.0) if x > l else [], slopes(1.0) if x < r else []
+        return (min(left, default=-math.inf), min(right, default=math.inf),
+                max(left, default=-math.inf), max(right, default=math.inf))
+
+    def slope_sup(self, xs) -> float:
+        return max(abs(b) for x in xs for b in self.box(x) if abs(b) != math.inf)
+
+
+# the closed forms of the two proved-convex PROBE_CASES
+PROBE_FAMILIES = {
+    "kinked": Family(0.5, 2.0, 0.2, 1.0, 0.3, 0.0, 1.0, 2.0, (-1.0, 2.0)),
+    "slab": Family(1.0, 3.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, (-2.0, 2.0)),
+}
+
+
+@st.composite
+def families(draw):
+    """Objectives as the benchmark draws them: kinked at c with e = c, or a
+    valley with |e - c| ~ 1, on a box 1.5-2.5 wider than both."""
+    def r(lo, hi):
+        return round(draw(st.floats(lo, hi)), 4)
+
+    a, al = r(0.5, 1.5), draw(st.sampled_from([r(0.0, 0.5), r(1.0, 2.0)]))
+    b, be = round(a + r(0.0, 2.0), 4), round(al + r(0.0, 1.0), 4)
+    u = r(-3.0, 3.0)
+    c = r(-1.0, 1.0)
+    e = round(c + draw(st.sampled_from([0.0, -1.0, 1.0])) * r(0.8, 1.2), 4)
+    domain = (round(min(c, e) - r(1.5, 2.5), 4), round(max(c, e) + r(1.5, 2.5), 4))
+    return Family(a, b, al, be, c, e, u, round(u + r(0.0, 2.0), 4), domain)
+
+
+@pytest.mark.parametrize("name", sorted(PROBE_FAMILIES))
+def test_the_exact_probe_and_lipschitz_bound_read_the_closed_form_slopes(name):
+    f, fam = PROBE_CASES[name][0], PROBE_FAMILIES[name]
+    grid = f.grid(101)
+    pts = grid.points()
+    assert np.allclose(f.eval_many(pts), fam.ivf().eval_many(pts), rtol=0.0, atol=1e-12)
+    # the sup over every interior node, and over the open domain
+    assert union_boundedness_probe(f, grid) == pytest.approx(
+        fam.slope_sup(grid.axes()[0][1:-1]), rel=1e-15)
+    domain_sup = fam.slope_sup(fam.domain)
+    assert lipschitz_estimate(f, grid) <= domain_sup + 1e-12
+    assert lipschitz_from_subgradients_check(f, grid) is True
+
+
+@settings(max_examples=150, deadline=None)
+@given(families(), st.integers(0, 40), st.booleans())
+def test_the_exact_box_lies_in_the_sampled_box_within_the_sampling_slack(fam, k, at_kink):
+    f = fam.ivf()
+    grid = f.grid(41)
+    step = grid.step[0]
+    x = fam.c if at_kink else float(grid.axes()[0][k])
+    # a kink strictly between x and its neighbours puts a jump in the
+    # nearest quotient, which no step-sized slack bounds
+    assume(at_kink or abs(x - fam.c) >= step)
+    exact = _exact_box(f, x)
+    assert exact == pytest.approx(fam.box(x), rel=1e-15, abs=1e-15)
+    xs = np.array([x])
+    sampled = _Constraints(_grid_values(f, grid), xs, f.boundary(xs)).box(1e-10)
+    slack = 2.0 * max(fam.al, fam.be) * step + 1e-9
+    for s_bound, e_bound, lower in zip(sampled, exact, (True, False, True, False)):
+        if math.isinf(e_bound):
+            assert s_bound == e_bound
+            continue
+        # fewer constraints cut the sampled box, so it holds the exact one
+        assert s_bound <= e_bound if lower else s_bound >= e_bound
+        assert abs(s_bound - e_bound) <= slack
+
+
+@settings(max_examples=100, deadline=None)
+@given(families(), st.floats(-1e17, 1e17), st.integers(0, 200))
+def test_the_exact_box_and_probe_do_not_move_under_a_constant_shift(fam, u, k):
+    f, g = fam.ivf(), fam.ivf(u)
+    x = float(f.grid().axes()[0][k])
+    assert g._proved_convex()
+    assert repr(_exact_box(g, x)) == repr(_exact_box(f, x))
+    assert repr(union_boundedness_probe(g)) == repr(union_boundedness_probe(f))
+    # the sup over the open domain bounds every sampled quotient, which
+    # a shift would round
+    assert lipschitz_from_subgradients_check(f) is True
 
 
 @pytest.mark.parametrize("f", [piecewise_vee_ivf(), KINKED_1D, quartic_ivf()])

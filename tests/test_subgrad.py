@@ -1,9 +1,10 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from ghcalc import Interval, IVector, Ivf
+from ghcalc import Interval, IVector, Ivf, subgrad
 from ghcalc.errors import (
     DimensionMismatch,
     EmptySubdifferentialEncountered,
@@ -12,8 +13,9 @@ from ghcalc.errors import (
     NonFiniteDerivative,
     OutOfDomain,
 )
-from ghcalc.ivf import gh_derivative_1d, gh_gradient
-from ghcalc.problems import abs_slab_ivf, quartic_ivf, smooth_parabolic_ivf
+from ghcalc.ivf import Grid, gh_derivative_1d, gh_gradient
+from ghcalc.iop import Iop, optimality_zero_condition
+from ghcalc.problems import abs_slab_ivf, piecewise_vee_ivf, quartic_ivf, smooth_parabolic_ivf
 from ghcalc.subgrad import (
     LinearIvf,
     SubgradientCandidate,
@@ -275,3 +277,157 @@ def test_union_boundedness_probe_rejects_an_unknown_on_empty():
 
 def test_lipschitz_bound_from_subgradients():
     assert lipschitz_from_subgradients_check(abs_slab_ivf())
+
+
+def test_a_constant_shift_keeps_a_subgradient_of_a_proved_convex_objective():
+    # sampled, the shifted differences lose their digits and G = [1,1]
+    # fails at 0.01; the exact box of the slopes does not see the shift
+    f = Ivf.from_text(1, "abs(x1)*[1,3] + [1e9,1e9]", ((-1.0, 1.0),))
+    assert is_subgradient(f, cand(Interval(1, 1), (0.0,))) == (True, None)
+    sampled = subgrad._evaluate(f, cand(Interval(1, 1), (0.0,)), None)[2]
+    assert sampled.check(IVector.of(Interval(1, 1)), 1e-10) == (False, [0.010000000000000009])
+    # outside the box the samples decide, and name their witness
+    ok, witness = is_subgradient(f, cand(Interval(2, 2), (0.0,)))
+    assert not ok and witness == [0.010000000000000009]
+
+
+def test_the_probe_reads_scaled_and_shifted_parabolas_exactly():
+    # at grid 21 the extreme interior nodes are -0.9 and 0.9, where the
+    # upper slope 4x is 3.6 in size; sampled, the shift drowns the
+    # quotients and the scale fails the re-verification
+    grid = Grid.on_domain(((-1.0, 1.0),), 21)
+    shifted = Ivf.from_text(1, "[1,2]*pow2(x1) + [1e17,1e17]", ((-1.0, 1.0),))
+    scaled = Ivf.from_text(1, "[1e300,2e300]*pow2(x1)", ((-1.0, 1.0),))
+    assert union_boundedness_probe(shifted, grid) == pytest.approx(3.6, rel=1e-15)
+    assert union_boundedness_probe(scaled, grid) == pytest.approx(3.6e300, rel=1e-15)
+
+
+def test_the_region_says_how_its_box_was_found():
+    exact = subdiff_scan_1d(abs_slab_ivf(), 0.0, ((-4.0, 2.0), (-2.0, 4.0)), steps=11)
+    sampled = subdiff_scan_1d(quartic_ivf(), 1.0, steps=11)
+    assert (exact.method, sampled.method) == ("exact", "sampled")
+    assert exact.box == (-3.0, 1.0, -1.0, 3.0)
+    # repr and == ignore it, a copy keeps it, and it cannot be set
+    assert "method" not in repr(exact)
+    assert exact == dataclasses.replace(exact, method="sampled")
+    assert dataclasses.replace(exact, bitmap=exact.bitmap).method == "exact"
+    with pytest.raises(AttributeError):
+        exact.method = "sampled"
+
+
+def test_an_exact_scan_widens_its_marks_by_tol_and_keeps_its_box():
+    f = abs_slab_ivf()
+    bounds = ((-4.0, 2.0), (-2.0, 4.0))
+    narrow = subdiff_scan_1d(f, 0.0, bounds, steps=61)
+    wide = subdiff_scan_1d(f, 0.0, bounds, steps=61, tol=0.15)
+    assert wide.box == narrow.box == (-3.0, 1.0, -1.0, 3.0)
+    # so the maximum read from the box does not move with tol
+    for h in (1.0, -1.0):
+        assert directional_max_check(f, 0.0, h, wide) == (Interval(1.0, 3.0), True)
+    # one more cell of 0.1 beyond each bound of the box
+    for values, axis, cells in ((wide.g_lo_values, 0, (-3.1, 1.1)),
+                                (wide.g_hi_values, 1, (-1.1, 3.1))):
+        for cell in cells:
+            at = np.isclose(values, cell)
+            assert not narrow.bitmap.compress(at, axis).any()
+            assert wide.bitmap.compress(at, axis).any()
+
+
+def test_exact_scans_at_the_domain_bounds_take_the_slopes_into_the_domain():
+    # the outer side is unbounded there, and the default bounds centre on
+    # the one-sided derivative, as gh_derivative_1d gives it
+    f = smooth_parabolic_ivf()
+    for x in f.domain[0]:
+        region = subdiff_scan_1d(f, x, steps=61)
+        d = gh_derivative_1d(f, x)
+        assert region.method == "exact"
+        assert region.g_lo_values[[0, -1]].tolist() == [d.lo - 3.0, d.lo + 3.0]
+        assert region.g_hi_values[[0, -1]].tolist() == [d.hi - 3.0, d.hi + 3.0]
+        if x == f.domain[0][0]:
+            assert (region.box[0], region.box[2]) == (-np.inf, -np.inf)
+        else:
+            assert (region.box[1], region.box[3]) == (np.inf, np.inf)
+
+
+@pytest.mark.parametrize("f, x_bar, bounds", [
+    (abs_slab_ivf(), 0.0, ((-4.0, 2.0), (-2.0, 4.0))),
+    (abs_slab_ivf(), 0.0, ((-2.0, 0.5), (-0.5, 2.0))),
+    (Ivf.from_text(1, "[0.5,2]*abs(x1 - 0.3) + [0.2,1]*pow2(x1) + [1,2]", ((-1.0, 2.0),)),
+     0.3, ((-3.0, 1.0), (-1.0, 3.0))),
+    (quartic_ivf(), 1.0, None),
+    (piecewise_vee_ivf(), 0.0, None),
+])
+@pytest.mark.parametrize("h", [2.0, 0.5, 0.0, -1.0, -3.0])
+def test_the_maximum_bounds_the_marked_cells_within_a_cell(f, x_bar, bounds, h):
+    # the scan rectangle cuts the box; a sampled region's maximum is the
+    # marked cells' own
+    region = subdiff_scan_1d(f, x_bar, bounds, steps=81)
+    maximum, _ = directional_max_check(f, x_bar, h, region)
+    marked = region.marked()
+    ends = (marked[:, 0], marked[:, 1]) if h >= 0.0 else (marked[:, 1], marked[:, 0])
+    cell = abs(h) * max(region.step) + 1e-12 if region.method == "exact" else 0.0
+    for bound, products in zip((maximum.lo, maximum.hi), ends):
+        assert 0.0 <= bound - float(np.max(h * products)) <= cell
+    if h != 0.0:
+        # a candidate of the region attains it
+        lo, hi = sorted((maximum.lo / h, maximum.hi / h))
+        p_lb, p_ub, q_lb, q_ub = region.box
+        assert p_lb - 1e-12 <= lo <= p_ub + 1e-12 and q_lb - 1e-12 <= hi <= q_ub + 1e-12
+
+
+def test_a_sampled_region_keeps_the_marked_cells_maximum():
+    # the quartic is not proved convex; its sampled box reaches most of a
+    # scan cell past the last marked one, which the maximum does not read
+    f = quartic_ivf()
+    region = subdiff_scan_1d(f, 1.0)
+    assert region.method == "sampled"
+    maximum, match = directional_max_check(f, 1.0, 1.0, region, tol=0.06)
+    assert (maximum.lo, maximum.hi, match) == (2.0, 4.050000000000001, True)
+
+
+def test_a_zero_in_the_exact_box_needs_no_sampled_check(monkeypatch):
+    p = Iop(Ivf.from_text(1, "abs(x1)*[1,3] + [1e9,1e9]", ((-1.0, 1.0),)))
+
+    def refuse(*args):
+        raise AssertionError("sampled check")
+
+    monkeypatch.setattr(subgrad._Constraints, "check", refuse)
+    assert optimality_zero_condition(p, [0.0])
+    # outside the box the grid samples decide
+    with pytest.raises(AssertionError, match="sampled check"):
+        optimality_zero_condition(p, [0.5])
+
+
+def counted_calls(monkeypatch):
+    """Count Ivf.eval_many calls and the tree walks subgrad starts."""
+    calls = {"eval_many": 0, "walks": 0}
+    eval_many, tangents = Ivf.eval_many, subgrad.tangents
+
+    def counted_eval(self, xs, check_domain=True):
+        calls["eval_many"] += 1
+        return eval_many(self, xs, check_domain)
+
+    def counted_walk(*args):
+        calls["walks"] += 1
+        return tangents(*args)
+
+    monkeypatch.setattr(Ivf, "eval_many", counted_eval)
+    monkeypatch.setattr(subgrad, "tangents", counted_walk)
+    return calls
+
+
+@pytest.mark.parametrize("call, evaluations, walks", [
+    (union_boundedness_probe, 0, 2),
+    (lipschitz_from_subgradients_check, 1, 2),
+])
+def test_a_proved_convex_probe_walks_twice(monkeypatch, call, evaluations, walks):
+    f = Ivf.from_text(1, "[0.5,2]*abs(x1 - 0.3) + [0.2,1]*pow2(x1) + [1,2]", ((-1.0, 2.0),))
+    calls = counted_calls(monkeypatch)
+    call(f)
+    assert calls == {"eval_many": evaluations, "walks": walks}
+
+
+def test_the_vee_s_probe_evaluates_the_grid_once_and_walks_nothing(monkeypatch):
+    calls = counted_calls(monkeypatch)
+    union_boundedness_probe(piecewise_vee_ivf())
+    assert calls == {"eval_many": 1, "walks": 0}
