@@ -253,9 +253,14 @@ _NEGATIVE_VALUE = re.compile(r"-\.?\d[\w.,+-]*$")
 
 def build_parser() -> argparse.ArgumentParser:
     # shared options, each given only to the subcommands that read it
-    grid = argparse.ArgumentParser(add_help=False)
-    grid.add_argument("--grid", type=int, default=201,
-                      help="samples per axis (default 201)")
+    def grid(note=""):
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument("--grid", type=int, default=201,
+                            help=f"samples per axis (default 201){note}")
+        return parent
+    # a scan, and a check that accepts, read a one-variable objective that
+    # expr.convexity proves convex from exact slopes, which sample no grid
+    exact = "; not read for a one-variable objective the tree proves convex"
     tol = argparse.ArgumentParser(add_help=False)
     tol.add_argument("--tol", type=float, default=1e-10,
                      help="dominance slack (default 1e-10)")
@@ -267,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Interval calculus: evaluation, subgradients, efficiency.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("eval", parents=[grid, out],
+    sp = sub.add_parser("eval", parents=[grid(), out],
                         help="evaluate the objective to CSV")
     sp.add_argument("file")
     sp.add_argument("points", nargs="*",
@@ -276,8 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="evaluate at every grid node instead")
     sp.set_defaults(func=cmd_eval)
 
-    sp = sub.add_parser("subgrad-check", parents=[grid, tol],
-                        help="test a candidate subgradient")
+    sp = sub.add_parser("subgrad-check", help="test a candidate subgradient", parents=[
+        grid(f"{exact}, given a candidate in its exact subdifferential and no --strict"), tol])
     sp.add_argument("file")
     sp.add_argument("--at", default=None, help="base point")
     sp.add_argument("--g", default=None, help="candidate, e.g. ([2,4])")
@@ -285,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="use the restrictive additive variant")
     sp.set_defaults(func=cmd_subgrad_check)
 
-    sp = sub.add_parser("subdiff-scan", parents=[grid, tol, out],
+    sp = sub.add_parser("subdiff-scan", parents=[grid(exact), tol, out],
                         help="scan a 1-d subdifferential")
     sp.add_argument("file")
     sp.add_argument("--at", default=None, help="base point")
@@ -295,12 +300,12 @@ def build_parser() -> argparse.ArgumentParser:
                     help="scan cells per parameter axis")
     sp.set_defaults(func=cmd_subdiff_scan)
 
-    sp = sub.add_parser("efficient", parents=[grid, out],
+    sp = sub.add_parser("efficient", parents=[grid(), out],
                         help="flag efficient grid points")
     sp.add_argument("file")
     sp.set_defaults(func=cmd_efficient)
 
-    sp = sub.add_parser("descent", parents=[grid, out],
+    sp = sub.add_parser("descent", parents=[grid(), out],
                         help="run the scalarized descent heuristic")
     sp.add_argument("file")
     sp.add_argument("--x0", default=None, help="start point")
@@ -309,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="lower-endpoint scalarization weight")
     sp.set_defaults(func=cmd_descent)
 
-    sp = sub.add_parser("examples", parents=[grid], help="replay the canned examples")
+    sp = sub.add_parser("examples", parents=[grid()], help="replay the canned examples")
     sp.add_argument("--tol", type=float, default=1e-10,
                     help="dominance slack of the kinked-slab and parabolic-band "
                          "scans (default 1e-10)")

@@ -12,7 +12,7 @@ and reported with the grid step, so every claim is resolution-qualified.
 
 The descent driver is a heuristic: a projected iteration on the
 scalarization phi_w = w*f_lo + w'*f_hi, in any number of variables, with
-slopes from one central-difference stencil per iteration and Polyak steps
+exact slopes from one walk of the tree per iteration and Polyak steps
 to a level, first the grid's least phi_w, then just below the best value
 found.  The optimality conditions and the grid efficiency flag are the
 principled part; the driver only produces candidate points for them to
@@ -31,7 +31,7 @@ import numpy as np
 from .errors import CandidateNotSubgradient, GhcalcError, NonConvexObjective, OutOfDomain
 from .interval import Interval
 from .ivector import IVector, WMapConfig
-from .ivf import Grid, Ivf, is_convex_sampled
+from .ivf import Grid, Ivf, _walk_sides, is_convex_sampled
 from .subgrad import (
     _DOM_SLACK,
     SubgradientCandidate,
@@ -41,8 +41,6 @@ from .subgrad import (
     _grid_values,
     _in_exact_box,
 )
-
-_FD_STEP_SCALE = 1e-4  # the descent's stencil steps by this times 1 + |x_i|
 
 
 @dataclass(frozen=True)
@@ -63,7 +61,7 @@ class Iop:
     def __post_init__(self):
         f = self.objective
         method = "certificate"
-        if not f._proved_convex():
+        if not f._proved_convex:
             ok, witness = is_convex_sampled(f, f.grid(self.convexity_samples))
             if not ok:
                 raise NonConvexObjective(
@@ -261,25 +259,26 @@ def scalarized_descent(p: Iop, x0, cfg: WMapConfig = WMapConfig(),
     each of its minimizers is efficient (Wu 2007).  F is evaluated on the
     grid once, before the iteration: the least phi_w there is the first
     level phi*, and the same values give the efficiency flag at the end.
-    An iteration evaluates F at 2n + 1 rows with `Ivf._eval_rows`: x
-    itself, which gives F(x), and x -+ h_i*e_i with h_i =
-    _FD_STEP_SCALE*(1 + |x_i|), clipped to the box.  The slope g_i is the
-    difference quotient of phi_w between those two rows, 0 on an axis of
-    zero width.  The iterate moves by -s*g and is projected onto the box,
+    An iteration walks the compiled tree once at x (`ivf._walk_sides`) for
+    F(x) and the one-sided derivatives of phi_w along the e_i and -e_i that
+    point into the box.  The slope g_i is (phi_w'(x; e_i) -
+    phi_w'(x; -e_i))/2, the limit of a central difference, inside the box,
+    the slope into it at a bound, and 0 on an axis of zero width.  The
+    iterate moves by -s*g, projected onto the box (np.clip's bit for bit),
     with the Polyak step s = (phi_w(x) - level)/|g|^2 (Polyak 1969), or
-    step_schedule(k) where that is larger (default 0.1/sqrt(k+1)), so an
-    axis with a small slope still moves when a kinked axis dominates
-    |g|^2.  Once an iterate reaches phi*, the level is the record (the
-    least phi_w so far) less delta (Goffin & Kiwiel 1999): delta starts
-    at 1e-3*(1 + |record|) and halves whenever an iterate fails to lower
-    the record by delta/2.  The descent stops when every slope vanishes
-    or delta falls to 1e-9*(1 + |record|), or after `iters` iterations.
-    The stencil, phi_w and the step are floats, those of eval_many and
-    np.clip bit for bit.  The trace's `step` is the s taken, 0 on the row
-    where the descent stops.  Returns the dominance-minimal trace iterate
-    (scalarized value breaks ties among mutually incomparable
-    candidates), the full trace, and the efficiency flag of the grid node
-    nearest to that iterate, which certifies it.
+    step_schedule(k) where larger (default 0.1/sqrt(k+1)), so an axis with
+    a small slope still moves when a kinked axis dominates |g|^2.  Once an
+    iterate reaches phi*, the level is the record (the least phi_w so far)
+    less delta (Goffin & Kiwiel 1999): delta starts at 1e-3*(1 + |record|)
+    and halves whenever an iterate fails to lower the record by delta/2.
+    The descent stops when every slope vanishes or delta falls to
+    1e-9*(1 + |record|), or after `iters` iterations.  F(x) is eval_many's
+    up to the sign of a zero; where the walk refuses, eval_many's error at
+    x is raised, or else NonFiniteDerivative.  The trace's `step` is the s
+    taken, 0 on the row where the descent stops.  Returns the
+    dominance-minimal trace iterate (scalarized value breaks ties among
+    mutually incomparable candidates), the full trace, and the efficiency
+    flag of the grid node nearest to that iterate, which certifies it.
     """
     if iters < 1:
         raise ValueError(f"iters must be at least 1, got {iters}")
@@ -298,23 +297,28 @@ def scalarized_descent(p: Iop, x0, cfg: WMapConfig = WMapConfig(),
     level = float(np.min(w * grid_values.lo + w_prime * grid_values.hi))
     record = delta = None  # set once an iterate reaches the grid's least phi_w
     trace: List[TraceRecord] = []
+    moving = [i for i, (l, u) in enumerate(f.domain) if l < u]
     for k in range(iters):
-        # the stencil: x, then x - h_i*e_i on every axis, then x + h_i*e_i
-        hs = [_FD_STEP_SCALE * (1.0 + abs(v)) for v in x]
-        down = [_clip(v - h, *b) for v, h, b in zip(x, hs, f.domain)]
-        up = [_clip(v + h, *b) for v, h, b in zip(x, hs, f.domain)]
-        rows = [x] + [x[:i] + (v,) + x[i + 1:] for side in (down, up) for i, v in enumerate(side)]
-        values = f._eval_rows(rows)
-        phi = [w * lo + w_prime * hi for lo, hi in values]
-        slopes = [(phi[1 + n + i] - phi[1 + i]) / (u - d) if u > d else 0.0
-                  for i, (d, u) in enumerate(zip(down, up))]
+        sides, (lo, hi, dlo, dhi) = _walk_sides(f, list(x), moving)
+        phi = w * lo + w_prime * hi
+        # half the difference of phi_w'(x; +-e_i), or the one into the box;
+        # `_walk_sides` walks +e_i before -e_i, so `up` holds phi_w'(x; e_i)
+        slopes = [0.0] * n
+        for (i, s), a, b in zip(sides, dlo, dhi):
+            d = w * a + w_prime * b
+            if s > 0.0:
+                slopes[i] = up = d
+            elif x[i] < f.domain[i][1]:
+                slopes[i] = (up - d) / 2.0
+            else:
+                slopes[i] = 0.0 - d
         if delta is None:
-            if phi[0] <= level:
-                record, delta = phi[0], 1e-3 * (1.0 + abs(phi[0]))
-        elif phi[0] <= record - delta / 2.0:
-            record = phi[0]
+            if phi <= level:
+                record, delta = phi, 1e-3 * (1.0 + abs(phi))
+        elif phi <= record - delta / 2.0:
+            record = phi
         else:
-            record, delta = min(record, phi[0]), delta / 2.0
+            record, delta = min(record, phi), delta / 2.0
         stop = (all(abs(d) <= 1e-12 for d in slopes)
                 or (delta is not None and delta <= 1e-9 * (1.0 + abs(record))))
         if delta is not None:
@@ -322,8 +326,8 @@ def scalarized_descent(p: Iop, x0, cfg: WMapConfig = WMapConfig(),
         step = 0.0
         if not stop:
             # a float32 floor is widened, as by float64 arrays
-            step = float(max(step_schedule(k), (phi[0] - level) / sum(d * d for d in slopes)))
-        value = Interval(*values[0])
+            step = float(max(step_schedule(k), (phi - level) / sum(d * d for d in slopes)))
+        value = Interval(lo, hi)
         trace.append(TraceRecord(k, x, value,
                                  cfg.w * value.lo + cfg.w_prime * value.hi, step))
         if stop:

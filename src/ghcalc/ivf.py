@@ -5,9 +5,10 @@ calculus used throughout: boundary extraction, gH-derivatives
 (one-dimensional, partial, gradient, directional) and sampled diagnostics
 for convexity, continuity and Lipschitz behaviour.
 
-The derivatives are exact up to rounding: one forward walk of the tree
-(`expr.tangents`) gives the one-sided derivatives of both boundary
-functions, and [min, max] of the two is the gH-directional derivative.
+The derivatives are exact up to rounding: one forward walk of the tree,
+compiled once per function (`expr.compile_tangents`), gives the one-sided
+derivatives of both boundary functions, and [min, max] of the two is the
+gH-directional derivative.
 Where the slopes along e_i and -e_i disagree, there is no gH-derivative.
 """
 
@@ -15,12 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import LengthMismatch, NonFiniteDerivative, OutOfDomain
-from .expr import Expr, compile_lo_hi, compile_row, convexity, parse_expr, tangents
+from .expr import Expr, compile_lo_hi, compile_tangents, convexity, parse_expr
 from .interval import Interval
 from .ivector import IVector
 
@@ -133,23 +135,16 @@ class Ivf:
             raise OutOfDomain("evaluation point outside the domain box")
         return self._lo_hi(xs)
 
-    def _eval_rows(self, rows: Sequence[Tuple[float, ...]]) -> List[Tuple[float, float]]:
-        """(lo, hi) at a few points, tuples of floats, unchecked, from the row
-        kernel (`expr.compile_row`); if it refuses one, eval_many's for all."""
-        if "_row" not in vars(self):  # generated on first use; not a field
-            object.__setattr__(self, "_row", compile_row(self.body, self.arity))
-        values = [self._row(x) for x in rows]
-        if None in values:
-            lo, hi = self.eval_many(np.array(rows), check_domain=False)
-            return list(zip(lo.tolist(), hi.tolist()))
-        return values
+    @cached_property
+    def _tangents(self):
+        """The walker of `expr.compile_tangents`, compiled on first use; not a field."""
+        return compile_tangents(self.body)
 
+    @cached_property
     def _proved_convex(self) -> bool:
         """Whether `expr.convexity` proves both endpoint functions convex over
         the domain: proved on first use and kept, not as a field."""
-        if "_convex" not in vars(self):
-            object.__setattr__(self, "_convex", convexity(self.body, self.domain).convex)
-        return self._convex
+        return convexity(self.body, self.domain).convex
 
     def eval(self, x) -> Interval:
         lo, hi = self.eval_many(x)
@@ -177,14 +172,22 @@ def _point(f: Ivf, x) -> List[float]:
     return x.tolist()
 
 
-def _slopes(f: Ivf, x: List[float], dirs: List[List[float]]) -> List[Interval]:
-    """D(h) = [min(dlo, dhi), max(dlo, dhi)] for each h in dirs, from one walk.
+def _walk(f: Ivf, x: List[float], dirs: List[List[float]]):
+    """(lo, hi, dlo, dhi) at x from one walk of the compiled tree, all finite.
     Where it refuses, eval_many at x raises, or else NonFiniteDerivative."""
-    walk = tangents(f.body, x, dirs)
+    walk = f._tangents(x, dirs)
     if walk is None or not all(map(math.isfinite, [*walk[:2], *walk[2], *walk[3]])):
         f.eval_many([x])
         raise NonFiniteDerivative(f"no finite one-sided derivative at {x}")
-    return [Interval(min(a, b), max(a, b)) for a, b in zip(walk[2], walk[3])]
+    return walk
+
+
+def _walk_sides(f: Ivf, x: List[float], axes: Sequence[int]):
+    """One walk along each e_i and -e_i of the axes that points into the box:
+    the sides (i, s) walked, +e_i before -e_i, and `_walk`'s (lo, hi, dlo, dhi)."""
+    sides = [(i, s) for i in axes for s in (1.0, -1.0)
+             if (x[i] < f.domain[i][1] if s > 0.0 else x[i] > f.domain[i][0])]
+    return sides, _walk(f, x, [[s if j == i else 0.0 for j in range(f.arity)] for i, s in sides])
 
 
 def _partials(f: Ivf, x: List[float], axes: Sequence[int]) -> List[Interval]:
@@ -194,13 +197,11 @@ def _partials(f: Ivf, x: List[float], axes: Sequence[int]) -> List[Interval]:
     a bound, the one-sided slope into the box is the derivative."""
     if any(f.domain[i][0] == f.domain[i][1] for i in axes):
         raise NonFiniteDerivative("no gH-derivative along an axis of zero width")
-    # +e_i unless x is at the upper bound, -e_i unless it is at the lower one
-    sides = [(i, s) for i in axes for s in (1.0, -1.0)
-             if (x[i] < f.domain[i][1] if s > 0.0 else x[i] > f.domain[i][0])]
-    units = [[s if j == i else 0.0 for j in range(f.arity)] for i, s in sides]
+    sides, (_, _, dlo, dhi) = _walk_sides(f, x, axes)
     grad = {}  # per axis, the first slope: from the right unless x is at the upper bound
-    for (i, s), d in zip(sides, _slopes(f, x, units)):
-        d = d if s > 0.0 else Interval(0.0 - d.hi, 0.0 - d.lo)  # -D(-e_i), without -0.0
+    for (i, s), a, b in zip(sides, dlo, dhi):
+        lo, hi = min(a, b), max(a, b)
+        d = Interval(lo, hi) if s > 0.0 else Interval(0.0 - hi, 0.0 - lo)  # -D(-e_i), without -0.0
         if grad.setdefault(i, d) != d:
             raise NonFiniteDerivative(f"mismatched one-sided slopes along x{i + 1}: "
                                       f"{d} from the left, {grad[i]} from the right")
@@ -237,7 +238,8 @@ def directional_gh_derivative(f: Ivf, x, h) -> Interval:
         raise ValueError(f"direction must be finite, got {h}")
     if any(t > 0.0 and v >= u or t < 0.0 and v <= l for v, t, (l, u) in zip(x, h, f.domain)):
         raise OutOfDomain("direction leaves the domain immediately")
-    return _slopes(f, x, [h])[0]
+    _, _, (a,), (b,) = _walk(f, x, [h])
+    return Interval(min(a, b), max(a, b))
 
 
 # --------------------------------------------------------------------------
@@ -372,7 +374,7 @@ def lipschitz_estimate(f: Ivf, grid: Grid) -> float:
 
 
 def _lipschitz_max(pts: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> float:
-    """Max over pairs of samples of the gH-difference norm over the distance."""
+    """Max over pairs of samples of the gH-difference norm over the distance (0 if no pairs)."""
     block_max = []
     for i, j in _row_blocks(pts.shape[0]):
         # in-place arithmetic keeps few block-sized arrays alive at once
@@ -388,4 +390,4 @@ def _lipschitz_max(pts: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> float:
         k = np.arange(1, den.shape[0])
         den[k, k - 1] = 1.0
         block_max.append(np.max(np.divide(num, den, out=num)))
-    return float(np.max(block_max))
+    return float(np.max(block_max)) if block_max else 0.0

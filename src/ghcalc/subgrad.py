@@ -9,7 +9,7 @@ subdifferentials are scanned over a rectangular (g_lo, g_hi) parameter
 grid; the feasible set is an axis-aligned box intersected with the
 half-plane g_lo <= g_hi, so the scan first derives that box and then
 rasterizes it.  For a one-variable F that `expr.convexity` proves convex
-the box is exact: four one-sided slopes from one `expr.tangents` walk give
+the box is exact: four one-sided slopes from one walk of the tree give
 it (`_exact_box`), and subgradient membership, the region scan, the
 boundedness probe and the Lipschitz bound read it without sampling F.
 Every other F takes the sampled path, whose box comes from the quotients at
@@ -36,7 +36,7 @@ from .errors import (
     NonFiniteDerivative,
     OutOfDomain,
 )
-from .expr import BinOp, Const, Norm, tangents
+from .expr import BinOp, Const, Norm
 from .interval import Interval
 from .ivector import IVector, dot
 from .ivf import (
@@ -243,7 +243,7 @@ def _exact_box(f: Ivf, x_bar: float, grid: Optional[Grid] = None):
     nondecreasing in x (Rockafellar 1970, Thm 24.1), and so is f_hi's.  So
     every constraint of `_Constraints` binds as x -> x_bar from either side,
     and with the one-sided slopes lo'-, lo'+, hi'-, hi'+ of one
-    `expr.tangents` walk along +-1 the box is
+    walk of the compiled tree (`expr.compile_tangents`) along +-1 the box is
 
         min(lo'-, hi'-) <= g_lo <= min(lo'+, hi'+)
         max(lo'-, hi'-) <= g_hi <= max(lo'+, hi'+),
@@ -258,9 +258,9 @@ def _exact_box(f: Ivf, x_bar: float, grid: Optional[Grid] = None):
     if not l <= x_bar <= u or l == u or grid is not None and (
             grid.dim != 1 or grid.lower[0] < l or grid.upper[0] > u):
         return None
-    if not f._proved_convex():
+    if not f._proved_convex:
         return None
-    walk = tangents(f.body, [x_bar], [[1.0], [-1.0]])
+    walk = f._tangents([x_bar], [[1.0], [-1.0]])
     if walk is None:
         return None
     (lo_right, lo_left), (hi_right, hi_left) = walk[2], walk[3]
@@ -547,13 +547,7 @@ def chain_rule_transport(a_matrix: Sequence[Sequence[float]],
     m, n = a.shape
     if m != len(g_m):
         raise DimensionMismatch(f"matrix has {m} rows but g has {len(g_m)}")
-    comps = []
-    for j in range(n):
-        acc = Interval(0.0, 0.0)
-        for i in range(m):
-            acc = acc + g_m[i].scale(a[i, j])
-        comps.append(acc)
-    return IVector(tuple(comps))
+    return IVector(tuple(dot(a[:, j], g_m) for j in range(n)))
 
 
 def sum_rule(g_parts: Sequence[IVector]) -> IVector:
@@ -564,13 +558,7 @@ def sum_rule(g_parts: Sequence[IVector]) -> IVector:
     n = len(parts[0])
     if any(len(p) != n for p in parts):
         raise LengthMismatch("summands must have equal lengths")
-    comps = []
-    for j in range(n):
-        acc = Interval(0.0, 0.0)
-        for p in parts:
-            acc = acc + p[j]
-        comps.append(acc)
-    return IVector(tuple(comps))
+    return IVector(tuple(sum((p[j] for p in parts), Interval(0.0, 0.0)) for j in range(n)))
 
 
 # --------------------------------------------------------------------------

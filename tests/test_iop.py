@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ghcalc import Interval, IVector, Ivf, WMapConfig, iop, subgrad
+from ghcalc import ivf as ivf_module
 from ghcalc.errors import (
     CandidateNotSubgradient,
     NonConvexObjective,
@@ -20,14 +21,18 @@ from ghcalc.iop import (
     optimality_zero_condition,
     scalarized_descent,
 )
-from ghcalc.ivf import is_convex_sampled
+from ghcalc.ivf import is_convex_sampled, lipschitz_estimate
 from ghcalc.problems import (
     abs_slab_ivf,
     piecewise_vee_ivf,
     quartic_ivf,
     smooth_parabolic_ivf,
 )
-from ghcalc.subgrad import SubgradientCandidate, union_boundedness_probe
+from ghcalc.subgrad import (
+    SubgradientCandidate,
+    lipschitz_from_subgradients_check,
+    union_boundedness_probe,
+)
 
 
 def test_iop_rejects_nonconvex_objectives():
@@ -157,15 +162,16 @@ def test_descent_respects_the_weight_config():
 
 
 def test_a_float32_step_moves_the_iterate_as_its_float64_value():
-    # the projection works on floats, where float32 * float stays float32
-    p = Iop(piecewise_vee_ivf())
+    # the projection works on floats, where float32 * float stays float32;
+    # at w = 0.2 the floor is the step of most iterates after the first few
+    p, cfg = Iop(piecewise_vee_ivf()), WMapConfig(0.2, 0.8)
     grid = p.objective.grid(51)
 
     def floor(k):
         return np.float32(0.1) / np.float32(k + 1)
 
-    narrow = scalarized_descent(p, [-2.0], iters=50, grid=grid, step_schedule=floor)
-    wide = scalarized_descent(p, [-2.0], iters=50, grid=grid,
+    narrow = scalarized_descent(p, [-2.0], cfg, iters=50, grid=grid, step_schedule=floor)
+    wide = scalarized_descent(p, [-2.0], cfg, iters=50, grid=grid,
                               step_schedule=lambda k: float(floor(k)))
     assert narrow == wide
     assert [repr(r.x) for r in narrow.trace] == [repr(r.x) for r in wide.trace]
@@ -177,40 +183,41 @@ def test_a_float32_step_moves_the_iterate_as_its_float64_value():
 
 @pytest.mark.parametrize("call", ["descent", "probe"])
 def test_one_full_grid_evaluation_per_call(monkeypatch, call):
-    f = piecewise_vee_ivf()
-    p, grid = Iop(f), f.grid(201)
-    calls = []
-    eval_many = Ivf.eval_many
+    calls, walks = [], []
+    eval_many, compile_tangents = Ivf.eval_many, ivf_module.compile_tangents
 
     def counted(self, xs, check_domain=True):
         calls.append(len(xs))
         return eval_many(self, xs, check_domain)
 
+    def counted_walker(node):
+        walk = compile_tangents(node)
+        return lambda x, dirs: walks.append(len(dirs)) or walk(x, dirs)
+
     monkeypatch.setattr(Ivf, "eval_many", counted)
+    monkeypatch.setattr(ivf_module, "compile_tangents", counted_walker)
+    f = piecewise_vee_ivf()
+    p, grid = Iop(f), f.grid(201)
+    calls.clear()
     if call == "descent":
         built = []
         for module in (subgrad, iop):
             monkeypatch.setattr(module, "_Constraints", lambda *args: built.append(args),
                                 raising=False)
-        eval_rows = Ivf._eval_rows
-
-        def rows_counted(self, rows):
-            calls.append(("rows", len(rows)))
-            return eval_rows(self, rows)
-
-        monkeypatch.setattr(Ivf, "_eval_rows", rows_counted)
         trace = scalarized_descent(p, [-2.0], grid=grid).trace
         # the grid once, before the first iterate, for the level and the
-        # efficiency flag; then one stencil of 2n + 1 rows per iteration, the
-        # iterate and a step to each side, kinks and the domain edge
-        # included, which the row kernel evaluates without eval_many
+        # efficiency flag; then one walk per iteration, along +e_1 only at
+        # the lower bound -2 and along both sides inside the box, kinks
+        # included, without eval_many
         assert len(trace) > 1
-        assert calls == [len(grid.points())] + [("rows", 3)] * len(trace)
+        assert calls == [len(grid.points())]
+        assert walks == [1] + [2] * (len(trace) - 1)
         assert built == []
     else:
-        # F(x_bar) at every base point is read from the grid values
+        # F(x_bar) at every base point is read from the grid values, and
+        # the vee, which the tree does not prove convex, is not walked
         union_boundedness_probe(f, grid)
-        assert calls == [len(grid.points())]
+        assert calls == [len(grid.points())] and walks == []
 
 
 def test_descent_keeps_the_sign_of_a_zero_start():
@@ -246,6 +253,7 @@ def test_the_vee_descent_ends_at_its_minimizer_at_any_weight(w, x0):
     result = scalarized_descent(p, [x0], WMapConfig(w, 1.0 - w), grid=p.objective.grid(201))
     assert abs(result.x_best[0] - 2.0) <= 1e-9
     assert result.efficient
+    assert len(result.trace) <= 25
 
 
 def seeded_valley(seed):
@@ -315,7 +323,7 @@ def test_a_problem_with_a_fixed_variable_runs(arity):
     assert report.points.shape == (len(grid.points()), arity)
     assert (report.points[:, -1] == 0.3).all()
     result = scalarized_descent(p, [-0.5, 0.3][-arity:], grid=grid)
-    # the fixed axis has no stencil step, so its slope is 0
+    # the fixed axis is walked along neither side, so its slope is 0
     assert all(r.x[-1] == 0.3 for r in result.trace)
     assert result.efficient
     if arity == 1:
@@ -326,34 +334,40 @@ def test_a_problem_with_a_fixed_variable_runs(arity):
         assert report.efficient_points().tolist() == [[0.0, 0.3]]
 
 
-def test_descent_compiles_a_row_kernel_that_is_no_field():
+def test_a_one_node_grid_has_lipschitz_bound_zero():
+    # the sup over no pairs of nodes
+    f = FIXED[1]
+    assert lipschitz_estimate(f, f.grid(61)) == 0.0
+    assert lipschitz_from_subgradients_check(f)
+
+
+def test_the_compiled_walker_is_no_field():
     f, g = piecewise_vee_ivf(), piecewise_vee_ivf()
     p = Iop(f)
     grid = f.grid(201)
     efficient_on_grid(p, grid)
     optimality_zero_condition(p, [2.0], grid)
     union_boundedness_probe(f, grid)
-    # the grid paths never generate the kernel
-    assert "_row" not in vars(f)
+    # the grid paths never compile the walker
+    assert "_tangents" not in vars(f)
     pickled = pickle.dumps(f)
     scalarized_descent(p, [-2.0], iters=5, grid=grid)
-    assert "_row" in vars(f)
+    assert "_tangents" in vars(f)
     assert f == g and hash(f) == hash(g) and repr(f) == repr(g)
     assert pickle.dumps(f) == pickled == pickle.dumps(g)
     h = pickle.loads(pickled)
-    assert h == f and "_row" not in vars(h)
+    assert h == f and "_tangents" not in vars(h)
 
 
-def test_a_stencil_the_kernel_refuses_raises_eval_many_s_error():
+def test_a_start_in_an_uncovered_gap_raises_eval_many_s_error():
     # no guard covers (0.501, 0.505), which the grids of Iop() and of the
-    # efficiency flag miss; the first stencil's lower row falls in it
+    # efficiency flag miss; the walk refuses a start there
     f = Ivf.from_text(1, "piecewise{ x1 <= 0.501 => [1,2]*x1; x1 >= 0.505 => [1,2]*x1; }",
                       ((0.0, 1.0),))
-    p, x0 = Iop(f), 0.50505
-    h = 1e-4 * (1.0 + x0)
+    p, x0 = Iop(f), 0.503
     with pytest.raises(PiecewiseCoverageError) as expected:
-        f.eval_many(np.array([[x0], [x0 - h], [x0 + h]]))
-    assert str(expected.value).startswith("no guard covers point [0.504")
+        f.eval_many(np.array([[x0]]))
+    assert str(expected.value) == "no guard covers point [0.503]"
     with pytest.raises(PiecewiseCoverageError, match=f"^{re.escape(str(expected.value))}$"):
         scalarized_descent(p, [x0], grid=f.grid(201))
 

@@ -8,23 +8,26 @@ blocked pair walk.  The subgradient references evaluate F on the whole
 grid at every check, where the library evaluates it once per verdict and
 shares the values between checks.  The pairing and the box-norm sup
 are kept here as written before the constraint set replaced them, so they
-are independent of the code under test.  The descent reference evaluates
-F one axis at a time and clips with np.clip, where the library evaluates
-one stencil of 2n + 1 rows per iteration.  The recursive tree walker is
-kept as written before the compiled evaluator replaced it, and the
-compiled evaluator is the reference of the generated row kernel.  What the
-convexity proof claims of random trees is checked at the samples of the
-sampled convexity check and against evaluation.
+are independent of the code under test.  The descent reference reads F at
+each iterate from eval_many and its slopes from the recursive walker, one
+walk per axis and side, and clips with np.clip, where the library makes
+one walk of the compiled tree per iteration.  Two recursive tree walkers
+are kept as written before compiled closures replaced them: the array
+evaluator, the reference of `compile_lo_hi`, and the forward-mode tangent
+walker, the reference of `compile_tangents`.  What the convexity proof
+claims of random trees is checked at the samples of the sampled
+convexity check and against evaluation.
 """
 
 import math
 import re
+import warnings
 from pathlib import Path
 from typing import NamedTuple, Tuple
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ghcalc import Grid, Interval, IVector, Ivf, WMapConfig
@@ -33,6 +36,7 @@ from ghcalc.cli import parse_problem_file
 from ghcalc.errors import (
     EmptySubdifferentialEncountered,
     NonDegenerateRealNode,
+    NonFiniteDerivative,
     OverlappingPieces,
     PiecewiseCoverageError,
     ZeroInDenominator,
@@ -51,10 +55,9 @@ from ghcalc.expr import (
     Var,
     _power,
     compile_lo_hi,
-    compile_row,
+    compile_tangents,
     convexity,
     eval_lo_hi,
-    tangents,
 )
 from ghcalc.iop import (
     DescentResult,
@@ -421,14 +424,16 @@ def feasible_box_reference(f, x_bar, grid, tol):
 
 def descent_reference(p, x0, grid, cfg=WMapConfig(), iters=600):
     """The projected iteration on phi_w = w*f_lo + w'*f_hi, one axis at a
-    time: the slope on axis i is the difference quotient of phi_w between
-    x -+ 1e-4*(1 + |x_i|)*e_i, each clipped to the box.  The step is the
-    larger of 0.1/sqrt(k+1) and the Polyak step to the level: the grid's
-    least phi_w until an iterate reaches it, then the record less delta,
-    where delta halves after every iterate that lowers the record by less
-    than delta/2.  The best iterate is picked from the strict-dominance
-    matrix of the trace, and its flag from that of the grid, which is
-    evaluated before the first iterate."""
+    time: F(x) from eval_many, and the slope on axis i from the recursive
+    walker's one-sided derivatives of phi_w, walked along +e_i and along
+    -e_i on their own: their half difference inside the box, the one into
+    the box at a bound, 0 on an axis of zero width.  The step is the larger
+    of 0.1/sqrt(k+1) and the Polyak step to the level: the grid's least
+    phi_w until an iterate reaches it, then the record less delta, where
+    delta halves after every iterate that lowers the record by less than
+    delta/2.  The best iterate is picked from the strict-dominance matrix
+    of the trace, and its flag from that of the grid, which is evaluated
+    before the first iterate."""
     f = p.objective
     x = np.asarray(x0, dtype=float).ravel()
     lower = np.array([l for l, _ in f.domain])
@@ -437,6 +442,14 @@ def descent_reference(p, x0, grid, cfg=WMapConfig(), iters=600):
     def phi(lo, hi):
         return cfg.w * lo + cfg.w_prime * hi
 
+    def rate(point, i, s):
+        """phi_w'(x; s*e_i), or NonFiniteDerivative where the walk refuses."""
+        h = [s if j == i else 0.0 for j in range(len(point))]
+        walk = tangents_reference(f.body, point, [h])
+        if walk is None or not all(map(math.isfinite, [*walk[:2], *walk[2], *walk[3]])):
+            raise NonFiniteDerivative(f"no finite one-sided derivative at {point}")
+        return phi(walk[2][0], walk[3][0])
+
     pts = grid.points()
     grid_lo, grid_hi = f.eval_many(pts)
     least = float(np.min(phi(grid_lo, grid_hi)))
@@ -444,15 +457,17 @@ def descent_reference(p, x0, grid, cfg=WMapConfig(), iters=600):
     trace = []
     for k in range(iters):
         value = f.eval(x)
+        point = x.tolist()
         slope = np.zeros(len(x))
         for i in range(len(x)):
-            h = 1e-4 * (1.0 + abs(x[i]))
-            down, up = x.copy(), x.copy()
-            down[i] = np.clip(x[i] - h, lower[i], upper[i])
-            up[i] = np.clip(x[i] + h, lower[i], upper[i])
-            if up[i] > down[i]:
-                lo, hi = f.eval_many(np.stack([down, up]))
-                slope[i] = (phi(lo[1], hi[1]) - phi(lo[0], hi[0])) / (up[i] - down[i])
+            if lower[i] == upper[i]:
+                continue
+            if x[i] <= lower[i]:
+                slope[i] = rate(point, i, 1.0)
+            elif x[i] >= upper[i]:
+                slope[i] = 0.0 - rate(point, i, -1.0)
+            else:
+                slope[i] = (rate(point, i, 1.0) - rate(point, i, -1.0)) / 2.0
         phi_x = phi(value.lo, value.hi)
         if record is None:
             if phi_x <= least:
@@ -609,7 +624,7 @@ def test_probe_and_lipschitz_check_match_the_per_vertex_probe(name):
                        <= probe_reference(f, grid, bounds, on_empty="raise") + 1e-6)
     assert outcome(lambda: lipschitz_estimate(f, grid)
                    <= _boundedness_probe(values, bounds, 1e-10, "raise") + 1e-6) == expected
-    assert (bounds is None and f._proved_convex()) == (name in ("kinked", "slab"))
+    assert (bounds is None and f._proved_convex) == (name in ("kinked", "slab"))
     if name not in ("kinked", "slab"):
         assert union_boundedness_probe(f, grid, bounds) == probe_reference(f, grid, bounds)
         assert outcome(lambda: lipschitz_from_subgradients_check(f, grid, bounds)) == expected
@@ -733,7 +748,7 @@ def test_the_exact_box_lies_in_the_sampled_box_within_the_sampling_slack(fam, k,
 def test_the_exact_box_and_probe_do_not_move_under_a_constant_shift(fam, u, k):
     f, g = fam.ivf(), fam.ivf(u)
     x = float(f.grid().axes()[0][k])
-    assert g._proved_convex()
+    assert g._proved_convex
     assert repr(_exact_box(g, x)) == repr(_exact_box(f, x))
     assert repr(union_boundedness_probe(g)) == repr(union_boundedness_probe(f))
     # the sup over the open domain bounds every sampled quotient, which
@@ -780,24 +795,24 @@ def test_an_error_of_f_at_a_trace_iterate_propagates_unchanged(monkeypatch):
     f = piecewise_vee_ivf()
     grid = f.grid(201)
     trace = scalarized_descent(Iop(f), [-2.0], grid=grid).trace
-    # an iterate after the start and off the grid, so only a stencil meets it
+    # an iterate after the start and off the grid, so only its walk meets it
     point = trace[len(trace) // 2].x
     assert len(trace) > 2 and not (grid.points() == point).all(axis=-1).any()
-    eval_many, compile_row = Ivf.eval_many, ivf_module.compile_row
+    eval_many, compile_tangents = Ivf.eval_many, ivf_module.compile_tangents
 
     def refusing(self, xs, check_domain=True):
         if (np.asarray(xs) == point).all(axis=-1).any():
             raise ZeroDivisionError(f"F refused at {point}")
         return eval_many(self, xs, check_domain)
 
-    def refusing_row(node, arity):
-        # the row kernel refuses the iterate, so its stencil goes to eval_many
-        row = compile_row(node, arity)
-        return lambda x: None if tuple(x) == point else row(x)
+    def refusing_walker(node):
+        # the walk refuses the iterate, so the descent asks eval_many there
+        walk = compile_tangents(node)
+        return lambda x, dirs: None if tuple(x) == point else walk(x, dirs)
 
     monkeypatch.setattr(Ivf, "eval_many", refusing)
-    monkeypatch.setattr(ivf_module, "compile_row", refusing_row)
-    # a fresh objective, whose row kernel is generated under the patch
+    monkeypatch.setattr(ivf_module, "compile_tangents", refusing_walker)
+    # a fresh objective, whose walker is compiled under the patch
     p = Iop(piecewise_vee_ivf())
     for descent in (scalarized_descent, descent_reference):
         with pytest.raises(ZeroDivisionError, match=f"^{re.escape(f'F refused at {point}')}$"):
@@ -1106,16 +1121,90 @@ def test_the_enclosure_holds_the_values_over_the_box(node, rows):
 
 
 # --------------------------------------------------------------------------
-# The row kernel against the compiled evaluator
+# The compiled tangent walker against the recursive one
 # --------------------------------------------------------------------------
 
 
-def row_path(node, xs):
-    """The rows of xs through Ivf._eval_rows: the generated row kernel, and
-    eval_many on every row when the kernel refuses one."""
-    f = Ivf(xs.shape[1], node, ((0.0, 1.0),) * xs.shape[1])
-    values = f._eval_rows([tuple(x) for x in xs.tolist()])
-    return tuple(np.array([v[i] for v in values]) for i in (0, 1))
+def tangents_reference(node, x, dirs):
+    """(lo, hi, dlo, dhi): F's endpoints at the point x and their one-sided
+    derivatives along each h in dirs, as lists, by one recursive forward
+    walk of the tree, kept as written before the compiled walker replaced
+    it.  None at a value that is not finite where ghsub, * or / take it, at
+    a non-degenerate abs/pow argument, a denominator holding 0 or not
+    finite, an uncovered point, and where an abs/pow argument or the pieces
+    fail along some h."""
+    if isinstance(node, BinOp):
+        left = tangents_reference(node.left, x, dirs)
+        right = tangents_reference(node.right, x, dirs)
+        if left is None or right is None:
+            return None
+        (llo, lhi, dllo, dlhi), (rlo, rhi, drlo, drhi) = left, right
+        if node.op == "+":
+            return (llo + rlo, lhi + rhi, [s + t for s, t in zip(dllo, drlo)],
+                    [s + t for s, t in zip(dlhi, drhi)])
+        if node.op == "-":
+            return (llo - rhi, lhi - rlo, [s - t for s, t in zip(dllo, drhi)],
+                    [s - t for s, t in zip(dlhi, drlo)])
+        # an end of ghsub, * or / is the min or max of corners (a op b); where
+        # corners tie at it, its tangent is the min or max of theirs.  A real
+        # operand has one end, so * and / take two corners
+        ends = [(llo, dllo), (lhi, dlhi)], [(rlo, drlo), (rhi, drhi)]
+        if node.op == "ghsub":
+            corners = [(a - b, [s - t for s, t in zip(da, db)]) for (a, da), (b, db) in zip(*ends)]
+        else:
+            lends, rends = (e[:1] if e[0] == e[1] else e for e in ends)
+            if node.op == "*":
+                corners = [(a * b, [s * b + a * t for s, t in zip(da, db)])
+                           for a, da in lends for b, db in rends]
+            elif 0.0 < rlo and rhi < math.inf or -math.inf < rlo and rhi < 0.0:
+                corners = [(a / b, [(s - a / b * t) / b for s, t in zip(da, db)])
+                           for a, da in lends for b, db in rends]
+            else:
+                return None
+        if not all(math.isfinite(c) for c, _ in corners):
+            return None
+        lo, hi = min(c for c, _ in corners), max(c for c, _ in corners)
+        return (lo, hi, [min(ts) for ts in zip(*(d for c, d in corners if c == lo))],
+                [max(ts) for ts in zip(*(d for c, d in corners if c == hi))])
+    if isinstance(node, Const):
+        zero = [0.0] * len(dirs)
+        return node.value.lo, node.value.hi, zero, zero
+    if isinstance(node, Var):
+        d = [h[node.index] for h in dirs]
+        return x[node.index], x[node.index], d, d
+    if isinstance(node, Norm):  # the squares summed in numpy's order
+        r = math.sqrt(float(np.sum([v * v for v in x])))
+        d = [math.sqrt(sum(t * t for t in h)) if r == 0.0
+             else sum(v * t for v, t in zip(x, h)) / r for h in dirs]
+        return r, r, d, d
+    if isinstance(node, (Abs, Pow)):
+        arg = tangents_reference(node.child, x, dirs)
+        if arg is None or not (arg[0] == arg[1] and arg[2] == arg[3]):
+            return None
+        v, _, d, _ = arg
+        if isinstance(node, Abs):
+            value, d = abs(v), [abs(t) if v == 0.0 else t if v > 0.0 else -t for t in d]
+        else:
+            e = node.exponent
+            value = v if e == 1 else v * v if e == 2 else _power(v, e)
+            if not math.isfinite(value):
+                return None
+            d = [e * v ** (e - 1) * t for t in d]  # |v|**(e-1) <= max(1, |value|): finite
+        return value, value, d, d
+    # a piecewise node: the first piece that holds at x gives the value, and every
+    # later one must agree; along h, the first that holds ahead gives the tangent,
+    # so each piece is walked with the directions it is picked for
+    held = [(guard, body) for guard, body in node.pieces if guard.ahead(x)]
+    picks = [next((k for k, (guard, _) in enumerate(held) if guard.ahead(x, h)), None) for h in dirs]
+    walks = [tangents_reference(body, x, [h for h, k in zip(dirs, picks) if k == j])
+             for j, (_, body) in enumerate(held)]
+    tol = _PIECE_AGREEMENT_TOL
+    if not walks or None in picks + walks or not all(
+            abs(w[0] - walks[0][0]) <= tol and abs(w[1] - walks[0][1]) <= tol for w in walks):
+        return None
+    ends = [iter(zip(w[2], w[3])) for w in walks]
+    ds = [next(ends[k]) for k in picks]
+    return walks[0][0], walks[0][1], [a for a, _ in ds], [b for _, b in ds]
 
 
 # per arity, built once: hypothesis is slow to draw from a strategy built anew
@@ -1129,46 +1218,33 @@ def trees_and_rows(draw):
     return draw(tree), np.array(draw(rows), dtype=float)
 
 
-@settings(max_examples=800, deadline=None)
-@given(trees_and_rows())
-def test_the_row_path_matches_the_compiled_evaluator(case):
+# The compiled walker gives the recursive one's floats, refusals included,
+# for any number of directions.  Where it takes a point with finite
+# endpoints, compile_lo_hi neither raises nor warns there and gives the same
+# endpoints (== here: a tie may pick the other signed zero), and a
+# direction can only add refusals.
+@settings(max_examples=400, deadline=None)
+@given(trees_and_rows(), st.lists(st.lists(POINT_FLOATS, min_size=9, max_size=9), max_size=3))
+# corners that tie at 0 with different tangents, in * and in ghsub
+@example((BinOp("ghsub", BinOp("*", Var(0), Const(Interval(1.0, 2.0))), Var(0)), np.zeros((1, 1))),
+         [[1.0] * 9, [-1.0] * 9])
+@example((BinOp("*", Const(Interval(-1.0, 1.0)), Var(0)), np.zeros((1, 1))), [[1.0] * 9])
+def test_the_compiled_walker_matches_the_recursive_one(case, hs):
     node, xs = case
-    got = outcome_of(lambda _, p: row_path(_, p), node, xs)
-    expected = outcome_of(lambda _, p: compile_lo_hi(_)(p), node, xs)
-    if isinstance(expected[0], type):
-        assert got == expected
-    else:
-        assert not isinstance(got[0], type), got
-        assert same_floats(got[0], expected[0]) and same_floats(got[1], expected[1])
-    # a row the kernel takes is one where the compiled evaluator neither
-    # raises nor warns, and its value is finite
-    row = compile_row(node, xs.shape[1])
-    for x in xs:
-        value = row(tuple(x.tolist()))
-        if value is not None:
-            with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
-                lo, hi = compile_lo_hi(node)(x[None, :])
-            assert value == (lo[0], hi[0]) and math.isfinite(value[0]) and math.isfinite(value[1])
-
-
-# The tangent walker takes a point where the row kernel does, with the same
-# endpoints (== here: a tie may pick the other signed zero), and refuses or
-# gives a non-finite endpoint elsewhere.  A direction can only add refusals.
-@settings(max_examples=300, deadline=None)
-@given(trees_and_rows(), st.lists(POINT_FLOATS, min_size=9, max_size=9))
-def test_the_tangent_walker_refuses_where_the_row_kernel_does(case, h):
-    node, xs = case
-    row = compile_row(node, xs.shape[1])
+    walk = compile_tangents(node)
+    dirs = [h[:xs.shape[1]] for h in hs]
     for x in xs.tolist():
-        value, walk = row(tuple(x)), tangents(node, x, [])
-        assert (value is not None) == (walk is not None and math.isfinite(walk[0])
-                                       and math.isfinite(walk[1]))
-        along = tangents(node, x, [h[:len(x)]])
-        if value is not None:
-            assert walk[:2] == value and (along is None or along[:2] == value)
+        for some in (dirs, dirs[:1], []):
+            assert repr(walk(x, some)) == repr(tangents_reference(node, x, some))
+        at, along = walk(x, []), walk(x, dirs)
+        assert along is None or at is not None and repr(along[:2]) == repr(at[:2])
+        if at is not None and math.isfinite(at[0]) and math.isfinite(at[1]):
+            with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
+                lo, hi = compile_lo_hi(node)(np.array([x]))
+            assert at[:2] == (lo[0], hi[0])
 
 
-# at these rows compile_lo_hi warns: an overflowed denominator divides to
+# at these points compile_lo_hi warns: an overflowed denominator divides to
 # 0, a later piece's NaN at an overlap is dropped, and a NaN meets a finite
 # value in np.minimum and np.maximum, which let it through
 @pytest.mark.parametrize("text, x", [
@@ -1177,28 +1253,28 @@ def test_the_tangent_walker_refuses_where_the_row_kernel_does(case, h):
     ("piecewise{ x1 <= 1 => x1; x1 >= 1 => x1*1e300*1e300 - x1*1e300*1e300; }", 1.0),
     ("x1*[-1e300,1] ghsub x1*[-1e300,2]", 1e300),
 ])
-def test_a_row_where_the_compiled_evaluator_warns_goes_to_eval_many(text, x):
-    f = Ivf.from_text(1, text, ((0.0, 1.0),))
-    assert compile_row(f.body, 1)((x,)) is None
-    with pytest.warns(RuntimeWarning):
-        values = f._eval_rows([(x,)])
-    with np.errstate(all="ignore"):
-        expected = f.eval_many(np.array([[x]]), check_domain=False)
-    assert all(same_floats([v[i] for v in values], expected[i]) for i in (0, 1))
+def test_a_point_where_the_compiled_evaluator_warns_is_one_the_walk_refuses(text, x):
+    f = Ivf.from_text(1, text, ((0.0, x),))
+    walk = f._tangents([x], [])
+    assert walk is None or not (math.isfinite(walk[0]) and math.isfinite(walk[1]))
+    # so a derivative or a descent asks eval_many there, which warns
+    with warnings.catch_warnings(record=True) as caught, pytest.raises(NonFiniteDerivative):
+        warnings.simplefilter("always")
+        ivf_module._walk(f, [x], [[1.0]])
+    assert any(issubclass(w.category, RuntimeWarning) for w in caught)
 
 
-def test_the_row_kernel_takes_the_benchmarked_objectives():
-    # no refusal on the descent's objectives, so the fallback stays rare
+def test_the_walker_takes_the_benchmarked_objectives():
+    # no refusal on the descent's objectives, and eval_many's endpoints
     for f in (piecewise_vee_ivf(), seeded_1d_objective(301, False), seeded_1d_objective(401, True),
               quartic_ivf()):
         pts = f.grid(401).points()
-        row = compile_row(f.body, f.arity)
         lo, hi = f.eval_many(pts)
-        assert [row(tuple(x)) for x in pts.tolist()] == list(zip(lo.tolist(), hi.tolist()))
+        assert [f._tangents(x, [])[:2] for x in pts.tolist()] == list(zip(lo.tolist(), hi.tolist()))
 
 
-# Facts about numpy's floats that the row kernel reproduces, each measured
-# on this numpy: if one stops holding, the kernel must follow it.
+# Facts about numpy's floats that the walker reproduces, each measured on
+# this numpy: if one stops holding, the walker must follow it.
 DRAWS = np.random.default_rng(1501).uniform(-5.0, 5.0, 200_000)
 
 
@@ -1223,8 +1299,8 @@ def test_numpy_sums_a_row_sequentially_below_8_and_pairwise_from_8():
         sequential = [sum_in_order(r) for r in squares.tolist()]
         differs = np.count_nonzero(np.sum(squares, axis=1) != sequential)
         assert (differs == 0) if n < 8 else (differs > 0), n
-        row, (norm, _) = compile_row(Norm(), n), compile_lo_hi(Norm())(xs)
-        assert [row(tuple(x))[0] for x in xs.tolist()] == norm.tolist(), n
+        walk, (norm, _) = compile_tangents(Norm()), compile_lo_hi(Norm())(xs)
+        assert [walk(x, [])[0] for x in xs.tolist()] == norm.tolist(), n
 
 
 def sum_in_order(values):
@@ -1234,15 +1310,14 @@ def sum_in_order(values):
     return total
 
 
-def test_numpy_min_and_max_take_the_second_operand_on_a_tie_and_pass_nan():
+def test_where_corners_tie_the_walker_keeps_the_first_signed_zero_and_numpy_the_second():
     for n in (1, 3, 17):
         zero, negzero = np.zeros(n), -np.zeros(n)
         for fn in (np.minimum, np.maximum):
             assert np.signbit(fn(zero, negzero)).all() and not np.signbit(fn(negzero, zero)).any()
-            assert np.isnan(fn(np.full(n, np.nan), zero)).all()
-            assert np.isnan(fn(zero, np.full(n, np.nan))).all()
-    # the kernel's corners of [-0,0] * [-0,0] follow the same ties
-    node = BinOp("*", Const(Interval(-0.0, 0.0)), BinOp("*", Var(0), Const(Interval(-0.0, 0.0))))
-    for x in (1.0, -1.0, 0.0, -0.0):
-        lo, hi = compile_lo_hi(node)(np.array([[x]]))
-        assert repr(compile_row(node, 1)((x,))) == repr((lo[0].item(), hi[0].item()))
+    # the corners of [-1,2]*x1 at 0 are -0.0 and 0.0: Python's min and max
+    # keep the first, numpy's the second, so the ends are equal but for sign
+    node = BinOp("*", Const(Interval(-1.0, 2.0)), Var(0))
+    lo, hi = compile_lo_hi(node)(np.array([[0.0]]))
+    walk = compile_tangents(node)([0.0], [])
+    assert repr(walk[:2]) == "(-0.0, -0.0)" and repr((lo[0].item(), hi[0].item())) == "(0.0, 0.0)"

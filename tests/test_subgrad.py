@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ghcalc import Interval, IVector, Ivf, subgrad
+from ghcalc import ivf as ivf_module
 from ghcalc.errors import (
     DimensionMismatch,
     EmptySubdifferentialEncountered,
@@ -399,20 +400,25 @@ def test_a_zero_in_the_exact_box_needs_no_sampled_check(monkeypatch):
 
 
 def counted_calls(monkeypatch):
-    """Count Ivf.eval_many calls and the tree walks subgrad starts."""
+    """Count Ivf.eval_many calls and the walks of the trees of Ivfs built
+    from here on."""
     calls = {"eval_many": 0, "walks": 0}
-    eval_many, tangents = Ivf.eval_many, subgrad.tangents
+    eval_many, compile_tangents = Ivf.eval_many, ivf_module.compile_tangents
 
     def counted_eval(self, xs, check_domain=True):
         calls["eval_many"] += 1
         return eval_many(self, xs, check_domain)
 
-    def counted_walk(*args):
-        calls["walks"] += 1
-        return tangents(*args)
+    def counted_walker(node):
+        walk = compile_tangents(node)
+
+        def counted_walk(*args):
+            calls["walks"] += 1
+            return walk(*args)
+        return counted_walk
 
     monkeypatch.setattr(Ivf, "eval_many", counted_eval)
-    monkeypatch.setattr(subgrad, "tangents", counted_walk)
+    monkeypatch.setattr(ivf_module, "compile_tangents", counted_walker)
     return calls
 
 
@@ -421,8 +427,8 @@ def counted_calls(monkeypatch):
     (lipschitz_from_subgradients_check, 1, 2),
 ])
 def test_a_proved_convex_probe_walks_twice(monkeypatch, call, evaluations, walks):
-    f = Ivf.from_text(1, "[0.5,2]*abs(x1 - 0.3) + [0.2,1]*pow2(x1) + [1,2]", ((-1.0, 2.0),))
     calls = counted_calls(monkeypatch)
+    f = Ivf.from_text(1, "[0.5,2]*abs(x1 - 0.3) + [0.2,1]*pow2(x1) + [1,2]", ((-1.0, 2.0),))
     call(f)
     assert calls == {"eval_many": evaluations, "walks": walks}
 

@@ -13,7 +13,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ghcalc import Interval, Ivf
-from ghcalc.expr import tangents
 from ghcalc.ivf import directional_gh_derivative
 from ghcalc.subgrad import _DOM_SLACK, _Constraints, _grid_values
 
@@ -93,7 +92,7 @@ def test_the_box_from_four_one_sided_slopes_is_the_sampled_box_at_a_kink():
         domain = (round(c - rng.uniform(1.5, 2.5), 4), round(c + rng.uniform(1.5, 2.5), 4))
         f = Ivf.from_text(1, f"[{a!r},{b!r}]*abs(x1 - {c!r}) + [{al!r},{be!r}]*pow2(x1 - {c!r})"
                              f" + [{u!r},{v!r}]", (domain,))
-        _, _, dlo, dhi = tangents(f.body, [c], [[1.0], [-1.0]])
+        _, _, dlo, dhi = f._tangents([c], [[1.0], [-1.0]])
         right, left = (dlo[0], dhi[0]), (-dlo[1], -dhi[1])
         box = (min(left), min(right), max(left), max(right))
         grid = f.grid(201)
