@@ -643,6 +643,16 @@ _VAR_RE = re.compile(r"x(\d+)$")
 _POW_RE = re.compile(r"pow(\d+)$")
 
 
+def _var_index(tok: Token) -> Optional[int]:
+    """The 0-based axis of a variable token x<INT>, None for any other."""
+    m = _VAR_RE.fullmatch(tok.text) if tok.kind == "ident" else None
+    if m is None:
+        return None
+    if int(m.group(1)) < 1:
+        raise ParseError("variables are 1-based", tok.line, tok.col)
+    return int(m.group(1)) - 1
+
+
 class _Parser:
     def __init__(self, tokens: List[Token]):
         self.tokens = tokens
@@ -701,13 +711,10 @@ class _Parser:
 
     def parse_comparison(self) -> Comparison:
         tok = self.next()
-        m = _VAR_RE.fullmatch(tok.text) if tok.kind == "ident" else None
-        if m is None:
+        idx = _var_index(tok)
+        if idx is None:
             raise ParseError(f"guard must start with a variable, got {tok.text!r}",
                              tok.line, tok.col)
-        idx = int(m.group(1)) - 1
-        if idx < 0:
-            raise ParseError("variables are 1-based", tok.line, tok.col)
         op = self.next()
         if op.text not in ("<=", ">="):
             raise ParseError(f"expected <= or >=, got {op.text!r}", op.line, op.col)
@@ -742,32 +749,21 @@ class _Parser:
         if tok.text == "[":
             return self.parse_interval()
         if tok.text == "(":
-            self.next()
-            node = self.parse_expr()
-            self.expect(")")
-            return node
+            return self.parse_group()
         if tok.text == "-" or tok.kind == "number":
             return Const(Interval.point(self.parse_signed_number()))
         if tok.kind == "ident":
-            m = _VAR_RE.fullmatch(tok.text)
-            if m is not None:
+            idx = _var_index(tok)
+            if idx is not None:
                 self.next()
-                idx = int(m.group(1)) - 1
-                if idx < 0:
-                    raise ParseError("variables are 1-based", tok.line, tok.col)
                 return Var(idx)
             if tok.text == "abs":
                 self.next()
-                self.expect("(")
-                node = self.parse_expr()
-                self.expect(")")
-                return Abs(node)
+                return Abs(self.parse_group())
             m = _POW_RE.fullmatch(tok.text)
             if m is not None:
                 self.next()
-                self.expect("(")
-                node = self.parse_expr()
-                self.expect(")")
+                node = self.parse_group()
                 exponent = int(m.group(1))
                 if exponent < 1:
                     raise ParseError("pow exponent must be >= 1", tok.line, tok.col)
@@ -780,6 +776,12 @@ class _Parser:
                 self.expect(")")
                 return Norm()
         raise ParseError(f"unexpected token {tok.text!r}", tok.line, tok.col)
+
+    def parse_group(self) -> Expr:
+        self.expect("(")
+        node = self.parse_expr()
+        self.expect(")")
+        return node
 
     def parse_interval(self) -> Const:
         self.expect("[")

@@ -94,14 +94,11 @@ class EfficiencyReport:
     def efficient_points(self) -> np.ndarray:
         return self.points[self.efficient]
 
-    def is_flagged_near(self, x, radius: Optional[float] = None) -> bool:
+    def is_flagged_near(self, x) -> bool:
         """Whether the grid point nearest to x is flagged efficient."""
         x = np.asarray(x, dtype=float).ravel()
         dist = np.linalg.norm(self.points - x[None, :], axis=1)
-        k = int(np.argmin(dist))
-        if radius is not None and dist[k] > radius:
-            return False
-        return bool(self.efficient[k])
+        return bool(self.efficient[int(np.argmin(dist))])
 
     def to_csv(self) -> str:
         n = self.points.shape[1]
@@ -239,10 +236,6 @@ class DescentResult:
         return out.getvalue()
 
 
-def _default_schedule(k: int) -> float:
-    return 0.1 / math.sqrt(k + 1)
-
-
 def _clip(v: float, lo: float, hi: float) -> float:
     """np.clip(v, lo, hi) on floats, bit for bit: a NaN passes through, and
     a tie, signed zeros included, takes the bound."""
@@ -251,8 +244,7 @@ def _clip(v: float, lo: float, hi: float) -> float:
 
 
 def scalarized_descent(p: Iop, x0, cfg: WMapConfig = WMapConfig(),
-                       step_schedule=None, iters: int = 600,
-                       grid: Optional[Grid] = None) -> DescentResult:
+                       iters: int = 600, grid: Optional[Grid] = None) -> DescentResult:
     """Projected iteration on the scalarization phi_w = w*f_lo + w'*f_hi.
 
     phi_w is convex when F is, as `Iop` requires, and for w, w' > 0
@@ -266,9 +258,9 @@ def scalarized_descent(p: Iop, x0, cfg: WMapConfig = WMapConfig(),
     the slope into it at a bound, and 0 on an axis of zero width.  The
     iterate moves by -s*g, projected onto the box (np.clip's bit for bit),
     with the Polyak step s = (phi_w(x) - level)/|g|^2 (Polyak 1969), or
-    step_schedule(k) where larger (default 0.1/sqrt(k+1)), so an axis with
-    a small slope still moves when a kinked axis dominates |g|^2.  Once an
-    iterate reaches phi*, the level is the record (the least phi_w so far)
+    the floor 0.1/sqrt(k+1) where larger, so an axis with a small slope
+    still moves when a kinked axis dominates |g|^2.  Once an iterate
+    reaches phi*, the level is the record (the least phi_w so far)
     less delta (Goffin & Kiwiel 1999): delta starts at 1e-3*(1 + |record|)
     and halves whenever an iterate fails to lower the record by delta/2.
     The descent stops when every slope vanishes or delta falls to
@@ -283,8 +275,6 @@ def scalarized_descent(p: Iop, x0, cfg: WMapConfig = WMapConfig(),
     if iters < 1:
         raise ValueError(f"iters must be at least 1, got {iters}")
     f = p.objective
-    if step_schedule is None:
-        step_schedule = _default_schedule
     if grid is None:
         grid = f.grid()
     x = np.asarray(x0, dtype=float).ravel()
@@ -325,8 +315,7 @@ def scalarized_descent(p: Iop, x0, cfg: WMapConfig = WMapConfig(),
             level = record - delta
         step = 0.0
         if not stop:
-            # a float32 floor is widened, as by float64 arrays
-            step = float(max(step_schedule(k), (phi - level) / sum(d * d for d in slopes)))
+            step = max(0.1 / math.sqrt(k + 1), (phi - level) / sum(d * d for d in slopes))
         value = Interval(lo, hi)
         trace.append(TraceRecord(k, x, value,
                                  cfg.w * value.lo + cfg.w_prime * value.hi, step))

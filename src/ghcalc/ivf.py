@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -68,15 +68,10 @@ class Grid:
         return np.stack([m.ravel() for m in mesh], axis=1)
 
     @classmethod
-    def on_domain(cls, domain: Sequence[Tuple[float, float]],
-                  counts_per_axis) -> "Grid":
-        if isinstance(counts_per_axis, int):
-            counts = tuple(counts_per_axis for _ in domain)
-        else:
-            counts = tuple(counts_per_axis)
+    def on_domain(cls, domain: Sequence[Tuple[float, float]], count: int) -> "Grid":
         lower = tuple(float(l) for l, _ in domain)
         upper = tuple(float(u) for _, u in domain)
-        return cls(lower, upper, counts)
+        return cls(lower, upper, (count,) * len(domain))
 
 
 @dataclass(frozen=True)
@@ -128,10 +123,11 @@ class Ivf:
             return not any(v < l or v > u for v, (l, u) in zip(arr[0].tolist(), self._edges))
         return not ((arr < self._box[0]).any() or (arr > self._box[1]).any())
 
-    def eval_many(self, xs: np.ndarray,
-                  check_domain: bool = True) -> Tuple[np.ndarray, np.ndarray]:
+    def eval_many(self, xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """(f_lo, f_hi) at the points; OutOfDomain if one leaves an axis
+        [l, u] of the box by more than _DOMAIN_TOL*(1 + |l| + |u|)."""
         xs = self._as_points(xs)
-        if check_domain and not self._inside(xs):
+        if not self._inside(xs):
             raise OutOfDomain("evaluation point outside the domain box")
         return self._lo_hi(xs)
 
@@ -155,8 +151,8 @@ class Ivf:
         value = self.eval(x)
         return value.lo, value.hi
 
-    def grid(self, counts_per_axis=201) -> Grid:
-        return Grid.on_domain(self.domain, counts_per_axis)
+    def grid(self, count: int = 201) -> Grid:
+        return Grid.on_domain(self.domain, count)
 
 
 # --------------------------------------------------------------------------
@@ -284,7 +280,7 @@ def _runs(counts: Tuple[int, ...], budget: int):
             yield (slice(i, i + step),) + (slice(None),) * (len(counts) - 1), i * unit
 
 
-def is_convex_sampled(f: Ivf, grid: Grid, tol: float = 1e-10):
+def is_convex_sampled(f: Ivf, grid: Grid):
     """Sampled convexity check of F(lam*x1 + lam'*x2) against the mixture.
 
     Every pair of grid nodes is tested at the fixed weights lam = 1/4, 1/2
@@ -292,9 +288,9 @@ def is_convex_sampled(f: Ivf, grid: Grid, tol: float = 1e-10):
     F is evaluated once on that lattice.  The mixture of nodes a and b at
     lam = k/4 sits at refined index k*a + (4 - k)*b, so for each k the
     mixture values of all pairs form one strided view of the lattice.
-    Returns (True, None) or (False, (x1, x2, lam)) with the first violating
-    triple, taking lam in increasing order and pairs in np.triu_indices
-    order.  Sampled evidence only, not a proof.
+    Returns (True, None) or (False, (x1, x2, lam)) with the first triple
+    whose F exceeds the mixture by more than 1e-10, taking lam in increasing
+    order and pairs in np.triu_indices order.  Sampled evidence only.
     """
     n, counts = grid.dim, grid.counts
     fine = Grid(grid.lower, grid.upper, tuple(4 * (c - 1) + 1 for c in counts))
@@ -319,8 +315,8 @@ def is_convex_sampled(f: Ivf, grid: Grid, tol: float = 1e-10):
                 continue
             lam, lam_p = k / 4, 1.0 - k / 4
             mix_lo, mix_hi = mixes[m]
-            bad = ((mix_lo[pairs] > lam * lo[rows] + lam_p * lo[i0:] + tol)
-                   | (mix_hi[pairs] > lam * hi[rows] + lam_p * hi[i0:] + tol))
+            bad = ((mix_lo[pairs] > lam * lo[rows] + lam_p * lo[i0:] + 1e-10)
+                   | (mix_hi[pairs] > lam * hi[rows] + lam_p * hi[i0:] + 1e-10))
             if bad.any():
                 # drop the block's pairs B <= A before picking a witness
                 bad = np.triu(bad.reshape(-1, (counts[0] - i0) * slab), 1 + start - i0 * slab)
@@ -336,23 +332,23 @@ def is_convex_sampled(f: Ivf, grid: Grid, tol: float = 1e-10):
     return True, None
 
 
-def is_gh_continuous_at(f: Ivf, x, tol: float = 1e-6,
-                        radii: Optional[Sequence[float]] = None,
-                        n_directions: int = 16) -> bool:
-    """Check that the gH-difference norm vanishes along shrinking radii."""
+def is_gh_continuous_at(f: Ivf, x) -> bool:
+    """Check that the gH-difference norm to F(x) vanishes near x.
+
+    F is sampled at x + r*d for r = 0.1*0.5**k, k < 22, and d = +-1 in one
+    variable or 16 fixed pseudorandom unit vectors, dropping samples off
+    the domain.  The largest norm must be below 1e-6 at the two least r
+    that keep a sample."""
     x = np.array(_point(f, x))
-    if radii is None:
-        radii = [0.1 * 0.5 ** k for k in range(22)]
     if f.arity == 1:
         dirs = np.array([[1.0], [-1.0]])
     else:
-        rng = np.random.default_rng(0)
-        raw = rng.normal(size=(n_directions, f.arity))
+        raw = np.random.default_rng(0).normal(size=(16, f.arity))
         dirs = raw / np.linalg.norm(raw, axis=1, keepdims=True)
     f0_lo, f0_hi = f.eval_many(x[None, :])
     tail = []
-    for r in radii:
-        pts = x[None, :] + r * dirs
+    for k in range(22):
+        pts = x[None, :] + 0.1 * 0.5 ** k * dirs
         keep = np.ones(pts.shape[0], dtype=bool)
         for i, (l, u) in enumerate(f.domain):
             keep &= (pts[:, i] >= l) & (pts[:, i] <= u)
@@ -361,7 +357,7 @@ def is_gh_continuous_at(f: Ivf, x, tol: float = 1e-6,
         lo, hi = f.eval_many(pts[keep])
         dev = np.maximum(np.abs(lo - f0_lo[0]), np.abs(hi - f0_hi[0]))
         tail.append(float(dev.max()))
-    return len(tail) >= 2 and max(tail[-2:]) < tol
+    return len(tail) >= 2 and max(tail[-2:]) < 1e-6
 
 
 def lipschitz_estimate(f: Ivf, grid: Grid) -> float:

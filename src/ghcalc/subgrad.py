@@ -225,13 +225,6 @@ def _masked_quotient(extreme: np.ufunc, num: np.ndarray, den: np.ndarray,
     return extreme.reduce(quotients, axis=-1, initial=empty, where=mask)
 
 
-def _cut_box_empty(box):
-    """Whether the box (p_lb, p_ub, q_lb, q_ub) misses {p <= q}: a bool, or
-    a (K,) mask for the boxes of K base points."""
-    p_lb, p_ub, q_lb, q_ub = box
-    return (p_lb > p_ub) | (q_lb > q_ub) | (p_lb > q_ub)
-
-
 def _exact_box(f: Ivf, x_bar: float, grid: Optional[Grid] = None):
     """The box (p_lb, p_ub, q_lb, q_ub) whose cut by {g_lo <= g_hi} is the
     subdifferential at x_bar of a one-variable F that `expr.convexity`
@@ -355,10 +348,7 @@ def subdiff_scan_1d(f: Ivf, x_bar: float,
         raise ValueError("subdiff_scan_1d needs a one-variable function")
     if not f.contains([x_bar]):
         raise OutOfDomain(f"{x_bar} is outside the domain")
-    if isinstance(steps, int):
-        steps = (steps, steps)
-    if min(steps) < 2:
-        raise ValueError(f"need at least 2 scan steps per axis, got {tuple(steps)}")
+    steps = _scan_steps(steps)
     exact = _exact_box(f, x_bar, grid)
     if exact is None:
         x = np.array([float(x_bar)])
@@ -389,6 +379,14 @@ def subdiff_scan_1d(f: Ivf, x_bar: float,
                            "sampled" if exact is None else "exact")
 
 
+def _scan_steps(steps) -> Tuple[int, int]:
+    """The (g_lo, g_hi) counts of a scan from an int or a pair, each >= 2."""
+    pair = (steps, steps) if isinstance(steps, int) else tuple(steps)
+    if len(pair) != 2 or min(pair) < 2:
+        raise ValueError(f"need at least 2 scan steps per axis, got {pair}")
+    return pair
+
+
 def _scan_candidates_2d(f: Ivf, x_bar: np.ndarray, bounds, steps,
                         grid: Optional[Grid], tol: float) -> np.ndarray:
     """Brute-force feasible (p1, q1, p2, q2) tuples for a two-variable f, checked
@@ -406,39 +404,34 @@ def _scan_candidates_2d(f: Ivf, x_bar: np.ndarray, bounds, steps,
     return cands[keep]
 
 
-def check_singleton_at_differentiable(f: Ivf, x_bar, grid: Optional[Grid] = None,
-                                      scan_bounds=None, steps: int = 121,
-                                      tol: float = _DOM_SLACK) -> bool:
+def check_singleton_at_differentiable(f: Ivf, x_bar, grid: Optional[Grid] = None, *,
+                                      steps=121) -> bool:
     """Verify the scanned region collapses onto the gH-gradient.
 
     At a gH-differentiable point the subdifferential is the singleton
-    gradient; this checks every marked cell lies within one scan step of
-    it (per endpoint).  Supports one and two variables.
+    gradient; this scans each endpoint of each component over the
+    gradient's endpoint plus/minus 3, with `steps` (an int, or a (g_lo,
+    g_hi) pair, each at least 2; at most 17 in two variables) and the
+    dominance slack _DOM_SLACK, and checks every marked cell lies within
+    one scan step of it (per endpoint).  Supports one and two variables.
     """
     x_arr = np.asarray(x_bar, dtype=float).ravel()
     grad = gh_gradient(f, x_arr)
+    steps = _scan_steps(steps)
+    bounds = tuple(b for comp in grad for b in ((comp.lo - 3.0, comp.lo + 3.0),
+                                                (comp.hi - 3.0, comp.hi + 3.0)))
     if f.arity == 1:
-        g = grad[0]
-        bounds = scan_bounds or ((g.lo - 3.0, g.lo + 3.0), (g.hi - 3.0, g.hi + 3.0))
-        region = subdiff_scan_1d(f, float(x_arr[0]), bounds, steps, grid, tol)
-        if region.is_empty:
-            return False
-        marked = region.marked()
-        step = max(region.step)
-        return bool(np.all(np.abs(marked[:, 0] - g.lo) <= step + 1e-12)
-                    and np.all(np.abs(marked[:, 1] - g.hi) <= step + 1e-12))
-    if f.arity == 2:
-        bounds = scan_bounds or tuple(
-            b for comp in grad for b in ((comp.lo - 3.0, comp.lo + 3.0),
-                                         (comp.hi - 3.0, comp.hi + 3.0)))
-        per_axis = min(steps, 17)
-        marked = _scan_candidates_2d(f, x_arr, bounds, (per_axis,) * 4, grid, tol)
-        if marked.shape[0] == 0:
-            return False
-        target = np.array([grad[0].lo, grad[0].hi, grad[1].lo, grad[1].hi])
-        step = max((b[1] - b[0]) / (per_axis - 1) for b in bounds)
-        return bool(np.all(np.abs(marked - target[None, :]) <= step + 1e-12))
-    raise ValueError("region scans support one or two variables only")
+        region = subdiff_scan_1d(f, float(x_arr[0]), bounds, steps, grid)
+        marked, step = region.marked(), max(region.step)
+    elif f.arity == 2:
+        counts = tuple(min(s, 17) for s in steps) * 2
+        marked = _scan_candidates_2d(f, x_arr, bounds, counts, grid, _DOM_SLACK)
+        step = max((b[1] - b[0]) / (c - 1) for b, c in zip(bounds, counts))
+    else:
+        raise ValueError("region scans support one or two variables only")
+    target = np.array([b for comp in grad for b in (comp.lo, comp.hi)])
+    # an empty region is no singleton
+    return marked.shape[0] > 0 and bool(np.all(np.abs(marked - target) <= step + 1e-12))
 
 
 def directional_max_check(f: Ivf, x_bar: float, h: float,
@@ -479,22 +472,19 @@ def directional_max_check(f: Ivf, x_bar: float, h: float,
 # --------------------------------------------------------------------------
 
 
-def operator_norm(l: LinearIvf, sphere_samples: int = 512) -> float:
+def operator_norm(l: LinearIvf) -> float:
     """sup of ||L(x)|| over the unit sphere, sampled.
 
     Exact for one variable (the sphere is {-1, +1}).  In higher
-    dimensions the estimate uses the coordinate directions plus a fixed
-    pseudorandom stream, so it is monotone nondecreasing in the sample
-    count and deterministic.
+    dimensions the estimate takes the coordinate directions and 512 unit
+    vectors of a fixed pseudorandom stream, so it is a deterministic lower
+    bound.
     """
-    if sphere_samples < 1:
-        raise ValueError("need at least one sphere sample")
     n = len(l.coeffs)
     if n == 1:
         return max(l((1.0,)).norm, l((-1.0,)).norm)
     dirs = [np.eye(n)[i] * s for i in range(n) for s in (1.0, -1.0)]
-    rng = np.random.default_rng(0)
-    raw = rng.normal(size=(sphere_samples, n))
+    raw = np.random.default_rng(0).normal(size=(512, n))
     dirs.extend(raw / np.linalg.norm(raw, axis=1, keepdims=True))
     return max(l(tuple(d)).norm for d in dirs)
 
@@ -515,21 +505,19 @@ def _norm_shape_constant(f: Ivf) -> Interval:
     raise MalformedNormIvf("expected a constant times a norm node")
 
 
-def norm_ball_membership_check(f: Ivf, l: LinearIvf,
-                               grid: Optional[Grid] = None,
-                               tol: float = 1e-8) -> bool:
+def norm_ball_membership_check(f: Ivf, l: LinearIvf) -> bool:
     """For F = C (.) ||x|| with C >= 0, check the norm-ball implication.
 
-    If L is a subgradient of F at the origin on the grid then its
-    operator norm must not exceed ||C||; returns the truth of that
+    If L is a subgradient of F at the origin on F's default grid then its
+    operator norm must not exceed ||C|| + 1e-8; returns the truth of that
     implication (vacuously true when L fails the membership test).
     """
     c = _norm_shape_constant(f)
     origin = tuple(0.0 for _ in range(f.arity))
-    ok, _ = is_subgradient(f, SubgradientCandidate(l.coeffs, origin), grid)
+    ok, _ = is_subgradient(f, SubgradientCandidate(l.coeffs, origin))
     if not ok:
         return True
-    return operator_norm(l) <= c.norm + tol
+    return operator_norm(l) <= c.norm + 1e-8
 
 
 # --------------------------------------------------------------------------
@@ -566,41 +554,35 @@ def sum_rule(g_parts: Sequence[IVector]) -> IVector:
 # --------------------------------------------------------------------------
 
 
-def union_boundedness_probe(f: Ivf, grid: Optional[Grid] = None,
-                            scan_bounds=None, tol: float = _DOM_SLACK,
-                            on_empty: str = "skip") -> float:
+def union_boundedness_probe(f: Ivf, grid: Optional[Grid] = None) -> float:
     """Sup of the candidate norm over subdifferentials at interior grid
     points.
 
     Base points are the interior grid nodes: at the two domain endpoints
     the dominance constraint is one-sided and the feasible set is a
     half-infinite strip, so endpoint subdifferentials are excluded from
-    the boundedness probe.  `on_empty` is "skip" (ignore base points with
-    no feasible candidate) or "raise" (raise
-    EmptySubdifferentialEncountered).
+    the boundedness probe.  The sup is over the union, so a base point
+    with no feasible candidate adds nothing to it.
 
-    For an F that `expr.convexity` proves convex, and no scan bounds, the
-    subdifferentials are the exact boxes of `_exact_box`, none empty.  Each
-    of their bounds is nondecreasing in x, and the cut by {g_lo <= g_hi}
-    keeps a candidate at each bound, so the sup is the largest |bound| at
-    the two extreme interior nodes: two walks, and F is not evaluated.
-    Otherwise F is evaluated once, on the grid, and the sampled boxes are
-    read at every interior node (`_boundedness_probe`).
+    For an F that `expr.convexity` proves convex the subdifferentials are
+    the exact boxes of `_exact_box`, none empty.  Each of their bounds is
+    nondecreasing in x, and the cut by {g_lo <= g_hi} keeps a candidate at
+    each bound, so the sup is the largest |bound| at the two extreme
+    interior nodes: two walks, and F is not evaluated.  Otherwise F is
+    evaluated once, on the grid, and the sampled boxes are read at every
+    interior node (`_sampled_sup`).
     """
-    grid = _probe_grid(f, grid, on_empty)
+    grid = _probe_grid(f, grid)
     interior = grid.axes()[0][1:-1]
-    if scan_bounds is None and interior.size:
+    if interior.size:
         sup = _slope_sup(f, grid, {interior[0], interior[-1]})
         if sup is not None:
             return sup
-    return _boundedness_probe(_grid_values(f, grid), scan_bounds, tol, on_empty)
+    return _sampled_sup(_grid_values(f, grid))
 
 
-def _probe_grid(f: Ivf, grid: Optional[Grid], on_empty: str) -> Grid:
-    """The grid of a probe, f's default one if None, once f and on_empty
-    are checked."""
-    if on_empty not in ("skip", "raise"):
-        raise ValueError(f"on_empty must be 'skip' or 'raise', got {on_empty!r}")
+def _probe_grid(f: Ivf, grid: Optional[Grid]) -> Grid:
+    """The grid of a probe, f's default one if None, once f is checked."""
     if f.arity != 1:
         raise ValueError("the boundedness probe supports one variable only")
     return f.grid() if grid is None else grid
@@ -618,17 +600,17 @@ def _slope_sup(f: Ivf, grid: Grid, xs) -> Optional[float]:
     return sup
 
 
-def _boundedness_probe(values: _GridValues, scan_bounds, tol: float, on_empty: str) -> float:
-    """union_boundedness_probe's sampled sup, from F at the nodes of a
-    one-variable grid.
+def _sampled_sup(values: _GridValues, raise_empty: bool = False) -> float:
+    """The probe's sampled sup, from F at the nodes of a one-variable grid.
 
-    Every extreme candidate contributing to the sup is re-verified against
-    the full sample set, which also exercises closedness: the feasible
-    region is cut out by non-strict inequalities, so its frontier points
-    must themselves pass.  F(x_bar) is read from the grid values.  The
-    interior base points are handled in array passes over blocks of
-    _MAX_ROWS, and errors are raised for the first base point, in grid
-    order, that would raise one on its own.
+    At each interior base point the sampled box (slack _DOM_SLACK) is cut
+    by {p <= q}; its candidates are the four corners kept when p <= q, then
+    the ends of the diagonal segment.  A base point with none adds nothing,
+    or raises EmptySubdifferentialEncountered if `raise_empty`.  Every
+    candidate is re-verified against all samples: the region is closed, so
+    its frontier must pass.  Base points go in array passes over blocks of
+    _MAX_ROWS, and the first one in grid order that would raise on its own
+    raises.
     """
     x_bar = values.pts[1:-1]
     f0_lo, f0_hi = values.lo[1:-1], values.hi[1:-1]
@@ -639,69 +621,54 @@ def _boundedness_probe(values: _GridValues, scan_bounds, tol: float, on_empty: s
     sup = 0.0
     for start in range(0, rows, _MAX_ROWS):
         block = slice(start, min(start + _MAX_ROWS, rows))
-        sup = max(sup, _probe_block(values, x_bar[block], (f0_lo[block], f0_hi[block]),
-                                    scan_bounds, tol, on_empty))
+        cons = _Constraints(values, x_bar[block], (f0_lo[block], f0_hi[block]))
+        p_lb, p_ub, q_lb, q_ub = cons.box(_DOM_SLACK)
+        diag_lo = np.where(q_lb > p_lb, q_lb, p_lb)
+        diag_hi = np.where(q_ub < p_ub, q_ub, p_ub)
+        vp = np.stack([p_lb, p_lb, p_ub, p_ub, diag_lo, diag_hi], axis=1)
+        vq = np.stack([q_lb, q_ub, q_lb, q_ub, diag_lo, diag_hi], axis=1)
+        on_diag = (diag_lo <= diag_hi)[:, None]
+        keep = np.concatenate([vp[:, :4] <= vq[:, :4], on_diag, on_diag], axis=1)
+        keep &= ~((p_lb > p_ub) | (q_lb > q_ub) | (p_lb > q_ub))[:, None]
+        # frontier points must pass too: the region is closed
+        bad = np.stack([cons.violations(vp[:, v, None], vq[:, v, None], _DOM_SLACK + 1e-12)
+                        .any(axis=1) for v in range(vp.shape[1])], axis=1)
+        failing = (bad & keep).any(axis=1)
+        if raise_empty:
+            failing |= ~keep.any(axis=1)
+        if failing.any():
+            j = int(np.argmax(failing))
+            k = start + j
+            if keep[j].any():  # a vertex the rounding of its box left outside
+                row = _Constraints(values, x_bar[k], (f0_lo[k], f0_hi[k]))
+                _, witness = _verdict(values.pts, row.violations(
+                    vp[j, keep[j], None], vq[j, keep[j], None], _DOM_SLACK + 1e-12))
+                raise EmptySubdifferentialEncountered(
+                    f"frontier candidate failed re-verification at {witness}")
+            raise EmptySubdifferentialEncountered(
+                f"no feasible candidate at base point {x_bar[k, 0]}")
+        norms = np.where(keep, np.maximum(np.abs(vp), np.abs(vq)), -math.inf)
+        sup = max(sup, float(np.max(norms, initial=0.0)))
     if rows < x_bar.shape[0]:
         Interval(f0_lo[rows], f0_hi[rows])
     return sup
 
 
-def _probe_block(values: _GridValues, x_bar: np.ndarray, f0, scan_bounds, tol: float,
-                 on_empty: str) -> float:
-    """The probe's sup over K base points in one array pass: K-row
-    constraints, their boxes cut by the scan bounds and {p <= q}, the six
-    candidate vertices of each box (the four corners kept when p <= q, then
-    the ends of the diagonal segment) and one re-verification of them all."""
-    cons = _Constraints(values, x_bar, f0)
-    p_lb, p_ub, q_lb, q_ub = box = cons.box(tol)
-    if scan_bounds is not None:
-        # max(a, b) and min(a, b) as Python takes them
-        (p_min, p_max), (q_min, q_max) = scan_bounds
-        box = (np.where(p_min > p_lb, p_min, p_lb), np.where(p_max < p_ub, p_max, p_ub),
-               np.where(q_min > q_lb, q_min, q_lb), np.where(q_max < q_ub, q_max, q_ub))
-        p_lb, p_ub, q_lb, q_ub = box
-    diag_lo = np.where(q_lb > p_lb, q_lb, p_lb)
-    diag_hi = np.where(q_ub < p_ub, q_ub, p_ub)
-    vp = np.stack([p_lb, p_lb, p_ub, p_ub, diag_lo, diag_hi], axis=1)
-    vq = np.stack([q_lb, q_ub, q_lb, q_ub, diag_lo, diag_hi], axis=1)
-    on_diag = (diag_lo <= diag_hi)[:, None]
-    keep = np.concatenate([vp[:, :4] <= vq[:, :4], on_diag, on_diag], axis=1)
-    keep &= ~_cut_box_empty(box)[:, None]
-    # frontier points must pass too: the region is closed
-    bad = np.stack([cons.violations(vp[:, v, None], vq[:, v, None], tol + 1e-12).any(axis=1)
-                    for v in range(vp.shape[1])], axis=1)
-    failing = (bad & keep).any(axis=1)
-    if on_empty == "raise":
-        failing |= ~keep.any(axis=1)
-    if failing.any():
-        j = int(np.argmax(failing))
-        if keep[j].any():  # a vertex the rounding of its box left outside
-            row = _Constraints(values, x_bar[j], (f0[0][j], f0[1][j]))
-            _, witness = _verdict(values.pts, row.violations(
-                vp[j, keep[j], None], vq[j, keep[j], None], tol + 1e-12))
-            raise EmptySubdifferentialEncountered(
-                f"frontier candidate failed re-verification at {witness}")
-        raise EmptySubdifferentialEncountered(
-            f"no feasible candidate at base point {x_bar[j, 0]}")
-    norms = np.where(keep, np.maximum(np.abs(vp), np.abs(vq)), -math.inf)
-    return float(np.max(norms, initial=0.0))
+def lipschitz_from_subgradients_check(f: Ivf, grid: Optional[Grid] = None) -> bool:
+    """Check the sampled Lipschitz quotient against the subgradient sup,
+    within 1e-6.
 
-
-def lipschitz_from_subgradients_check(f: Ivf, grid: Optional[Grid] = None,
-                                      scan_bounds=None,
-                                      tol: float = 1e-6) -> bool:
-    """Check the sampled Lipschitz quotient against the subgradient sup.
-
-    For an F that `expr.convexity` proves convex, and no scan bounds, the
-    sup is over the open domain: the largest |slope| into the domain at its
-    two bounds, from two walks, which bounds the quotient of every pair of
-    samples.  Otherwise it is the sampled probe's, which raises on an empty
-    subdifferential.  F is evaluated once, on the grid, which the sampled
-    probe shares.
+    For an F that `expr.convexity` proves convex the sup is over the open
+    domain: the largest |slope| into the domain at its two bounds, from
+    two walks, which bounds the quotient of every pair of samples.
+    Otherwise it is the sampled probe's, which here raises
+    EmptySubdifferentialEncountered at a base point with no feasible
+    candidate.  F is evaluated once, on the grid, which the sampled probe
+    shares.
     """
-    grid = _probe_grid(f, grid, "raise")
+    grid = _probe_grid(f, grid)
     values = _grid_values(f, grid)
-    sup = None if scan_bounds is not None else _slope_sup(f, grid, f.domain[0])
+    sup = _slope_sup(f, grid, f.domain[0])
     if sup is None:
-        sup = _boundedness_probe(values, scan_bounds, _DOM_SLACK, "raise")
-    return _lipschitz_max(values.pts, values.lo, values.hi) <= sup + tol
+        sup = _sampled_sup(values, raise_empty=True)
+    return _lipschitz_max(values.pts, values.lo, values.hi) <= sup + 1e-6

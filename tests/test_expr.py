@@ -49,6 +49,16 @@ def test_variables_are_one_based():
         parse_expr("x0")
 
 
+@pytest.mark.parametrize("text, line, col", [
+    ("x0", 1, 1),
+    ("piecewise{ x0 <= 0 => 1; }", 1, 12),
+    ("piecewise{\n  x00 >= 1 => 1; }", 2, 3),
+])
+def test_x0_is_refused_where_it_stands_in_an_expression_and_a_guard(text, line, col):
+    with pytest.raises(ParseError, match=rf"^variables are 1-based \(line {line}, col {col}\)$"):
+        parse_expr(text)
+
+
 def test_precedence_and_grouping():
     # term binds tighter than expr
     assert ev("1 + 2 * 3", [0.0]) == [(7.0, 7.0)]
