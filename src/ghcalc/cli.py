@@ -258,9 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
         parent.add_argument("--grid", type=int, default=201,
                             help=f"samples per axis (default 201){note}")
         return parent
-    # a scan, and a check that accepts, read a one-variable objective that
-    # expr.convexity proves convex from exact slopes, which sample no grid
-    exact = "; not read for a one-variable objective the tree proves convex"
+    # a scan, and a check that accepts, read an objective that expr.convexity
+    # proves convex and expr.separable separable from exact slopes, sampling no grid
+    exact = "; not read for an objective the tree proves convex and separable"
     tol = argparse.ArgumentParser(add_help=False)
     tol.add_argument("--tol", type=float, default=1e-10,
                      help="dominance slack (default 1e-10)")

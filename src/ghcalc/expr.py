@@ -593,6 +593,24 @@ def _convexity_binop(node: BinOp, left: Convexity, right: Convexity) -> Convexit
                      max(_product(*e, math.inf) for e in ends), real, lo_curv, hi_curv)
 
 
+def separable(node: Expr) -> bool:
+    """Whether no abs, pow or norm node reads two variables (a norm reads
+    all).  Of a tree that `convexity` proves convex this proves each endpoint
+    a sum of one-variable functions: its rules admit only sums, differences
+    and scalings whose ends pair one way, so an endpoint sums leaf ends."""
+    def axes(n: Expr) -> Optional[set]:  # None past a node that breaks the rule, or a piecewise one
+        if isinstance(n, (Var, Const)):
+            return {n.index} if isinstance(n, Var) else set()
+        if isinstance(n, (Abs, Pow)):
+            child = axes(n.child)
+            return child if child is not None and len(child) < 2 else None
+        if isinstance(n, BinOp):
+            left, right = axes(n.left), axes(n.right)
+            return None if left is None or right is None else left | right
+        return None  # a norm or a piecewise node
+    return axes(node) is not None
+
+
 # --------------------------------------------------------------------------
 # Tokenizer / parser
 # --------------------------------------------------------------------------
@@ -603,13 +621,13 @@ _TOKEN_RE = re.compile(
     |(?P<ident>[A-Za-z_]+\d*)
     |(?P<symbol><=|>=|=>|[+\-*/()\[\]{},;])
     |(?P<ws>\s+)
+    |(?P<bad>.)
     """,
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "number", "ident", "symbol", "end"
     text: str
     line: int
@@ -618,14 +636,12 @@ class Token:
 
 def tokenize(text: str) -> List[Token]:
     tokens: List[Token] = []
-    pos = 0
     line, col = 1, 1
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
         chunk = m.group()
+        if kind == "bad":  # a character no token starts with
+            raise ParseError(f"unexpected character {chunk!r}", line, col)
         if kind != "ws":
             tokens.append(Token(kind, chunk, line, col))
         newlines = chunk.count("\n")
@@ -634,7 +650,6 @@ def tokenize(text: str) -> List[Token]:
             col = len(chunk) - chunk.rfind("\n")
         else:
             col += len(chunk)
-        pos = m.end()
     tokens.append(Token("end", "", line, col))
     return tokens
 

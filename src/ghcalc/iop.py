@@ -38,8 +38,9 @@ from .subgrad import (
     _GridValues,
     _endpoints,
     _evaluate,
+    _exact_sets,
     _grid_values,
-    _in_exact_box,
+    _in_exact,
 )
 
 
@@ -156,8 +157,8 @@ def _pareto_flags(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 def optimality_zero_condition(p: Iop, x_bar, grid: Optional[Grid] = None) -> bool:
     """Sufficient condition: the zero vector is a subgradient at x_bar.
 
-    For a one-variable F that `expr.convexity` proves convex, zero inside
-    the exact box (`subgrad._exact_box`) holds without sampling; otherwise
+    For an F that `subgrad._exact_sets` reads, in any number of variables,
+    zero in its exact subdifferential holds without sampling; otherwise
     the grid samples decide.  When it holds, the grid point nearest x_bar
     is cross-checked against the efficiency report; the condition is
     sufficient but not necessary, so False verdicts say nothing about
@@ -167,7 +168,8 @@ def optimality_zero_condition(p: Iop, x_bar, grid: Optional[Grid] = None) -> boo
     x = np.asarray(x_bar, dtype=float).ravel()
     cand = SubgradientCandidate(IVector.zero(f.arity), tuple(x))
     values, _, cons = _evaluate(f, cand, grid)
-    ok = _in_exact_box(f, cand, grid, _DOM_SLACK) or cons.check(cand.g, _DOM_SLACK)[0]
+    ok = (_in_exact(_exact_sets(f, cand.base_point, grid), cand.g, _DOM_SLACK)
+          or cons.check(cand.g, _DOM_SLACK)[0])
     if ok and not _efficiency(values, grid or f.grid()).is_flagged_near(x):
         raise GhcalcError(
             "zero-subgradient point was not flagged efficient; "

@@ -8,20 +8,21 @@ checked here at grid samples with a small dominance slack.  One-variable
 subdifferentials are scanned over a rectangular (g_lo, g_hi) parameter
 grid; the feasible set is an axis-aligned box intersected with the
 half-plane g_lo <= g_hi, so the scan first derives that box and then
-rasterizes it.  For a one-variable F that `expr.convexity` proves convex
-the box is exact: four one-sided slopes from one walk of the tree give
-it (`_exact_box`), and subgradient membership, the region scan, the
-boundedness probe and the Lipschitz bound read it without sampling F.
-Every other F takes the sampled path, whose box comes from the quotients at
-the grid samples.  The module also provides the operator norm of linear
-interval-valued maps, the directional-derivative maximum characterization,
-chain and sum rules for transporting subgradients, and boundedness/Lipschitz
-probes over the union of subdifferentials.
+rasterizes it.  For an F that `expr.convexity` proves convex and
+`expr.separable` separable, in any arity, one walk of the tree gives the
+exact subdifferential (`_exact_sets`), and membership, the singleton check,
+the region scan, the probe and the Lipschitz bound read it without sampling
+F.  Every other F takes the sampled path, whose box comes from the
+quotients at the grid samples.  The module also provides the operator norm
+of linear interval-valued maps, the directional-derivative maximum
+characterization, chain and sum rules for transporting subgradients, and
+boundedness/Lipschitz probes over the union of subdifferentials.
 """
 
 from __future__ import annotations
 
 import io
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
@@ -36,13 +37,14 @@ from .errors import (
     NonFiniteDerivative,
     OutOfDomain,
 )
-from .expr import BinOp, Const, Norm
+from .expr import BinOp, Const, Norm, separable
 from .interval import Interval
 from .ivector import IVector, dot
 from .ivf import (
     Grid,
     Ivf,
     _lipschitz_max,
+    _walk_sides,
     directional_gh_derivative,
     gh_derivative_1d,
     gh_gradient,
@@ -50,7 +52,6 @@ from .ivf import (
 )
 
 _DOM_SLACK = 1e-10
-_SCAN_BLOCK = 1 << 16  # 2-D scan chunk, in candidate-sample entries: fits in cache
 _MAX_ROWS = 64  # base points per K-row constraint set, so its (K, S) arrays stay small
 
 
@@ -85,8 +86,8 @@ class SubdiffRegion1D:
     `bitmap[i, j]` marks feasibility of (g_lo_values[i], g_hi_values[j]).
     `box` is the feasible rectangle (p_lb, p_ub, q_lb, q_ub); the region is
     its intersection with {g_lo <= g_hi}.  For a one-variable F that
-    `expr.convexity` proves convex it is the exact box of the one-sided
-    slopes, and the scan marks cells up to its tol beyond it; otherwise it is
+    `expr.convexity` proves convex it is min and max of the exact sets A
+    and B, and the scan marks cells up to its tol beyond it; otherwise it is
     the box the grid samples cut out, with the scan's tol as slack on F.
     `method` says which: "exact" or "sampled".  It takes no part in == or
     repr.
@@ -225,55 +226,57 @@ def _masked_quotient(extreme: np.ufunc, num: np.ndarray, den: np.ndarray,
     return extreme.reduce(quotients, axis=-1, initial=empty, where=mask)
 
 
-def _exact_box(f: Ivf, x_bar: float, grid: Optional[Grid] = None):
-    """The box (p_lb, p_ub, q_lb, q_ub) whose cut by {g_lo <= g_hi} is the
-    subdifferential at x_bar of a one-variable F that `expr.convexity`
-    proves convex.  None if F is not proved convex, x_bar or the grid's
-    nodes leave the domain (the sampled path then raises), the walk
-    refuses, or a slope it needs is not finite.
-
-    For convex f_lo the quotient (f_lo(x) - f_lo(x_bar))/(x - x_bar) is
-    nondecreasing in x (Rockafellar 1970, Thm 24.1), and so is f_hi's.  So
-    every constraint of `_Constraints` binds as x -> x_bar from either side,
-    and with the one-sided slopes lo'-, lo'+, hi'-, hi'+ of one
-    walk of the compiled tree (`expr.compile_tangents`) along +-1 the box is
-
-        min(lo'-, hi'-) <= g_lo <= min(lo'+, hi'+)
-        max(lo'-, hi'-) <= g_hi <= max(lo'+, hi'+),
-
-    unbounded on the outer side at a domain bound.  The samples of any grid
-    inside the domain cut out a box that holds it.
-    """
-    if f.arity != 1:
+def _exact_sets(f: Ivf, x_bar: Sequence[float], grid: Optional[Grid] = None):
+    """The subdifferentials A of f_lo and B of f_hi at x_bar, over the box, of
+    an F that `expr.convexity` proves convex and `expr.separable` separable,
+    from one walk (`ivf._walk_sides`): per axis A_i = [-f_lo'(x_bar; -e_i),
+    f_lo'(x_bar; e_i)] and B_i the same for f_hi, unbounded outward at a
+    domain bound.  None if F is not proved both, x_bar or the grid's nodes
+    leave the domain (the sampled path then raises), or the walk refuses."""
+    x = [float(v) for v in x_bar]
+    if len(x) != f.arity or not all(l <= v <= u for v, (l, u) in zip(x, f.domain)) or (
+            grid is not None and (grid.dim != f.arity or any(
+                gl < l or gu > u for gl, gu, (l, u) in zip(grid.lower, grid.upper, f.domain)))):
         return None
-    (l, u), = f.domain
-    x_bar = float(x_bar)
-    if not l <= x_bar <= u or l == u or grid is not None and (
-            grid.dim != 1 or grid.lower[0] < l or grid.upper[0] > u):
+    if not (f._proved_convex and (f.arity == 1 or separable(f.body))):
         return None
-    if not f._proved_convex:
+    try:
+        sides, (_, _, dlo, dhi) = _walk_sides(f, x, range(f.arity))
+    except NonFiniteDerivative:  # eval_many raises nowhere in the box for a proved F
         return None
-    walk = f._tangents([x_bar], [[1.0], [-1.0]])
-    if walk is None:
-        return None
-    (lo_right, lo_left), (hi_right, hi_left) = walk[2], walk[3]
-    left = [0.0 - lo_left, 0.0 - hi_left] if x_bar > l else []
-    right = [lo_right, hi_right] if x_bar < u else []
-    if not all(map(math.isfinite, left + right)):
-        return None
-    return (min(left, default=-math.inf), min(right, default=math.inf),
-            max(left, default=-math.inf), max(right, default=math.inf))
+    a, b = [[-math.inf, math.inf] for _ in x], [[-math.inf, math.inf] for _ in x]
+    for (i, s), d_lo, d_hi in zip(sides, dlo, dhi):
+        k = int(s > 0.0)  # -D(-e_i) bounds from below, as 0.0 - d: no -0.0
+        a[i][k], b[i][k] = (d_lo, d_hi) if k else (0.0 - d_lo, 0.0 - d_hi)
+    return a, b
 
 
-def _in_exact_box(f: Ivf, cand: SubgradientCandidate, grid: Optional[Grid],
-                  tol: float) -> bool:
-    """Whether a one-variable candidate lies in the exact box at its base
-    point, widened by tol; False wherever `_exact_box` gives none."""
-    box = _exact_box(f, cand.base_point[0], grid) if len(cand.g) == 1 else None
-    if box is None:
+def _in_exact(sets, g: IVector, tol: float) -> bool:
+    """Whether G = ([p_i, q_i])_i is a subgradient by the sets A and B of
+    `_exact_sets`, each widened by tol; False if there are none.  Convex
+    quotients are nondecreasing along rays (Rockafellar 1970, Thm 23.1), so
+    the inequality of `_Constraints` binds as x -> x_bar: for every h into
+    the box, min over G of g.h <= sigma_A(h), sigma_B(h) and sigma_G(h) <=
+    max(sigma_A(h), sigma_B(h)), sigma the support functions.  So G meets A
+    and B and lies in the closure of conv(A u B) (Thm 23.4): each vertex v of
+    G has one lam in [0, 1] with v_i in lam*A_i + (1 - lam)*B_i for every i."""
+    if sets is None:
         return False
-    g = cand.g[0]
-    return box[0] - tol <= g.lo <= box[1] + tol and box[2] - tol <= g.hi <= box[3] + tol
+
+    def lam(x, y, w):  # lam*x + (1 - lam)*y <= w, as (lo, hi); x = y = -inf, no bound
+        if y <= w:  # it holds at lam = 0
+            return 0.0, (w - y) / (x - y) if x > w else 1.0
+        return (1.0, 0.0) if x > w else ((w - y) / (x - y), 1.0)
+    # per axis, the lam that p_i and that q_i allow: once G_i meets A_i and B_i,
+    # p_i can only fall below the hull and q_i only rise above it
+    lams = []
+    for (a_lo, a_hi), (b_lo, b_hi), c in zip(*sets, g):
+        a_lo, b_lo, a_hi, b_hi = a_lo - tol, b_lo - tol, a_hi + tol, b_hi + tol
+        if not (c.lo <= min(a_hi, b_hi) and max(a_lo, b_lo) <= c.hi):
+            return False
+        lams.append([lam(a_lo, b_lo, c.lo), lam(-a_hi, -b_hi, -c.hi)])
+    return all(max(lo for lo, _ in vertex) <= min(hi for _, hi in vertex)
+               for vertex in itertools.product(*lams))
 
 
 def _evaluate(f: Ivf, cand: SubgradientCandidate, grid: Optional[Grid]):
@@ -299,12 +302,12 @@ def is_subgradient(f: Ivf, cand: SubgradientCandidate,
                    tol: float = _DOM_SLACK):
     """Check the subgradient dominance at every grid sample.
 
-    A one-variable G inside the exact box (`_exact_box`, widened by tol) of
-    a proved-convex F is accepted without sampling.  Otherwise F is
+    A G inside the exact subdifferential (`_in_exact`, widened by tol) is
+    accepted without sampling, in any number of variables.  Otherwise F is
     evaluated on the grid once per call.  Returns (True, None) or (False,
     witness) with the first violating sample in grid order.
     """
-    if _in_exact_box(f, cand, grid, tol):
+    if _in_exact(_exact_sets(f, cand.base_point, grid), cand.g, tol):
         return True, None
     return _evaluate(f, cand, grid)[2].check(cand.g, tol)
 
@@ -338,24 +341,25 @@ def subdiff_scan_1d(f: Ivf, x_bar: float,
 
     Marks each sampled candidate (g_lo, g_hi) with g_lo <= g_hi inside the
     feasible box.  For an F that `expr.convexity` proves convex that is the
-    exact box of `_exact_box`, and the grid is not sampled; its marks reach
-    tol beyond it.  Otherwise it is the box of the subgradient dominance,
-    with slack tol, at all grid samples.  Default bounds are the
-    gH-derivative plus/minus 3 units per endpoint, or at a kink, where there
-    is none, the box widened by 3 per endpoint.
+    exact box, min and max of the sets A and B of `_exact_sets`, and the
+    grid is not sampled; its marks reach tol beyond it.  Otherwise it is the
+    box of the subgradient dominance, with slack tol, at all grid samples.
+    Default bounds are the gH-derivative plus/minus 3 units per endpoint, or
+    at a kink, where there is none, the box widened by 3 per endpoint.
     """
     if f.arity != 1:
         raise ValueError("subdiff_scan_1d needs a one-variable function")
     if not f.contains([x_bar]):
         raise OutOfDomain(f"{x_bar} is outside the domain")
-    steps = _scan_steps(steps)
-    exact = _exact_box(f, x_bar, grid)
-    if exact is None:
+    steps = _scan_steps(steps, g_bounds)
+    sets = _exact_sets(f, [x_bar], grid)
+    if sets is None:
         x = np.array([float(x_bar)])
         box, widen = _Constraints(_grid_values(f, grid), x, f.boundary(x)).box(tol), 0.0
     else:
         # tol widens the raster only: the box, and the maximum read from it, stay exact
-        box, widen = exact, tol
+        (a,), (b,) = sets
+        box, widen = (min(a[0], b[0]), min(a[1], b[1]), max(a[0], b[0]), max(a[1], b[1])), tol
     p_lb, p_ub, q_lb, q_ub = box
     if g_bounds is None:
         try:
@@ -376,62 +380,41 @@ def subdiff_scan_1d(f: Ivf, x_bar: float,
     bitmap = (p_ok[:, None] & q_ok[None, :]
               & (p_vals[:, None] <= q_vals[None, :] + 1e-12))
     return SubdiffRegion1D(float(x_bar), p_vals, q_vals, bitmap, box,
-                           "sampled" if exact is None else "exact")
+                           "sampled" if sets is None else "exact")
 
 
-def _scan_steps(steps) -> Tuple[int, int]:
-    """The (g_lo, g_hi) counts of a scan from an int or a pair, each >= 2."""
+def _scan_steps(steps, g_bounds) -> Tuple[int, int]:
+    """The (g_lo, g_hi) counts of a scan, each >= 2, once any bounds are finite, lo <= hi."""
     pair = (steps, steps) if isinstance(steps, int) else tuple(steps)
     if len(pair) != 2 or min(pair) < 2:
         raise ValueError(f"need at least 2 scan steps per axis, got {pair}")
+    if g_bounds is not None and not all(-math.inf < lo <= hi < math.inf for lo, hi in g_bounds):
+        raise ValueError(f"scan bounds must be finite, each lo <= hi, got {g_bounds}")
     return pair
 
 
-def _scan_candidates_2d(f: Ivf, x_bar: np.ndarray, bounds, steps,
-                        grid: Optional[Grid], tol: float) -> np.ndarray:
-    """Brute-force feasible (p1, q1, p2, q2) tuples for a two-variable f, checked
-    in chunks of at most _SCAN_BLOCK candidate-sample entries to bound memory."""
-    cons = _Constraints(_grid_values(f, grid), x_bar, f.boundary(x_bar))
-    axes = [np.linspace(b[0], b[1], s) for b, s in zip(bounds, steps)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    cands = np.stack([m.ravel() for m in mesh], axis=1)
-    cands = cands[(cands[:, 0] <= cands[:, 1]) & (cands[:, 2] <= cands[:, 3])]
-    keep = np.zeros(cands.shape[0], dtype=bool)
-    chunk = max(1, _SCAN_BLOCK // cons.pts.shape[0])
-    for start in range(0, cands.shape[0], chunk):
-        c = cands[start:start + chunk]
-        keep[start:start + chunk] = ~cons.violations(c[:, 0::2], c[:, 1::2], tol).any(axis=1)
-    return cands[keep]
+def check_singleton_at_differentiable(f: Ivf, x_bar, grid: Optional[Grid] = None) -> bool:
+    """Verify the subdifferential collapses onto the gH-gradient.
 
-
-def check_singleton_at_differentiable(f: Ivf, x_bar, grid: Optional[Grid] = None, *,
-                                      steps=121) -> bool:
-    """Verify the scanned region collapses onto the gH-gradient.
-
-    At a gH-differentiable point the subdifferential is the singleton
-    gradient; this scans each endpoint of each component over the
-    gradient's endpoint plus/minus 3, with `steps` (an int, or a (g_lo,
-    g_hi) pair, each at least 2; at most 17 in two variables) and the
-    dominance slack _DOM_SLACK, and checks every marked cell lies within
-    one scan step of it (per endpoint).  Supports one and two variables.
+    Where `_exact_sets` gives A and B, in any number of variables, it does
+    exactly when the gradient is in it (slack _DOM_SLACK) and every A_i and
+    B_i is one point.  Otherwise a one-variable F is scanned over the
+    gradient's endpoints plus/minus 3 (121 steps, slack _DOM_SLACK), and
+    every marked cell must lie within one scan step of it; more variables
+    raise ValueError.
     """
     x_arr = np.asarray(x_bar, dtype=float).ravel()
     grad = gh_gradient(f, x_arr)
-    steps = _scan_steps(steps)
-    bounds = tuple(b for comp in grad for b in ((comp.lo - 3.0, comp.lo + 3.0),
-                                                (comp.hi - 3.0, comp.hi + 3.0)))
-    if f.arity == 1:
-        region = subdiff_scan_1d(f, float(x_arr[0]), bounds, steps, grid)
-        marked, step = region.marked(), max(region.step)
-    elif f.arity == 2:
-        counts = tuple(min(s, 17) for s in steps) * 2
-        marked = _scan_candidates_2d(f, x_arr, bounds, counts, grid, _DOM_SLACK)
-        step = max((b[1] - b[0]) / (c - 1) for b, c in zip(bounds, counts))
-    else:
-        raise ValueError("region scans support one or two variables only")
-    target = np.array([b for comp in grad for b in (comp.lo, comp.hi)])
+    sets = _exact_sets(f, x_arr, grid)
+    if sets is not None:
+        return _in_exact(sets, grad, _DOM_SLACK) and all(lo == hi for s in sets for lo, hi in s)
+    if f.arity != 1:
+        raise ValueError("the singleton check in two or more variables needs a convex, separable F")
+    ends = [grad[0].lo, grad[0].hi]
+    region = subdiff_scan_1d(f, float(x_arr[0]), [(v - 3.0, v + 3.0) for v in ends], 121, grid)
     # an empty region is no singleton
-    return marked.shape[0] > 0 and bool(np.all(np.abs(marked - target) <= step + 1e-12))
+    return not region.is_empty and bool(np.all(
+        np.abs(region.marked() - ends) <= max(region.step) + 1e-12))
 
 
 def directional_max_check(f: Ivf, x_bar: float, h: float,
@@ -565,7 +548,7 @@ def union_boundedness_probe(f: Ivf, grid: Optional[Grid] = None) -> float:
     with no feasible candidate adds nothing to it.
 
     For an F that `expr.convexity` proves convex the subdifferentials are
-    the exact boxes of `_exact_box`, none empty.  Each of their bounds is
+    the exact boxes of `_exact_sets`, none empty.  Each of their bounds is
     nondecreasing in x, and the cut by {g_lo <= g_hi} keeps a candidate at
     each bound, so the sup is the largest |bound| at the two extreme
     interior nodes: two walks, and F is not evaluated.  Otherwise F is
@@ -589,14 +572,14 @@ def _probe_grid(f: Ivf, grid: Optional[Grid]) -> Grid:
 
 
 def _slope_sup(f: Ivf, grid: Grid, xs) -> Optional[float]:
-    """The largest |bound| of the exact boxes at the points xs, over their
-    finite bounds; None if `_exact_box` gives none at one of them."""
+    """The largest |bound| of the exact sets at the points xs, over their
+    finite bounds; None if `_exact_sets` gives none at one of them."""
     sup = 0.0
     for x in xs:
-        box = _exact_box(f, x, grid)
-        if box is None:
+        sets = _exact_sets(f, [x], grid)
+        if sets is None:
             return None
-        sup = max([sup] + [abs(b) for b in box if abs(b) != math.inf])
+        sup = max([sup] + [abs(b) for (bounds,) in sets for b in bounds if abs(b) != math.inf])
     return sup
 
 

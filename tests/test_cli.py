@@ -182,6 +182,32 @@ def test_subdiff_scan_bad_bounds(slab_file, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bounds, shown", [
+    ("nan,1,-1,1", "((nan, 1.0), (-1.0, 1.0))"),
+    ("2,-4,-2,4", "((2.0, -4.0), (-2.0, 4.0))"),
+    ("-4,2,4,-2", "((-4.0, 2.0), (4.0, -2.0))"),
+    ("-4,2,-2,inf", "((-4.0, 2.0), (-2.0, inf))"),
+])
+def test_subdiff_scan_refuses_bounds_that_are_not_finite_or_are_reversed(
+        slab_file, bounds, shown, capsys):
+    # a NaN bound printed numpy warnings and NaN rows, and reversed bounds
+    # rasterized backwards; both exited 0
+    assert main(["subdiff-scan", slab_file, f"--bounds={bounds}", "--steps", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: scan bounds must be finite, each lo <= hi, got {shown}\n"
+
+
+@pytest.mark.parametrize("shift", ["", " + [1e9,1e9]"], ids=["plain", "shifted"])
+def test_a_2d_subgrad_check_does_not_move_under_a_constant_shift(shift, tmp_path, capsys):
+    path = tmp_path / "kinked2d.prob"
+    path.write_text("arity=2\ndomain=[-1,1]\ndomain=[-1,1]\n"
+                    f"objective=abs(x1)*[1,3] + abs(x2)*[1,2]{shift}\n")
+    assert main(["subgrad-check", str(path), "--at", "0,0", "--g", "([1,1],[1,1])",
+                 "--grid", "41"]) == 0
+    assert capsys.readouterr().out == "YES\n"
+
+
 @pytest.mark.parametrize("steps", ["0", "1"])
 def test_subdiff_scan_refuses_fewer_than_two_steps(slab_file, steps, capsys):
     assert main(["subdiff-scan", slab_file, "--bounds=-4,2,-2,4", "--steps", steps]) == 2

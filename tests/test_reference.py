@@ -16,9 +16,14 @@ are kept as written before compiled closures replaced them: the array
 evaluator, the reference of `compile_lo_hi`, and the forward-mode tangent
 walker, the reference of `compile_tangents`.  What the convexity proof
 claims of random trees is checked at the samples of the sampled
-convexity check and against evaluation.
+convexity check and against evaluation.  The exact one-variable box and
+its membership test are kept as written before the exact sets of
+separable objectives, in any number of variables, replaced them; those
+sets are checked against the sampled check both ways, in two and three
+variables.
 """
 
+import itertools
 import math
 import re
 import warnings
@@ -83,12 +88,15 @@ from ghcalc.problems import (
 from ghcalc.subgrad import (
     SubgradientCandidate,
     _Constraints,
-    _exact_box,
+    _GridValues,
+    _exact_sets,
     _grid_values,
+    _in_exact,
     _sampled_sup,
     is_subgradient,
     is_subgradient_strict_variant,
     lipschitz_from_subgradients_check,
+    subdiff_scan_1d,
     union_boundedness_probe,
 )
 
@@ -652,11 +660,14 @@ class Family(NamedTuple):
     domain: Tuple[float, float]
 
     def ivf(self, shift: float = 0.0) -> Ivf:
-        text = (f"[{self.a!r},{self.b!r}]*abs(x1 - ({self.c!r}))"
-                f" + [{self.al!r},{self.be!r}]*pow2(x1 - ({self.e!r})) + [{self.u!r},{self.v!r}]")
+        text = self.text()
         if shift:
             text += f" + [{shift!r},{shift!r}]"
         return Ivf.from_text(1, text, (self.domain,))
+
+    def text(self, var: str = "x1") -> str:
+        return (f"[{self.a!r},{self.b!r}]*abs({var} - ({self.c!r}))"
+                f" + [{self.al!r},{self.be!r}]*pow2({var} - ({self.e!r})) + [{self.u!r},{self.v!r}]")
 
     def box(self, x: float):
         """(p_lb, p_ub, q_lb, q_ub) from the slopes of f_lo and f_hi to the
@@ -698,6 +709,63 @@ def families(draw):
     return Family(a, b, al, be, c, e, u, round(u + r(0.0, 2.0), 4), domain)
 
 
+def exact_box(f, x: float):
+    """The exact box that the scan reads at x."""
+    region = subdiff_scan_1d(f, x, ((0.0, 0.0), (0.0, 0.0)), steps=2)
+    assert region.method == "exact"
+    return region.box
+
+
+def exact_box_reference(f: Ivf, x_bar: float, grid=None):
+    """The box (p_lb, p_ub, q_lb, q_ub) whose cut by {g_lo <= g_hi} is the
+    subdifferential at x_bar of a one-variable F that `expr.convexity`
+    proves convex.  None if F is not proved convex, x_bar or the grid's
+    nodes leave the domain (the sampled path then raises), the walk
+    refuses, or a slope it needs is not finite.
+
+    For convex f_lo the quotient (f_lo(x) - f_lo(x_bar))/(x - x_bar) is
+    nondecreasing in x (Rockafellar 1970, Thm 24.1), and so is f_hi's.  So
+    every constraint of `_Constraints` binds as x -> x_bar from either side,
+    and with the one-sided slopes lo'-, lo'+, hi'-, hi'+ of one
+    walk of the compiled tree (`expr.compile_tangents`) along +-1 the box is
+
+        min(lo'-, hi'-) <= g_lo <= min(lo'+, hi'+)
+        max(lo'-, hi'-) <= g_hi <= max(lo'+, hi'+),
+
+    unbounded on the outer side at a domain bound.  The samples of any grid
+    inside the domain cut out a box that holds it.
+    """
+    if f.arity != 1:
+        return None
+    (l, u), = f.domain
+    x_bar = float(x_bar)
+    if not l <= x_bar <= u or l == u or grid is not None and (
+            grid.dim != 1 or grid.lower[0] < l or grid.upper[0] > u):
+        return None
+    if not f._proved_convex:
+        return None
+    walk = f._tangents([x_bar], [[1.0], [-1.0]])
+    if walk is None:
+        return None
+    (lo_right, lo_left), (hi_right, hi_left) = walk[2], walk[3]
+    left = [0.0 - lo_left, 0.0 - hi_left] if x_bar > l else []
+    right = [lo_right, hi_right] if x_bar < u else []
+    if not all(map(math.isfinite, left + right)):
+        return None
+    return (min(left, default=-math.inf), min(right, default=math.inf),
+            max(left, default=-math.inf), max(right, default=math.inf))
+
+
+def in_exact_box_reference(f: Ivf, cand: SubgradientCandidate, grid, tol: float) -> bool:
+    """Whether a one-variable candidate lies in the exact box at its base
+    point, widened by tol; False wherever `_exact_box` gives none."""
+    box = exact_box_reference(f, cand.base_point[0], grid) if len(cand.g) == 1 else None
+    if box is None:
+        return False
+    g = cand.g[0]
+    return box[0] - tol <= g.lo <= box[1] + tol and box[2] - tol <= g.hi <= box[3] + tol
+
+
 @pytest.mark.parametrize("name", sorted(PROBE_FAMILIES))
 def test_the_exact_probe_and_lipschitz_bound_read_the_closed_form_slopes(name):
     f, fam = PROBE_CASES[name], PROBE_FAMILIES[name]
@@ -725,7 +793,7 @@ def test_the_exact_box_lies_in_the_sampled_box_within_the_sampling_slack(fam, k,
     # a kink strictly between x and its neighbours puts a jump in the
     # nearest quotient, which no step-sized slack bounds
     assume(at_kink or abs(x - fam.c) >= step)
-    exact = _exact_box(f, x)
+    exact = exact_box(f, x)
     assert exact == pytest.approx(fam.box(x), rel=1e-15, abs=1e-15)
     xs = np.array([x])
     sampled = _Constraints(_grid_values(f, grid), xs, f.boundary(xs)).box(1e-10)
@@ -747,11 +815,79 @@ def test_the_exact_box_and_probe_do_not_move_under_a_constant_shift(fam, u, k):
     f, g = fam.ivf(), fam.ivf(u)
     x = float(f.grid().axes()[0][k])
     assert g._proved_convex
-    assert repr(_exact_box(g, x)) == repr(_exact_box(f, x))
+    assert repr(exact_box(g, x)) == repr(exact_box(f, x))
     assert repr(union_boundedness_probe(g)) == repr(union_boundedness_probe(f))
     # the sup over the open domain bounds every sampled quotient, which
     # a shift would round
     assert lipschitz_from_subgradients_check(f) is True
+
+
+@settings(max_examples=150, deadline=None)
+@given(families(), st.integers(0, 40), st.booleans(), st.sampled_from([1e-10, 0.0, 1e-3]))
+def test_the_exact_membership_in_one_variable_is_the_box_test_it_replaces(fam, k, at_kink, tol):
+    f = fam.ivf()
+    grid = f.grid(41)
+    x = fam.c if at_kink else float(grid.axes()[0][k])
+    box = exact_box_reference(f, x, grid)
+    assert repr(exact_box(f, x)) == repr(box)
+    sets = _exact_sets(f, [x], grid)
+    # endpoints on each finite bound, and on either side of it by tol or
+    # by less, where the widening decides, and far outside the box
+    ends = sorted({b + d for b in box if math.isfinite(b)
+                   for d in (-2.0 * tol, -tol, -tol / 2.0, 0.0, tol / 2.0, tol, 2.0 * tol)}
+                  | {-50.0, 50.0})
+    for p, q in itertools.combinations_with_replacement(ends, 2):
+        cand = SubgradientCandidate(IVector.of(Interval(p, q)), (x,))
+        assert _in_exact(sets, cand.g, tol) == in_exact_box_reference(f, cand, grid, tol)
+
+
+def separable_ivf(fams) -> Ivf:
+    """The objectives of `families()` on the axes x1, x2, ..., summed."""
+    text = " + ".join(fam.text(f"x{i + 1}") for i, fam in enumerate(fams))
+    return Ivf.from_text(len(fams), text, tuple(fam.domain for fam in fams))
+
+
+def local_values(f: Ivf, x, radius: float, count: int):
+    """F at the nodes of a grid of `count` nodes per axis around x, with
+    x_i +- radius at its ends, less the nodes outside the domain."""
+    axes = [np.unique(np.clip(v + radius * np.linspace(-1.0, 1.0, count), l, u))
+            for v, (l, u) in zip(x, f.domain)]
+    pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    return _GridValues(pts, *f.eval_many(pts))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 3]), st.data())
+def test_the_exact_subdifferential_law_holds_both_ways_in_two_and_three_variables(n, data):
+    """An exact YES is a sampled YES on the default-spaced grid; an exact NO
+    is a sampled NO, with no slack, on a grid of radius 1e-4 around x_bar,
+    where the curvature of f_lo and f_hi is far below the slopes' gap."""
+    fams = [data.draw(families()) for _ in range(n)]
+    f = separable_ivf(fams)
+    # each axis at its kink, its quadratic's centre, a domain bound or inside
+    x = [data.draw(st.just(fam.c) | st.sampled_from([fam.e, *fam.domain]) | st.floats(*fam.domain))
+         for fam in fams]
+    # off a kink or a bound, the local grid must not reach it
+    assume(all(v in (fam.c, *fam.domain) or min(abs(v - fam.c), *(abs(v - b) for b in fam.domain))
+               >= 1e-3 for v, fam in zip(x, fams)))
+    sets = _exact_sets(f, x)
+    assert sets is not None
+    comps = []
+    for fam, v in zip(fams, x):
+        # ends on the bounds of A_i and B_i, between them, or anywhere
+        bounds = [b for b in fam.box(v) if math.isfinite(b)]
+        end = st.sampled_from(bounds) | st.floats(min(bounds), max(bounds)) | st.floats(-6.0, 6.0)
+        comps.append(Interval(*sorted((data.draw(end), data.draw(end)))))
+    g = IVector.of(*comps)
+    xs = np.array(x)
+    if _in_exact(sets, g, 1e-10):
+        values = _grid_values(f, f.grid(41 if n == 2 else 17))
+        assert _Constraints(values, xs, f.boundary(xs)).check(g, 1e-10) == (True, None)
+    elif not _in_exact(sets, g, 1e-3):
+        # a NO that stands with the slopes 1e-3 apart, which the local
+        # grid resolves; a closer one needs a finer grid closer to x_bar
+        values = local_values(f, x, 1e-4, 41 if n == 2 else 21)
+        assert not _Constraints(values, xs, f.boundary(xs)).check(g, 0.0)[0]
 
 
 @pytest.mark.parametrize("f", [piecewise_vee_ivf(), KINKED_1D, quartic_ivf()])

@@ -1,5 +1,4 @@
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +19,10 @@ from ghcalc.problems import abs_slab_ivf, piecewise_vee_ivf, quartic_ivf, smooth
 from ghcalc.subgrad import (
     LinearIvf,
     SubgradientCandidate,
-    _scan_candidates_2d,
+    _Constraints,
+    _exact_sets,
+    _grid_values,
+    _in_exact,
     chain_rule_transport,
     check_singleton_at_differentiable,
     directional_max_check,
@@ -137,18 +139,25 @@ def test_scan_needs_two_steps_per_axis(steps):
         subdiff_scan_1d(abs_slab_ivf(), 0.0, ((-4.0, 2.0), (-2.0, 4.0)), steps=steps)
 
 
-@pytest.mark.parametrize("steps", [1, 0, -3])
-def test_the_2d_singleton_check_needs_two_steps_per_axis(steps):
-    # 1 and 0 marked nothing, a false "not a singleton"; -3 reached np.linspace
-    f = Ivf.from_text(2, "[1,2]*pow2(x1) + pow2(x2) + [0,1]", ((-1, 1), (-1, 1)))
-    with pytest.raises(ValueError, match=r"^need at least 2 scan steps per axis, got \("):
-        check_singleton_at_differentiable(f, (0.5, 0.5), f.grid(21), steps=steps)
+@pytest.mark.parametrize("bounds", [
+    ((float("nan"), 1.0), (-1.0, 1.0)),
+    ((-1.0, 1.0), (-1.0, float("inf"))),
+    ((2.0, -4.0), (-2.0, 4.0)),
+    ((-4.0, 2.0), (4.0, -2.0)),
+])
+def test_scan_refuses_bounds_that_are_not_finite_or_are_reversed(bounds):
+    # a NaN bound marked NaN rows with numpy warnings; reversed bounds
+    # rasterized backwards, with a negative step
+    with pytest.raises(ValueError, match=r"^scan bounds must be finite, each lo <= hi, got \("):
+        subdiff_scan_1d(abs_slab_ivf(), 0.0, bounds, steps=3)
 
 
-def test_the_singleton_check_takes_its_steps_by_keyword_only():
-    # so that scan bounds passed in the fourth place are refused, not read as steps
+def test_the_singleton_check_takes_no_scan_arguments():
+    # no scan bounds in the fourth place, and no steps: one variable always scans 121
     with pytest.raises(TypeError):
         check_singleton_at_differentiable(quartic_ivf(), (1.0,), None, 121)
+    with pytest.raises(TypeError):
+        check_singleton_at_differentiable(quartic_ivf(), (1.0,), steps=121)
 
 
 def test_singleton_check_at_smooth_points():
@@ -156,42 +165,85 @@ def test_singleton_check_at_smooth_points():
     assert check_singleton_at_differentiable(smooth_parabolic_ivf(), (1.0,))
 
 
-def test_singleton_check_fails_when_the_region_is_empty_in_2d():
-    # mixed-sign displacements can exclude even the gH-gradient in 2-D;
-    # an empty sampled region is reported as False rather than an error
+def test_singleton_check_fails_when_the_region_is_empty_in_2d(monkeypatch):
+    # mixed-sign displacements can exclude even the gH-gradient in 2-D: here
+    # the gradients of f_lo and f_hi differ on both axes, so the exact
+    # subdifferential is empty, which is reported as False, not an error
     f = Ivf.from_text(2, "[1,2]*(pow2(x1) + pow2(x2))", ((-1, 1), (-1, 1)))
     grad = gh_gradient(f, (0.5, 0.3))
     ok, _ = is_subgradient(f, SubgradientCandidate(grad, (0.5, 0.3)), f.grid(21))
     assert not ok
-    assert not check_singleton_at_differentiable(f, (0.5, 0.3), f.grid(21), steps=9)
+    calls = counted_calls(monkeypatch)
+    assert not check_singleton_at_differentiable(f, (0.5, 0.3), f.grid(21))
+    assert calls["eval_many"] == 0
 
 
-def test_2d_scan_memory_does_not_grow_with_the_candidate_count():
+def test_2d_singleton_check_reads_the_exact_sets_without_the_grid(monkeypatch):
+    # the gradients of f_lo and f_hi differ on one axis only
+    calls = counted_calls(monkeypatch)
     f = Ivf.from_text(2, "[1,2]*pow2(x1) + pow2(x2) + [0,1]", ((-1, 1), (-1, 1)))
-    tracemalloc.start()
-    try:
-        assert check_singleton_at_differentiable(f, (0.5, 0.5), f.grid(81), steps=9)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 * 2**20
+    assert check_singleton_at_differentiable(f, (0.5, 0.5), f.grid(81))
+    assert calls == {"eval_many": 0, "walks": 2}
 
 
-def test_2d_scan_marks_exactly_the_candidates_is_subgradient_accepts():
+def test_the_singleton_check_decides_in_three_variables_and_refuses_uncertified_2d():
+    f = Ivf.from_text(3, "[1,2]*pow2(x1) + pow2(x2 - 0.1) + [0.5,0.5]*pow2(x3)",
+                      ((-1, 1),) * 3)
+    assert check_singleton_at_differentiable(f, (0.5, 0.5, -0.5))
+    # at a domain bound the subdifferential is unbounded on the outer side
+    assert not check_singleton_at_differentiable(f, (1.0, 0.5, -0.5))
+    # norm() reads both variables, so the exact sets are not proved
+    g = Ivf.from_text(2, "pow2(norm())", ((-1, 1), (-1, 1)))
+    with pytest.raises(ValueError, match="needs a convex, separable F"):
+        check_singleton_at_differentiable(g, (0.5, 0.5))
+
+
+def test_2d_exact_test_accepts_exactly_the_candidates_the_sampled_check_accepts():
     f = Ivf.from_text(2, "abs(x1)*[1,3] + abs(x2 - 0.2)*[1,2] + [0,1]",
                       ((-1, 1), (-1, 1)))
     grid, x_bar = f.grid(11), (0.0, 0.2)
+    sets = _exact_sets(f, x_bar, grid)
+    x = np.array(x_bar)
+    cons = _Constraints(_grid_values(f, grid), x, f.boundary(x))
     # lattice nodes fall on the edges of the region, where a slack decides
     bounds = ((-5.0, 3.0), (-3.0, 5.0), (-3.0, 1.0), (-1.0, 3.0))
-    marked = _scan_candidates_2d(f, np.array(x_bar), bounds, (5,) * 4, grid, 1e-10)
     axes = [np.linspace(lo, hi, 5) for lo, hi in bounds]
-    accepted = [
-        (p1, q1, p2, q2)
-        for p1 in axes[0] for q1 in axes[1] for p2 in axes[2] for q2 in axes[3]
-        if p1 <= q1 and p2 <= q2 and is_subgradient(f, SubgradientCandidate(
-            IVector.of(Interval(p1, q1), Interval(p2, q2)), x_bar), grid)[0]]
-    assert 0 < len(accepted) < 5 ** 4
-    assert sorted(map(tuple, marked.tolist())) == sorted(accepted)
+    exact, sampled = [], []
+    for p1 in axes[0]:
+        for q1 in axes[1]:
+            for p2 in axes[2]:
+                for q2 in axes[3]:
+                    if p1 <= q1 and p2 <= q2:
+                        g = IVector.of(Interval(p1, q1), Interval(p2, q2))
+                        if _in_exact(sets, g, 1e-10):
+                            exact.append((p1, q1, p2, q2))
+                        if cons.check(g, 1e-10)[0]:
+                            sampled.append((p1, q1, p2, q2))
+    assert 0 < len(exact) < 5 ** 4
+    assert exact == sampled
+
+
+def test_a_constant_shift_leaves_a_2d_verdict_unchanged(monkeypatch):
+    # the sampled check said NO at witness [0, 0.05] with the shift: the
+    # differences of values near 1e9 keep too few digits for its slack
+    calls = counted_calls(monkeypatch)
+    g = IVector.of(Interval(1, 1), Interval(1, 1))
+    for shift in ("", " + [1e9,1e9]"):
+        f = Ivf.from_text(2, "abs(x1)*[1,3] + abs(x2)*[1,2]" + shift, ((-1, 1), (-1, 1)))
+        assert is_subgradient(f, SubgradientCandidate(g, (0.0, 0.0)), f.grid(41)) == (True, None)
+    assert calls["eval_many"] == 0
+
+
+def test_an_exact_3d_yes_evaluates_nothing_and_a_no_keeps_its_sampled_witness(monkeypatch):
+    calls = counted_calls(monkeypatch)
+    f = Ivf.from_text(3, "[1,2]*abs(x1) + [0.5,1]*abs(x2 - 0.5) + [1,1]*pow2(x3) + [2,3]",
+                      ((-1, 1),) * 3)
+    yes = IVector.of(Interval(-1, 2), Interval(-0.5, 0.5), Interval(0, 0))
+    assert is_subgradient(f, SubgradientCandidate(yes, (0.0, 0.5, 0.0)), f.grid(17)) == (True, None)
+    assert calls == {"eval_many": 0, "walks": 1}
+    no = IVector.of(Interval(-1, 2), Interval(-0.5, 0.5), Interval(0.5, 0.5))
+    ok, witness = is_subgradient(f, SubgradientCandidate(no, (0.0, 0.5, 0.0)), f.grid(17))
+    assert not ok and witness[2] > 0.0
 
 
 def test_directional_max_check_on_the_slab():
