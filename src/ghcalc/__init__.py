@@ -20,6 +20,7 @@ from .errors import (
     OverlappingPieces,
     ParseError,
     PiecewiseCoverageError,
+    UnresolvedScan,
     ZeroInDenominator,
 )
 from .expr import Expr, parse_expr

@@ -19,6 +19,7 @@ Exit codes: 0 success, 1 negative verdict, 2 input error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import re
 import sys
@@ -144,16 +145,19 @@ def _parse_point(text: str, arity: int) -> Tuple[float, ...]:
 def cmd_eval(args) -> int:
     prob = parse_problem_file(args.file)
     f = prob.ivf
-    if args.points:
-        pts = np.array([_parse_point(p, f.arity) for p in args.points])
-    elif args.on_grid:
-        pts = f.grid(args.grid).points()
+    if args.on_grid and not args.points:
+        grid = f.grid(args.grid)
+        lo, hi = f.eval_many(grid)
+        # the nodes in row-major order, as Grid.points lists them
+        rows = itertools.product(*(axis.tolist() for axis in grid.axes()))
     else:
-        pts = np.empty((0, f.arity))
+        pts = (np.array([_parse_point(p, f.arity) for p in args.points]) if args.points
+               else np.empty((0, f.arity)))
+        lo, hi = f.eval_many(pts)
+        rows = pts.tolist()
     cols = [f"x{i + 1}" for i in range(f.arity)]
     lines = [",".join(cols) + ",f_lo,f_hi"]
-    lo, hi = f.eval_many(pts)
-    for p, v_lo, v_hi in zip(pts.tolist(), lo.tolist(), hi.tolist()):
+    for p, v_lo, v_hi in zip(rows, lo.tolist(), hi.tolist()):
         xs = ",".join(f"{v!r}" for v in p)
         lines.append(f"{xs},{v_lo!r},{v_hi!r}")
     _emit("\n".join(lines) + "\n", args.out)

@@ -65,5 +65,9 @@ class EmptySubdifferentialEncountered(GhcalcError):
     """A subdifferential scan produced no feasible candidates."""
 
 
+class UnresolvedScan(GhcalcError, ArithmeticError):
+    """A scan window that floats cannot resolve: its ends round onto its centre."""
+
+
 class NonConvexObjective(GhcalcError, ValueError):
     """Solver refused an objective that failed the sampled convexity check."""

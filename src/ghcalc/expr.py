@@ -3,8 +3,9 @@
 Nodes cover interval constants, real variables, the Moore operators, the
 gH-difference, abs/pow on real-valued subexpressions, the Euclidean norm of
 the argument vector, and guarded piecewise definitions.  Evaluation is
-vectorized: every node maps an (N, n) array of points to a pair of (N,)
-endpoint arrays.
+vectorized: every node maps the columns of the points, one per variable,
+to a pair of endpoint arrays, and the columns may be a grid's axes, each
+along its own dimension, which broadcast to the grid's nodes.
 
 Text grammar (whitespace insignificant)::
 
@@ -27,7 +28,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -114,8 +115,8 @@ class Comparison:
     op: str  # "<=" or ">="
     bound: float
 
-    def holds(self, xs: np.ndarray) -> np.ndarray:
-        col = xs[:, self.var_index]
+    def holds(self, cols: Sequence[np.ndarray]) -> np.ndarray:
+        col = cols[self.var_index]
         return col <= self.bound if self.op == "<=" else col >= self.bound
 
 
@@ -123,10 +124,11 @@ class Comparison:
 class Guard:
     comparisons: Tuple[Comparison, ...]
 
-    def holds(self, xs: np.ndarray) -> np.ndarray:
-        mask = np.ones(xs.shape[0], dtype=bool)
+    def holds(self, cols: Sequence[np.ndarray]):
+        """Where every comparison holds, over the broadcast of the columns it reads."""
+        mask = True
         for comp in self.comparisons:
-            mask &= comp.holds(xs)
+            mask = mask & comp.holds(cols)
         return mask
 
     def ahead(self, x: Sequence[float], h: Optional[Sequence[float]] = None) -> bool:
@@ -160,38 +162,53 @@ _PIECE_AGREEMENT_TOL = 1e-12
 
 def eval_lo_hi(node: Expr, xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Evaluate an expression at every row of xs, returning (lo, hi) arrays."""
-    return compile_lo_hi(node)(xs)
+    return compile_lo_hi(node)([xs[:, i] for i in range(xs.shape[1])], xs.shape[:1])
 
 
-def compile_lo_hi(node: Expr) -> Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]:
-    """Compile a tree once into closures xs -> (lo, hi) that give the floats
-    of Moore arithmetic on full (lo, hi) arrays.  A real-valued node carries
-    one array as both endpoints; a constant beside a non-constant is a float."""
+def compile_lo_hi(node: Expr):
+    """Compile a tree once into closures (cols, shape) -> (lo, hi) that give
+    the floats of Moore arithmetic on full (lo, hi) arrays.  The points are
+    the broadcast of the columns, one per variable, to `shape`: the columns
+    of an (N, n) array with shape (N,), or a grid's axes, each along its own
+    dimension, with shape its counts.  A subtree reads
+    only the columns of its variables, so on a grid it costs the product of
+    their counts.  The endpoints come back as fresh arrays of that shape.
+    Inside, a real-valued node carries one array as both endpoints, and a
+    constant beside a non-constant is a float."""
     fn, real = _compile(node)
-    return (lambda xs: tuple(v.copy() for v in fn(xs))) if real else fn
+
+    def top(cols, shape):
+        lo, hi = fn(cols, shape)
+        if lo.shape != shape:
+            return _full(lo, shape).copy(), _full(hi, shape).copy()
+        return (lo.copy(), hi.copy()) if real else (lo, hi)
+    return top
 
 
 def _compile(node: Expr, scalar: bool = False):
-    """(fn, real): fn(xs) returns (lo, hi), one array twice if the node is
-    real-valued: a variable, abs, pow, norm, a degenerate constant, or
-    +, -, ghsub, *, / of those.  With scalar, a constant returns floats."""
+    """(fn, real): fn(cols, shape) returns (lo, hi), arrays that broadcast to
+    shape, one array twice if the node is real-valued: a variable, abs,
+    pow, norm, a degenerate constant, or +, -, ghsub, *, / of those.  With
+    scalar, a constant returns floats; without, arrays of one element per
+    dimension, or none where the shape holds no points."""
     if isinstance(node, Const):
         lo, hi = node.value.lo, node.value.hi
-        full = (lambda v, xs: v) if scalar else (lambda v, xs: np.full(xs.shape[0], v))
+        full = ((lambda v, shape: v) if scalar
+                else (lambda v, shape: np.full(tuple(min(c, 1) for c in shape), v)))
         if lo == hi and math.copysign(1.0, lo) == math.copysign(1.0, hi):
-            return (lambda xs: (v := full(lo, xs), v)), True
-        return (lambda xs: (full(lo, xs), full(hi, xs))), False
+            return (lambda cols, shape: (v := full(lo, shape), v)), True
+        return (lambda cols, shape: (full(lo, shape), full(hi, shape))), False
     if isinstance(node, Var):
         i = node.index
-        return (lambda xs: (v := np.asarray(xs[:, i], dtype=float), v)), True
+        return (lambda cols, shape: (v := np.asarray(cols[i], dtype=float), v)), True
     if isinstance(node, Norm):
-        return (lambda xs: (v := np.sqrt(np.sum(xs * xs, axis=1)), v)), True
+        return (lambda cols, shape: (v := np.sqrt(_sum_squares(cols, shape)), v)), True
     if isinstance(node, (Abs, Pow)):
         name = "abs" if isinstance(node, Abs) else f"pow{node.exponent}"
         arg = _checked(node.child, lambda lo, hi: lo != hi, NonDegenerateRealNode,
                        f"{name} needs a real-valued argument, got [{{}}, {{}}]")[0]
         real_op = np.abs if isinstance(node, Abs) else (lambda v, e=node.exponent: v ** e)
-        return (lambda xs: (v := real_op(arg(xs)[0]), v)), True
+        return (lambda cols, shape: (v := real_op(arg(cols, shape)[0]), v)), True
     if isinstance(node, BinOp):
         consts = isinstance(node.left, Const) and isinstance(node.right, Const)
         lf, lreal = _compile(node.left, not consts)
@@ -202,15 +219,42 @@ def _compile(node: Expr, scalar: bool = False):
             rf, rreal = _compile(node.right, not consts)
         op = _REAL_OPS[node.op]
         if lreal and rreal:
-            return (lambda xs: (v := op(lf(xs)[0], rf(xs)[0]), v)), True
+            return (lambda cols, shape: (v := op(lf(cols, shape)[0], rf(cols, shape)[0]), v)), True
         pair_op = _PAIR_OPS[node.op]
         if node.op in ("*", "/") and (lreal or rreal):
             # one real operand: of the four corners, two pairs are equal
             pair_op = lambda llo, lhi, rlo, rhi: _span(op(llo, rlo), op(lhi, rhi))
-        return (lambda xs: pair_op(*lf(xs), *rf(xs))), False
+        return (lambda cols, shape: pair_op(*lf(cols, shape), *rf(cols, shape))), False
     if isinstance(node, Piecewise):
         return _compile_piecewise(node), False
     raise TypeError(f"not an expression node: {node!r}")  # pragma: no cover
+
+
+def _sum_squares(cols, shape):
+    """The squares of the columns summed per point in numpy's order for a
+    row of them: one by one in axis order below 8 columns, pairwise from 8."""
+    if len(cols) >= 8:
+        return np.sum(np.stack(np.broadcast_arrays(*(c * c for c in cols)), axis=-1), axis=-1)
+    total = np.zeros(shape) if not cols else cols[0] * cols[0]
+    for c in cols[1:]:
+        total = total + c * c
+    return total
+
+
+def _full(v, shape: Tuple[int, ...]) -> np.ndarray:
+    """v broadcast to shape, without a new view where it has that shape."""
+    return v if isinstance(v, np.ndarray) and v.shape == shape else np.broadcast_to(v, shape)
+
+
+def _first(mask, cols, shape):
+    """(index, point) of the first point, in row-major order over shape,
+    where mask holds: the index into shape and the point's coordinates, as
+    a row of the point array would list them; None if it holds at none."""
+    full = _full(mask, shape)
+    if not full.any():
+        return None
+    index = np.unravel_index(int(np.argmax(full)), shape)
+    return index, [_full(c, shape)[index].item() for c in cols]
 
 
 def _checked(child: Expr, bad, error, what: str):
@@ -218,12 +262,15 @@ def _checked(child: Expr, bad, error, what: str):
     bad(lo, hi) holds, its message what.format(lo, hi) plus the point."""
     fn, real = _compile(child)
 
-    def checked(xs):
-        lo, hi = fn(xs)
+    def checked(cols, shape):
+        lo, hi = fn(cols, shape)
         mask = bad(lo, hi)
         if np.count_nonzero(mask):
-            k = int(np.argmax(mask))
-            raise error(f"{what.format(lo[k], hi[k])} at point {xs[k].tolist()}")
+            first = _first(mask, cols, shape)
+            if first is not None:  # else the shape holds no points
+                k, point = first
+                ends = (_full(v, shape)[k] for v in (lo, hi))
+                raise error(f"{what.format(*ends)} at point {point}")
         return lo, hi
     return checked, real
 
@@ -252,14 +299,19 @@ _PAIR_OPS = {
 def _compile_piecewise(node: Piecewise):
     pieces = [(guard.holds, _compile(body)[0]) for guard, body in node.pieces]
 
-    def fn(xs):
-        out_lo, out_hi = np.full((2, xs.shape[0]), np.nan)
-        covered = np.zeros(xs.shape[0], dtype=bool)
+    def fn(cols, shape):
+        out_lo, out_hi = np.full((2,) + shape, np.nan)
+        covered = np.zeros(shape, dtype=bool)
         for holds, body in pieces:
-            mask = holds(xs)
-            if not np.count_nonzero(mask):
+            mask = _full(holds(cols), shape)
+            count = np.count_nonzero(mask)
+            if not count:
                 continue
-            lo, hi = body(xs[mask])
+            # a body sees the points its guard holds at, in row-major order:
+            # all of them as the columns themselves, else as one array each
+            sub, sub_shape = ((cols, shape) if count == mask.size
+                              else ([_full(c, shape)[mask] for c in cols], (count,)))
+            lo, hi = (_full(v, sub_shape).reshape(count) for v in body(sub, sub_shape))
             overlap = covered[mask]
             if np.count_nonzero(overlap):
                 # closed guards may meet where the pieces agree; a point
@@ -267,15 +319,16 @@ def _compile_piecewise(node: Piecewise):
                 old_lo, old_hi = out_lo[mask], out_hi[mask]
                 if (np.max(np.abs(lo[overlap] - old_lo[overlap])) > _PIECE_AGREEMENT_TOL
                         or np.max(np.abs(hi[overlap] - old_hi[overlap])) > _PIECE_AGREEMENT_TOL):
-                    raise OverlappingPieces(f"guards overlap with different values "
-                                            f"at {xs[mask][overlap][0].tolist()}")
+                    point = _first(overlap.reshape(sub_shape), sub, sub_shape)[1]
+                    raise OverlappingPieces(f"guards overlap with different values at {point}")
                 lo = np.where(overlap, old_lo, lo)
                 hi = np.where(overlap, old_hi, hi)
             out_lo[mask] = lo
             out_hi[mask] = hi
             covered |= mask
         if np.count_nonzero(covered) < covered.size:
-            raise PiecewiseCoverageError(f"no guard covers point {xs[~covered][0].tolist()}")
+            point = _first(~covered, cols, shape)[1]
+            raise PiecewiseCoverageError(f"no guard covers point {point}")
         return out_lo, out_hi
     return fn
 

@@ -121,7 +121,7 @@ def efficient_on_grid(p: Iop, grid: Optional[Grid] = None) -> EfficiencyReport:
 
 
 def _efficiency(values: _GridValues, grid: Grid) -> EfficiencyReport:
-    return EfficiencyReport(values.pts, values.lo, values.hi,
+    return EfficiencyReport(grid.points(), values.lo, values.hi,
                             _pareto_flags(values.lo, values.hi), grid.step)
 
 
@@ -129,10 +129,11 @@ def _pareto_flags(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Flag each value [lo_j, hi_j] that no other value strictly dominates.
 
     [lo_i, hi_i] strictly dominates [lo_j, hi_j] when lo_i <= lo_j and
-    hi_i <= hi_j with one inequality strict.  Sorting by (lo, hi) puts
-    every value that could dominate j before j's group of equal values, so
-    j is dominated exactly when the running minimum of hi before that group
-    is <= hi_j (Kung, Luccio & Preparata 1975).  O(N log N) time, O(N)
+    hi_i <= hi_j with one inequality strict.  So j is dominated exactly
+    when the least hi among the values with a smaller lo is <= hi_j, or the
+    least hi among those with lo equal to lo_j is < hi_j (Kung, Luccio &
+    Preparata 1975).  One sort by lo, in any order among ties, groups the
+    equal lo and puts the smaller before them.  O(N log N) time, O(N)
     memory.  A NaN endpoint never dominates and is never dominated.
     """
     nan = np.isnan(lo) | np.isnan(hi)
@@ -140,17 +141,20 @@ def _pareto_flags(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         flags = np.ones(lo.shape, dtype=bool)
         flags[~nan] = _pareto_flags(lo[~nan], hi[~nan])
         return flags
-    n = lo.size
-    order = np.lexsort((hi, lo))
+    if not lo.size:
+        return np.ones(0, dtype=bool)
+    order = np.argsort(lo)
     lo_s, hi_s = lo[order], hi[order]
-    new_group = np.ones(n, dtype=bool)
-    new_group[1:] = (lo_s[1:] != lo_s[:-1]) | (hi_s[1:] != hi_s[:-1])
-    group_start = np.maximum.accumulate(np.where(new_group, np.arange(n), 0))
-    min_before = np.empty(n)
-    min_before[:1] = np.inf
-    min_before[1:] = np.minimum.accumulate(hi_s[:-1])
-    flags = np.empty(n, dtype=bool)
-    flags[order] = min_before[group_start] > hi_s
+    new_group = np.ones(lo.size, dtype=bool)
+    new_group[1:] = lo_s[1:] != lo_s[:-1]
+    starts = np.flatnonzero(new_group)
+    group = np.cumsum(new_group) - 1
+    least = np.minimum.reduceat(hi_s, starts)  # per group of equal lo
+    before = np.empty(starts.size)  # over the groups of smaller lo
+    before[:1] = np.inf
+    np.minimum.accumulate(least[:-1], out=before[1:])
+    flags = np.empty(lo.size, dtype=bool)
+    flags[order] = (before[group] > hi_s) & (least[group] >= hi_s)
     return flags
 
 

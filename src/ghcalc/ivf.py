@@ -123,13 +123,25 @@ class Ivf:
             return not any(v < l or v > u for v, (l, u) in zip(arr[0].tolist(), self._edges))
         return not ((arr < self._box[0]).any() or (arr > self._box[1]).any())
 
-    def eval_many(self, xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """(f_lo, f_hi) at the points; OutOfDomain if one leaves an axis
-        [l, u] of the box by more than _DOMAIN_TOL*(1 + |l| + |u|)."""
+    def eval_many(self, xs) -> Tuple[np.ndarray, np.ndarray]:
+        """(f_lo, f_hi) at the points, rows of an array, or at the nodes of a
+        Grid in row-major order, the floats of its `points()` but read from
+        its axes, each along its own dimension, without building that
+        array; OutOfDomain if one leaves an axis [l, u] of the box by more
+        than _DOMAIN_TOL*(1 + |l| + |u|)."""
+        if isinstance(xs, Grid):
+            if xs.dim != self.arity:
+                raise ValueError(f"expected points of dimension {self.arity}")
+            axes = xs.axes()
+            if any((a < l).any() or (a > u).any() for a, (l, u) in zip(axes, self._edges)):
+                raise OutOfDomain("evaluation point outside the domain box")
+            cols = [a.reshape([-1 if j == i else 1 for j in range(xs.dim)])
+                    for i, a in enumerate(axes)]
+            return tuple(v.reshape(-1) for v in self._lo_hi(cols, xs.counts))
         xs = self._as_points(xs)
         if not self._inside(xs):
             raise OutOfDomain("evaluation point outside the domain box")
-        return self._lo_hi(xs)
+        return self._lo_hi([xs[:, i] for i in range(self.arity)], xs.shape[:1])
 
     @cached_property
     def _tangents(self):
@@ -247,22 +259,13 @@ def directional_gh_derivative(f: Ivf, x, h) -> Interval:
 # nodes of a grid is then a node of the grid refined 4x per axis.
 _MIX_QUARTERS = (1, 2, 3)
 
-# Pair enumerations walk the upper triangle in blocks of whole rows of at
-# most this many entries, so their memory does not grow with the grid.
+# The Lipschitz quotient's blocks hold at most this many pairs, or the
+# pairs of one node, so its memory does not grow with the grid.
 _PAIR_BLOCK = 1 << 18
 
 # The convexity check's blocks hold at most this many pairs, or the pairs of
 # one node; fewer than _PAIR_BLOCK, as it makes more passes over each block.
 _MIX_BLOCK = 1 << 16
-
-
-def _row_blocks(n: int):
-    """Cover the pairs i < j of n nodes with row blocks, in np.triu_indices
-    order.  Yields slices (rows, cols) of i and j; the block's pairs are
-    the entries of the rows x cols rectangle kept by np.triu."""
-    rows_per_block = max(1, _PAIR_BLOCK // n)
-    for r0 in range(0, n - 1, rows_per_block):
-        yield slice(r0, min(r0 + rows_per_block, n - 1)), slice(r0 + 1, n)
 
 
 def _runs(counts: Tuple[int, ...], budget: int):
@@ -295,7 +298,7 @@ def is_convex_sampled(f: Ivf, grid: Grid):
     n, counts = grid.dim, grid.counts
     fine = Grid(grid.lower, grid.upper, tuple(4 * (c - 1) + 1 for c in counts))
     fine_lo, fine_hi = (np.ascontiguousarray(v).reshape(fine.counts)
-                        for v in f.eval_many(fine.points()))
+                        for v in f.eval_many(fine))
     fine_lo.flags.writeable = fine_hi.flags.writeable = False
     lo, hi = (v[(slice(None, None, 4),) * n] for v in (fine_lo, fine_hi))
     # entry (a, b) of the k-th view is the refined value at k*a + (4 - k)*b
@@ -327,9 +330,16 @@ def is_convex_sampled(f: Ivf, grid: Grid):
             break
     for k, pair in zip(_MIX_QUARTERS, witness):
         if pair is not None:
-            pts = grid.points()
-            return False, (pts[pair[0]].tolist(), pts[pair[1]].tolist(), k / 4)
+            a, b = (_node(grid.axes(), i) for i in pair)
+            return False, (a, b, k / 4)
     return True, None
+
+
+def _node(axes: Sequence[np.ndarray], k: int) -> List[float]:
+    """Node k, in row-major order, of the grid with these axes: row k of
+    its point array, as floats."""
+    index = np.unravel_index(k, tuple(len(a) for a in axes))
+    return [float(a[i]) for a, i in zip(axes, index)]
 
 
 def is_gh_continuous_at(f: Ivf, x) -> bool:
@@ -365,25 +375,49 @@ def lipschitz_estimate(f: Ivf, grid: Grid) -> float:
 
     A lower bound on the true Lipschitz constant.
     """
-    pts = grid.points()
-    return _lipschitz_max(pts, *f.eval_many(pts))
+    return _lipschitz_max(grid.axes(), *f.eval_many(grid))
 
 
-def _lipschitz_max(pts: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> float:
-    """Max over pairs of samples of the gH-difference norm over the distance (0 if no pairs)."""
+def _lipschitz_max(axes: Sequence[np.ndarray], lo: np.ndarray, hi: np.ndarray) -> float:
+    """Max over pairs of nodes of the grid with these axes of the
+    gH-difference norm over the distance (0 if no pairs); lo and hi are F
+    at the nodes in row-major order.  A squared distance sums, in axis
+    order, entries of per-axis tables of squared coordinate differences.
+    The pairs go in blocks that pair a run of nodes with every node from
+    the run's index on axis 0 on, so a block's distances are sums of table
+    slices, broadcast; a block also pairs some nodes both ways, which gives
+    the same quotient, and each node with itself, which is no pair."""
+    counts = tuple(len(a) for a in axes)
+    size, n, slab = math.prod(counts), len(counts), math.prod(counts[1:])
+    if size < 2:
+        return 0.0
+    tables = [(d := a[:, None] - a[None, :]) * d for a in axes]
+    # every block writes into the same three buffers
+    num_buf, diff_buf, den_buf = np.empty((3, min(size * size, max(_PAIR_BLOCK, size))))
     block_max = []
-    for i, j in _row_blocks(pts.shape[0]):
-        # in-place arithmetic keeps few block-sized arrays alive at once
-        num = np.abs(lo[i, None] - lo[None, j])
-        np.maximum(num, np.abs(hi[i, None] - hi[None, j]), out=num)
-        den = np.zeros(num.shape)
-        for d in range(pts.shape[1]):
-            diff = pts[i, None, d] - pts[None, j, d]
-            den += diff * diff
+    for first, start in _runs(counts, max(1, _PAIR_BLOCK // size)):
+        i0 = start // slab
+        parts = []  # axis d's table slice, along dimension d for the run, n + d for the rest
+        for d, (table, run) in enumerate(zip(tables, first)):
+            run = slice(run, run + 1) if isinstance(run, int) else run
+            part = table[run, (i0 if d == 0 else 0):]
+            dims = [1] * (2 * n)
+            dims[d], dims[n + d] = part.shape
+            parts.append(part.reshape(dims))
+        shape = np.broadcast_shapes(*(part.shape for part in parts))
+        block = math.prod(shape)
+        den = den_buf[:block].reshape(shape)
+        np.copyto(den, parts[0])
+        for part in parts[1:]:
+            np.add(den, part, out=den)
+        den = den.reshape(-1, (counts[0] - i0) * slab)
+        rows, cols = slice(start, start + den.shape[0]), slice(i0 * slab, None)
+        num, diff = num_buf[:block].reshape(den.shape), diff_buf[:block].reshape(den.shape)
+        np.abs(np.subtract(lo[rows, None], lo[None, cols], out=num), out=num)
+        np.abs(np.subtract(hi[rows, None], hi[None, cols], out=diff), out=diff)
+        np.maximum(num, diff, out=num)
         np.sqrt(den, out=den)
-        # below np.triu the block repeats pairs (j, i) with j < i, whose
-        # quotient is the same; only the entries with j == i are no pair
-        k = np.arange(1, den.shape[0])
-        den[k, k - 1] = 1.0
+        k = np.arange(den.shape[0])
+        den[k, start - i0 * slab + k] = 1.0  # each node with itself
         block_max.append(np.max(np.divide(num, den, out=num)))
-    return float(np.max(block_max)) if block_max else 0.0
+    return float(np.max(block_max))

@@ -36,6 +36,7 @@ from .errors import (
     MalformedNormIvf,
     NonFiniteDerivative,
     OutOfDomain,
+    UnresolvedScan,
 )
 from .expr import BinOp, Const, Norm, separable
 from .interval import Interval
@@ -44,6 +45,7 @@ from .ivf import (
     Grid,
     Ivf,
     _lipschitz_max,
+    _node,
     _walk_sides,
     directional_gh_derivative,
     gh_derivative_1d,
@@ -125,16 +127,17 @@ class SubdiffRegion1D:
 
 @dataclass(frozen=True)
 class _GridValues:
-    """F evaluated once at the grid samples, shared by every base point."""
+    """F evaluated once at the nodes of a grid, given by its axes, in
+    row-major order, shared by every base point."""
 
-    pts: np.ndarray
+    axes: Tuple[np.ndarray, ...]
     lo: np.ndarray
     hi: np.ndarray
 
 
 def _grid_values(f: Ivf, grid: Optional[Grid]) -> _GridValues:
-    pts = (f.grid() if grid is None else grid).points()
-    return _GridValues(pts, *f.eval_many(pts))
+    grid = f.grid() if grid is None else grid
+    return _GridValues(tuple(grid.axes()), *f.eval_many(grid))
 
 
 def _endpoints(g: IVector) -> Tuple[np.ndarray, np.ndarray]:
@@ -151,26 +154,34 @@ class _Constraints:
         sum_i p_i dpos_i + q_i dneg_i <= lo
         sum_i q_i dpos_i + p_i dneg_i <= hi
 
-    with dpos = max(x - x_bar, 0), dneg = min(x - x_bar, 0) as (S, n)
-    arrays and [lo, hi] = F(x) gh- F(x_bar).  Every sampled check, box,
-    scan and probe reads the inequality from here; each check adds its
-    slack tol to the right side.  f0 is F(x_bar) as (lo, hi).
+    with dpos_i = max(x_i - x_bar_i, 0), dneg_i = min(x_i - x_bar_i, 0)
+    and [lo, hi] = F(x) gh- F(x_bar), as (S,) arrays over the grid's S
+    nodes.  dpos_i and dneg_i depend on the node's i-th coordinate only, so
+    they are kept per axis, along their own dimension of the grid's shape,
+    and the sums broadcast.  Every sampled check, box, scan and probe reads
+    the inequality from here; each check adds its slack tol to the right
+    side.  f0 is F(x_bar) as (lo, hi).
 
     x_bar of shape (K, n), with f0 as two (K,) arrays, holds K base points
-    at once: dpos and dneg are then (K, S, n), lo and hi (K, S), and
-    candidate row k is paired with base point k.  Each row's floats are
-    those of a build at that base point alone.
+    at once: dpos_i and dneg_i then have a leading axis of K, lo and hi
+    are (K, S), and candidate row k is paired with base point k.  Each
+    row's floats are those of a build at that base point alone.
     """
 
     def __init__(self, values: _GridValues, x_bar: np.ndarray, f0):
         f0_lo, f0_hi = f0
         if x_bar.ndim == 2:
             f0_lo, f0_hi = f0_lo[:, None], f0_hi[:, None]
-        dx = values.pts - x_bar[..., None, :]
+        self.axes = values.axes
+        self.dpos, self.dneg = [], []
+        n = len(values.axes)
+        for i, axis in enumerate(values.axes):
+            dx = axis - x_bar[..., i, None]
+            shape = dx.shape[:-1] + tuple(-1 if j == i else 1 for j in range(n))
+            self.dpos.append(np.maximum(dx, 0.0).reshape(shape))
+            self.dneg.append(np.minimum(dx, 0.0).reshape(shape))
         d_lo = values.lo - f0_lo
         d_hi = values.hi - f0_hi
-        self.pts = values.pts
-        self.dpos, self.dneg = np.maximum(dx, 0.0), np.minimum(dx, 0.0)
         self.lo, self.hi = np.minimum(d_lo, d_hi), np.maximum(d_lo, d_hi)
 
     def pairing(self, p: np.ndarray, q: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -178,12 +189,12 @@ class _Constraints:
         given as (M, n) endpoint arrays: two (M, S) arrays, accumulated
         axis by axis in axis order.  With K base points M is K."""
         lo = hi = 0.0
-        for i in range(p.shape[1]):
-            dpos, dneg = self.dpos[..., i], self.dneg[..., i]
-            p_i, q_i = p[:, i, None], q[:, i, None]
+        lead = (-1,) + (1,) * len(self.dpos)
+        for i, (dpos, dneg) in enumerate(zip(self.dpos, self.dneg)):
+            p_i, q_i = p[:, i].reshape(lead), q[:, i].reshape(lead)
             lo = lo + (p_i * dpos + q_i * dneg)
             hi = hi + (q_i * dpos + p_i * dneg)
-        return lo, hi
+        return lo.reshape(p.shape[0], -1), hi.reshape(p.shape[0], -1)
 
     def violations(self, p: np.ndarray, q: np.ndarray, tol: float) -> np.ndarray:
         """(M, S) mask of the samples where each candidate breaks the
@@ -194,7 +205,7 @@ class _Constraints:
     def check(self, g: IVector, tol: float):
         """(True, None), or (False, witness) with the first violating
         sample in grid order."""
-        return _verdict(self.pts, self.violations(*_endpoints(g), tol))
+        return _verdict(self.axes, self.violations(*_endpoints(g), tol))
 
     def box(self, tol: float):
         """For one variable, the analytic (p_lb, p_ub, q_lb, q_ub) bounds on
@@ -207,7 +218,7 @@ class _Constraints:
         from those with x < x_bar; the sample at x_bar is void.
         """
         rhs_lo, rhs_hi = self.lo + tol, self.hi + tol
-        dpos, dneg = self.dpos[..., 0], self.dneg[..., 0]
+        (dpos,), (dneg,) = self.dpos, self.dneg
         pos = dpos > 0.0
         neg = dneg < 0.0
         box = (_masked_quotient(np.maximum, rhs_hi, dneg, neg, -math.inf),
@@ -289,11 +300,12 @@ def _evaluate(f: Ivf, cand: SubgradientCandidate, grid: Optional[Grid]):
     return values, f0, _Constraints(values, x_bar, f0)
 
 
-def _verdict(pts: np.ndarray, bad: np.ndarray):
+def _verdict(axes: Sequence[np.ndarray], bad: np.ndarray):
     """(True, None), or (False, witness): the first violating sample of the
-    first failing candidate, for an (M, S) mask over M candidates."""
+    first failing candidate, for an (M, S) mask over M candidates and the
+    nodes of the grid with these axes."""
     if bad.any():
-        return False, pts[int(np.argmax(bad)) % pts.shape[0]].tolist()
+        return False, _node(axes, int(np.argmax(bad)) % bad.shape[1])
     return True, None
 
 
@@ -322,7 +334,7 @@ def is_subgradient_strict_variant(f: Ivf, cand: SubgradientCandidate,
     """
     values, (f0_lo, f0_hi), cons = _evaluate(f, cand, grid)
     lhs_lo, lhs_hi = cons.pairing(*_endpoints(cand.g))
-    return _verdict(values.pts, (lhs_lo + f0_lo > values.lo + tol)
+    return _verdict(values.axes, (lhs_lo + f0_lo > values.lo + tol)
                     | (lhs_hi + f0_hi > values.hi + tol))
 
 
@@ -401,7 +413,9 @@ def check_singleton_at_differentiable(f: Ivf, x_bar, grid: Optional[Grid] = None
     B_i is one point.  Otherwise a one-variable F is scanned over the
     gradient's endpoints plus/minus 3 (121 steps, slack _DOM_SLACK), and
     every marked cell must lie within one scan step of it; more variables
-    raise ValueError.
+    raise ValueError.  An endpoint so large that plus/minus 3 rounds back
+    onto it (|endpoint| from about 1e16) leaves the scan no width to
+    resolve, and raises UnresolvedScan.
     """
     x_arr = np.asarray(x_bar, dtype=float).ravel()
     grad = gh_gradient(f, x_arr)
@@ -411,6 +425,9 @@ def check_singleton_at_differentiable(f: Ivf, x_bar, grid: Optional[Grid] = None
     if f.arity != 1:
         raise ValueError("the singleton check in two or more variables needs a convex, separable F")
     ends = [grad[0].lo, grad[0].hi]
+    if any(v - 3.0 == v or v + 3.0 == v for v in ends):
+        raise UnresolvedScan(f"no width to scan at the gradient {grad[0]}: "
+                             "plus/minus 3 rounds back onto it")
     region = subdiff_scan_1d(f, float(x_arr[0]), [(v - 3.0, v + 3.0) for v in ends], 121, grid)
     # an empty region is no singleton
     return not region.is_empty and bool(np.all(
@@ -595,7 +612,7 @@ def _sampled_sup(values: _GridValues, raise_empty: bool = False) -> float:
     _MAX_ROWS, and the first one in grid order that would raise on its own
     raises.
     """
-    x_bar = values.pts[1:-1]
+    x_bar = values.axes[0][1:-1, None]
     f0_lo, f0_hi = values.lo[1:-1], values.hi[1:-1]
     # base points before the first whose F(x_bar) is no interval; that one
     # raises below as f.eval would
@@ -624,7 +641,7 @@ def _sampled_sup(values: _GridValues, raise_empty: bool = False) -> float:
             k = start + j
             if keep[j].any():  # a vertex the rounding of its box left outside
                 row = _Constraints(values, x_bar[k], (f0_lo[k], f0_hi[k]))
-                _, witness = _verdict(values.pts, row.violations(
+                _, witness = _verdict(values.axes, row.violations(
                     vp[j, keep[j], None], vq[j, keep[j], None], _DOM_SLACK + 1e-12))
                 raise EmptySubdifferentialEncountered(
                     f"frontier candidate failed re-verification at {witness}")
@@ -654,4 +671,4 @@ def lipschitz_from_subgradients_check(f: Ivf, grid: Optional[Grid] = None) -> bo
     sup = _slope_sup(f, grid, f.domain[0])
     if sup is None:
         sup = _sampled_sup(values, raise_empty=True)
-    return _lipschitz_max(values.pts, values.lo, values.hi) <= sup + 1e-6
+    return _lipschitz_max(values.axes, values.lo, values.hi) <= sup + 1e-6

@@ -166,8 +166,9 @@ def test_one_full_grid_evaluation_per_call(monkeypatch, call):
     eval_many, compile_tangents = Ivf.eval_many, ivf_module.compile_tangents
 
     def counted(self, xs):
-        calls.append(len(xs))
-        return eval_many(self, xs)
+        lo_hi = eval_many(self, xs)
+        calls.append(len(lo_hi[0]))
+        return lo_hi
 
     def counted_walker(node):
         walk = compile_tangents(node)
@@ -460,8 +461,9 @@ def test_an_uncertified_iop_evaluates_the_refined_lattice_once(monkeypatch):
     eval_many = Ivf.eval_many
 
     def counted(self, xs):
-        calls.append(len(xs))
-        return eval_many(self, xs)
+        lo_hi = eval_many(self, xs)
+        calls.append(len(lo_hi[0]))
+        return lo_hi
 
     monkeypatch.setattr(Ivf, "eval_many", counted)
     assert Iop(f).convexity_method == "sampled"

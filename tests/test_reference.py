@@ -74,7 +74,7 @@ from ghcalc.iop import (
     scalarized_descent,
 )
 from ghcalc.ivf import (
-    _row_blocks,
+    _lipschitz_max,
     _runs,
     is_convex_sampled,
     lipschitz_estimate,
@@ -125,6 +125,36 @@ def pareto_reference(lo, hi):
     strict = ((lo[:, None] <= lo[None, :]) & (hi[:, None] <= hi[None, :])
               & ((lo[:, None] < lo[None, :]) | (hi[:, None] < hi[None, :])))
     return ~strict.any(axis=0)
+
+
+def _row_blocks(n: int):
+    """Cover the pairs i < j of n nodes with row blocks, in np.triu_indices
+    order.  Yields slices (rows, cols) of i and j; the block's pairs are
+    the entries of the rows x cols rectangle kept by np.triu."""
+    rows_per_block = max(1, ivf_module._PAIR_BLOCK // n)
+    for r0 in range(0, n - 1, rows_per_block):
+        yield slice(r0, min(r0 + rows_per_block, n - 1)), slice(r0 + 1, n)
+
+
+def lipschitz_pair_block_reference(pts: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> float:
+    """The blocked Lipschitz quotient as computed on the (S, n) point array,
+    before the per-axis tables replaced it."""
+    block_max = []
+    for i, j in _row_blocks(pts.shape[0]):
+        # in-place arithmetic keeps few block-sized arrays alive at once
+        num = np.abs(lo[i, None] - lo[None, j])
+        np.maximum(num, np.abs(hi[i, None] - hi[None, j]), out=num)
+        den = np.zeros(num.shape)
+        for d in range(pts.shape[1]):
+            diff = pts[i, None, d] - pts[None, j, d]
+            den += diff * diff
+        np.sqrt(den, out=den)
+        # below np.triu the block repeats pairs (j, i) with j < i, whose
+        # quotient is the same; only the entries with j == i are no pair
+        k = np.arange(1, den.shape[0])
+        den[k, k - 1] = 1.0
+        block_max.append(np.max(np.divide(num, den, out=num)))
+    return float(np.max(block_max)) if block_max else 0.0
 
 
 def lipschitz_reference(f, grid):
@@ -299,7 +329,8 @@ def test_row_blocks_cover_the_upper_triangle_in_order(n):
 def test_lipschitz_estimate_matches_all_pairs_across_blocks():
     f = seeded_objective(5, 2)
     grid = f.grid(31)
-    assert len(list(_row_blocks(len(grid.points())))) > 1
+    size = len(grid.points())
+    assert len(list(_runs(grid.counts, ivf_module._PAIR_BLOCK // size))) > 1
     assert lipschitz_estimate(f, grid) == lipschitz_reference(f, grid)
 
 
@@ -853,7 +884,7 @@ def local_values(f: Ivf, x, radius: float, count: int):
     axes = [np.unique(np.clip(v + radius * np.linspace(-1.0, 1.0, count), l, u))
             for v, (l, u) in zip(x, f.domain)]
     pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
-    return _GridValues(pts, *f.eval_many(pts))
+    return _GridValues(tuple(axes), *f.eval_many(pts))
 
 
 @settings(max_examples=150, deadline=None)
@@ -1057,7 +1088,10 @@ def _walk_piecewise(node, xs):
     out_hi = np.full(n_pts, np.nan)
     covered = np.zeros(n_pts, dtype=bool)
     for guard, body in node.pieces:
-        mask = guard.holds(xs)
+        mask = np.ones(n_pts, dtype=bool)
+        for comp in guard.comparisons:
+            col = xs[:, comp.var_index]
+            mask &= col <= comp.bound if comp.op == "<=" else col >= comp.bound
         if not mask.any():
             continue
         lo, hi = walk_lo_hi(body, xs[mask])
@@ -1150,7 +1184,7 @@ def test_compiled_evaluator_matches_the_tree_walker(node, rows):
     compiled = compile_lo_hi(node)
     # one compiled function, called on two point sets
     for pts in (xs, xs[1:]):
-        got = outcome_of(lambda _, p: compiled(p), node, pts)
+        got = outcome_of(lambda _, p: compiled([p[:, 0], p[:, 1]], p.shape[:1]), node, pts)
         expected = outcome_of(walk_lo_hi, node, pts)
         if isinstance(expected[0], type):
             assert got == expected
@@ -1374,7 +1408,7 @@ def test_the_compiled_walker_matches_the_recursive_one(case, hs):
         assert along is None or at is not None and repr(along[:2]) == repr(at[:2])
         if at is not None and math.isfinite(at[0]) and math.isfinite(at[1]):
             with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
-                lo, hi = compile_lo_hi(node)(np.array([x]))
+                lo, hi = eval_lo_hi(node, np.array([x]))
             assert at[:2] == (lo[0], hi[0])
 
 
@@ -1433,7 +1467,7 @@ def test_numpy_sums_a_row_sequentially_below_8_and_pairwise_from_8():
         sequential = [sum_in_order(r) for r in squares.tolist()]
         differs = np.count_nonzero(np.sum(squares, axis=1) != sequential)
         assert (differs == 0) if n < 8 else (differs > 0), n
-        walk, (norm, _) = compile_tangents(Norm()), compile_lo_hi(Norm())(xs)
+        walk, (norm, _) = compile_tangents(Norm()), eval_lo_hi(Norm(), xs)
         assert [walk(x, [])[0] for x in xs.tolist()] == norm.tolist(), n
 
 
@@ -1452,6 +1486,159 @@ def test_where_corners_tie_the_walker_keeps_the_first_signed_zero_and_numpy_the_
     # the corners of [-1,2]*x1 at 0 are -0.0 and 0.0: Python's min and max
     # keep the first, numpy's the second, so the ends are equal but for sign
     node = BinOp("*", Const(Interval(-1.0, 2.0)), Var(0))
-    lo, hi = compile_lo_hi(node)(np.array([[0.0]]))
+    lo, hi = eval_lo_hi(node, np.array([[0.0]]))
     walk = compile_tangents(node)([0.0], [])
     assert repr(walk[:2]) == "(-0.0, -0.0)" and repr((lo[0].item(), hi[0].item())) == "(0.0, 0.0)"
+
+
+# --------------------------------------------------------------------------
+# Grid layers that read the axes against the point array they replace
+# --------------------------------------------------------------------------
+
+
+def pareto_flags_lexsort_reference(lo, hi):
+    """The efficiency flags as computed before, by one lexsort on (lo, hi)
+    and the running minimum of hi before each group of equal values."""
+    nan = np.isnan(lo) | np.isnan(hi)
+    if nan.any():
+        flags = np.ones(lo.shape, dtype=bool)
+        flags[~nan] = pareto_flags_lexsort_reference(lo[~nan], hi[~nan])
+        return flags
+    n = lo.size
+    order = np.lexsort((hi, lo))
+    lo_s, hi_s = lo[order], hi[order]
+    new_group = np.ones(n, dtype=bool)
+    new_group[1:] = (lo_s[1:] != lo_s[:-1]) | (hi_s[1:] != hi_s[:-1])
+    group_start = np.maximum.accumulate(np.where(new_group, np.arange(n), 0))
+    min_before = np.empty(n)
+    min_before[:1] = np.inf
+    min_before[1:] = np.minimum.accumulate(hi_s[:-1])
+    flags = np.empty(n, dtype=bool)
+    flags[order] = min_before[group_start] > hi_s
+    return flags
+
+
+# few distinct values, so ties and duplicates are common
+PARETO_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, math.nan, math.inf, -math.inf]),
+    st.floats(-3, 3, width=16))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.tuples(PARETO_FLOATS, PARETO_FLOATS), max_size=40), st.integers(0, 3))
+def test_pareto_flags_match_the_lexsort_sweep(values, copies):
+    lo, hi = np.array(values * (copies + 1), dtype=float).reshape(-1, 2).T.copy()
+    assert np.array_equal(_pareto_flags(lo, hi), pareto_flags_lexsort_reference(lo, hi))
+
+
+def grid_cases():
+    """(f, grid): the canned problems, norm, ghsub and piecewise objectives
+    in 1-3 variables, one grid with a fixed axis."""
+    cube = lambda n: ((-1.0, 1.0),) * n  # noqa: E731
+    cases = [(f, f.grid(33)) for f in (abs_slab_ivf(), piecewise_vee_ivf(), quartic_ivf(),
+                                       smooth_parabolic_ivf())]
+    for n, text in [(2, "norm()*[1,2] + x1"), (3, "norm()*[0.5,1] ghsub [0,1]*x2"),
+                    (2, "[1,2]*abs(x1) ghsub [0,1]*pow2(x2)"),
+                    (3, "[1,3]*abs(x1 - 0.25) + [0,1]*pow2(x2) + [1,2]*abs(x3 + 0.5) + [2,4]"),
+                    (2, "piecewise{ x1 <= 0 => [1,2]*abs(x2) - x1; x1 >= 0 => [1,2]*abs(x2); }"),
+                    (3, "piecewise{ x3 <= 0 and x1 >= -1 => x2 + [1,2]; x3 >= 0 => x2 + [1,2]; }"),
+                    (2, "[1,2]*[3,4] + x2/[2,3]")]:
+        f = Ivf.from_text(n, text, cube(n))
+        cases.append((f, f.grid(9)))
+    f = Ivf.from_text(2, "[1,2]*pow2(x1) + [0,1]*abs(x2 - 0.25)", ((-1.0, 1.0), (0.3, 0.3)))
+    return cases + [(f, f.grid(11))]
+
+
+@pytest.mark.parametrize("f, grid", grid_cases())
+def test_the_grid_evaluation_is_the_point_array_s_bit_for_bit(f, grid):
+    got, expected = f.eval_many(grid), f.eval_many(grid.points())
+    assert all(a.shape == (len(grid.points()),) and a.tobytes() == b.tobytes()
+               for a, b in zip(got, expected))
+    walked = walk_lo_hi(f.body, grid.points())
+    assert same_floats(got[0], walked[0]) and same_floats(got[1], walked[1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_the_grid_evaluation_of_families_is_the_point_array_s(n, data):
+    f = separable_ivf([data.draw(families()) for _ in range(n)])
+    counts = tuple(data.draw(st.integers(2, 9)) for _ in range(n))
+    grid = Grid(tuple(l for l, _ in f.domain), tuple(u for _, u in f.domain), counts)
+    got, expected = f.eval_many(grid), f.eval_many(grid.points())
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, expected))
+
+
+def raised(call):
+    try:
+        call()
+    except (ZeroInDenominator, NonDegenerateRealNode, OverlappingPieces,
+            PiecewiseCoverageError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("n, text", [
+    (1, "1/x1"), (2, "x1 + 1/x2"), (3, "x1 + x2/(x3 - 0.5)"), (2, "x1 + [1,2]/[-1,1]"),
+    (2, "abs([1,2]*x2)"), (3, "pow2(x1 + [0,1]*x3)"), (2, "pow3([1,2]) + x1"),
+    (2, "piecewise{ x2 <= -0.6 => x1; x2 >= 0.4 => x1; }"),
+    (3, "piecewise{ x3 <= 0.5 => x2; x3 >= 0 => x2 + 1; }"),
+    (2, "piecewise{ x1 <= 0 => 1/x2; x1 >= 0 => x1; }"),
+    (3, "piecewise{ x2 <= 0.5 => abs(x1*[1,2]); x2 >= 0.5 => x3; }"),
+])
+def test_an_error_on_the_grid_keeps_its_type_and_point(n, text):
+    f = Ivf.from_text(n, text, ((-1.0, 1.0),) * n)
+    grid = f.grid(5)
+    expected = raised(lambda: walk_lo_hi(f.body, grid.points()))
+    assert expected is not None
+    assert raised(lambda: f.eval_many(grid)) == raised(lambda: f.eval_many(grid.points())) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.data(), st.sampled_from([1 << 18, 300, 37, 1]))
+def test_the_lipschitz_tables_give_the_pair_block_float(n, data, budget):
+    f = separable_ivf([data.draw(families()) for _ in range(n)])
+    counts = tuple(data.draw(st.integers(2, 12 if n < 3 else 6)) for _ in range(n))
+    # in two or three variables, an axis may be fixed at its midpoint
+    fixed = [n > 1 and data.draw(st.booleans()) for _ in range(n)]
+    lower, upper = zip(*(((l + u) / 2.0,) * 2 if k else (l, u)
+                         for (l, u), k in zip(f.domain, fixed)))
+    grid = Grid(lower, upper, counts)
+    lo, hi = f.eval_many(grid.points())
+    expected = lipschitz_pair_block_reference(grid.points(), lo, hi)
+    old = ivf_module._PAIR_BLOCK
+    try:
+        ivf_module._PAIR_BLOCK = budget
+        got = _lipschitz_max(grid.axes(), lo, hi)
+    finally:
+        ivf_module._PAIR_BLOCK = old
+    assert got == expected
+
+
+NO_3D = (Ivf.from_text(3, "[1,3]*abs(x1 - 0.25) + [0,1]*pow2(x2) + [1,2]*abs(x3 + 0.5) + [2,4]",
+                       ((-1.0, 1.0),) * 3),
+         SubgradientCandidate(IVector.of(Interval(3.5, 4.0), Interval(0.0, 0.0),
+                                         Interval(1.0, 1.0)), (0.25, 0.0, -0.5)))
+
+
+def test_the_3d_no_reads_the_axes_and_names_the_point_array_s_witness(monkeypatch):
+    f, cand = NO_3D
+    grid = f.grid(41)
+    expected = subgradient_reference(f, cand, grid)
+    assert expected == (False, [0.30000000000000004, -1.0, -0.55])
+    calls, points = [], Grid.points
+    monkeypatch.setattr(Grid, "points", lambda self: calls.append(self) or points(self))
+    assert is_subgradient(f, cand, grid) == expected
+    assert is_subgradient_strict_variant(f, cand, grid) == subgradient_reference(
+        f, cand, grid, strict=True)
+    # the references above ask for the points; the library does not
+    assert len(calls) == 1
+
+
+def test_an_exact_3d_yes_evaluates_nothing(monkeypatch):
+    f, _ = NO_3D
+    cand = SubgradientCandidate(IVector.of(Interval(1.0, 2.0), Interval(0.0, 0.0),
+                                           Interval(0.0, 0.5)), (0.25, 0.0, -0.5))
+    calls, eval_many = [], Ivf.eval_many
+    monkeypatch.setattr(Ivf, "eval_many", lambda self, xs: calls.append(xs) or eval_many(self, xs))
+    assert is_subgradient(f, cand, f.grid(41)) == (True, None)
+    assert calls == []

@@ -12,6 +12,7 @@ from ghcalc.errors import (
     MalformedNormIvf,
     NonFiniteDerivative,
     OutOfDomain,
+    UnresolvedScan,
 )
 from ghcalc.ivf import Grid, gh_derivative_1d, gh_gradient
 from ghcalc.iop import Iop, optimality_zero_condition
@@ -163,6 +164,20 @@ def test_the_singleton_check_takes_no_scan_arguments():
 def test_singleton_check_at_smooth_points():
     assert check_singleton_at_differentiable(quartic_ivf(), (1.0,))
     assert check_singleton_at_differentiable(smooth_parabolic_ivf(), (1.0,))
+
+
+def test_the_singleton_scan_refuses_a_gradient_too_large_to_resolve():
+    # a piecewise F is not proved, so it is scanned over the gradient
+    # [1e17, 3e17] plus/minus 3, which rounds back onto it: the scan would
+    # have no width, and the check says so rather than answer False
+    f = Ivf.from_text(1, "piecewise{ x1 <= 0 => [1e17,3e17]*x1; x1 >= 0 => [1e17,3e17]*x1; }",
+                      ((-1.0, 1.0),))
+    message = r"^no width to scan at the gradient \[1e\+17,3e\+17\]"
+    with pytest.raises(UnresolvedScan, match=message):
+        check_singleton_at_differentiable(f, (0.5,))
+    # the same piece at a scale the scan resolves
+    f = Ivf.from_text(1, "piecewise{ x1 <= 0 => [1,3]*x1; x1 >= 0 => [1,3]*x1; }", ((0.0, 1.0),))
+    assert check_singleton_at_differentiable(f, (0.5,))
 
 
 def test_singleton_check_fails_when_the_region_is_empty_in_2d(monkeypatch):
