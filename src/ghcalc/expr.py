@@ -51,23 +51,17 @@ class Expr:
 
     def arity_floor(self) -> int:
         """Smallest arity this expression is compatible with."""
-        raise NotImplementedError
+        return max(reads(self)[0], default=-1) + 1
 
 
 @dataclass(frozen=True)
 class Const(Expr):
     value: Interval
 
-    def arity_floor(self) -> int:
-        return 0
-
 
 @dataclass(frozen=True)
 class Var(Expr):
     index: int  # 0-based
-
-    def arity_floor(self) -> int:
-        return self.index + 1
 
 
 @dataclass(frozen=True)
@@ -76,16 +70,10 @@ class BinOp(Expr):
     left: Expr
     right: Expr
 
-    def arity_floor(self) -> int:
-        return max(self.left.arity_floor(), self.right.arity_floor())
-
 
 @dataclass(frozen=True)
 class Abs(Expr):
     child: Expr
-
-    def arity_floor(self) -> int:
-        return self.child.arity_floor()
 
 
 @dataclass(frozen=True)
@@ -97,16 +85,10 @@ class Pow(Expr):
         if self.exponent < 1:
             raise ValueError("pow exponent must be a positive integer")
 
-    def arity_floor(self) -> int:
-        return self.child.arity_floor()
-
 
 @dataclass(frozen=True)
 class Norm(Expr):
     """Euclidean norm of the full argument vector (a degenerate value)."""
-
-    def arity_floor(self) -> int:
-        return 0
 
 
 @dataclass(frozen=True)
@@ -144,13 +126,24 @@ class Guard:
 class Piecewise(Expr):
     pieces: Tuple[Tuple[Guard, Expr], ...]
 
-    def arity_floor(self) -> int:
-        floor = 0
-        for guard, body in self.pieces:
-            floor = max(floor, body.arity_floor())
-            for comp in guard.comparisons:
-                floor = max(floor, comp.var_index + 1)
-        return floor
+
+def reads(node: Expr) -> Tuple[frozenset, bool]:
+    """(variables, separable): the 0-based variables the tree reads, those of
+    its guards included, and whether no abs, pow or norm node reads two of
+    them.  A norm reads every variable there is, so it names none, and it
+    breaks separability, as a piecewise node does."""
+    if isinstance(node, Var):
+        return frozenset((node.index,)), True
+    if isinstance(node, (Const, Norm)):
+        return frozenset(), isinstance(node, Const)
+    if isinstance(node, (Abs, Pow)):
+        axes, sep = reads(node.child)
+        return axes, sep and len(axes) < 2
+    if isinstance(node, BinOp):
+        (left, left_sep), (right, right_sep) = reads(node.left), reads(node.right)
+        return left | right, left_sep and right_sep
+    axes = frozenset(c.var_index for guard, _ in node.pieces for c in guard.comparisons)
+    return axes.union(*(reads(body)[0] for _, body in node.pieces)), False
 
 
 # --------------------------------------------------------------------------
@@ -647,21 +640,11 @@ def _convexity_binop(node: BinOp, left: Convexity, right: Convexity) -> Convexit
 
 
 def separable(node: Expr) -> bool:
-    """Whether no abs, pow or norm node reads two variables (a norm reads
-    all).  Of a tree that `convexity` proves convex this proves each endpoint
-    a sum of one-variable functions: its rules admit only sums, differences
-    and scalings whose ends pair one way, so an endpoint sums leaf ends."""
-    def axes(n: Expr) -> Optional[set]:  # None past a node that breaks the rule, or a piecewise one
-        if isinstance(n, (Var, Const)):
-            return {n.index} if isinstance(n, Var) else set()
-        if isinstance(n, (Abs, Pow)):
-            child = axes(n.child)
-            return child if child is not None and len(child) < 2 else None
-        if isinstance(n, BinOp):
-            left, right = axes(n.left), axes(n.right)
-            return None if left is None or right is None else left | right
-        return None  # a norm or a piecewise node
-    return axes(node) is not None
+    """Whether no abs, pow or norm node reads two variables (`reads`).  Of a
+    tree that `convexity` proves convex this proves each endpoint a sum of
+    one-variable functions: its rules admit only sums, differences and
+    scalings whose ends pair one way, so an endpoint sums leaf ends."""
+    return reads(node)[1]
 
 
 # --------------------------------------------------------------------------

@@ -28,10 +28,10 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import CandidateNotSubgradient, GhcalcError, NonConvexObjective, OutOfDomain
+from .errors import CandidateNotSubgradient, GhcalcError, NonConvexObjective
 from .interval import Interval
 from .ivector import IVector, WMapConfig
-from .ivf import Grid, Ivf, _walk_sides, is_convex_sampled
+from .ivf import Grid, Ivf, _point, _walk_sides, is_convex_sampled
 from .subgrad import (
     _DOM_SLACK,
     SubgradientCandidate,
@@ -150,11 +150,10 @@ def _pareto_flags(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     starts = np.flatnonzero(new_group)
     group = np.cumsum(new_group) - 1
     least = np.minimum.reduceat(hi_s, starts)  # per group of equal lo
-    before = np.empty(starts.size)  # over the groups of smaller lo
-    before[:1] = np.inf
+    before = np.full(starts.size, np.inf)  # over the groups of smaller lo; the first has none
     np.minimum.accumulate(least[:-1], out=before[1:])
     flags = np.empty(lo.size, dtype=bool)
-    flags[order] = (before[group] > hi_s) & (least[group] >= hi_s)
+    flags[order] = ((group == 0) | (before[group] > hi_s)) & (least[group] >= hi_s)
     return flags
 
 
@@ -190,9 +189,9 @@ def optimality_nprec_condition(p: Iop, x_bar, cand: SubgradientCandidate,
     cross-checked as efficient.
     """
     f = p.objective
-    x = np.asarray(x_bar, dtype=float).ravel()
-    if tuple(x.tolist()) != cand.base_point:
-        raise ValueError(f"x_bar {x.tolist()} differs from the candidate's "
+    x = _point(f, x_bar)
+    if tuple(x) != cand.base_point:
+        raise ValueError(f"x_bar {x} differs from the candidate's "
                          f"base point {list(cand.base_point)}")
     values, _, cons = _evaluate(f, cand, grid)
     ok, witness = cons.check(cand.g, _DOM_SLACK)
@@ -283,10 +282,7 @@ def scalarized_descent(p: Iop, x0, cfg: WMapConfig = WMapConfig(),
     f = p.objective
     if grid is None:
         grid = f.grid()
-    x = np.asarray(x0, dtype=float).ravel()
-    if not f.contains(x):
-        raise OutOfDomain(f"{x.tolist()} is outside the domain")
-    x = tuple(x.tolist())
+    x = tuple(_point(f, x0))
     n = f.arity
     w, w_prime = float(cfg.w), float(cfg.w_prime)  # a float32 weight widens, as in arrays
     grid_values = _grid_values(f, grid)

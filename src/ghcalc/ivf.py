@@ -22,7 +22,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .errors import LengthMismatch, NonFiniteDerivative, OutOfDomain
-from .expr import Expr, compile_lo_hi, compile_tangents, convexity, parse_expr
+from .expr import Expr, compile_lo_hi, compile_tangents, convexity, parse_expr, separable
 from .interval import Interval
 from .ivector import IVector
 
@@ -96,7 +96,6 @@ class Ivf:
         box = [(l - t, u + t) for (l, u), t in zip(domain, tol)]
         object.__setattr__(self, "_edges", tuple(box))
         object.__setattr__(self, "_box", np.array(box, ndmin=2).T)
-        object.__setattr__(self, "_lo_hi", compile_lo_hi(self.body))
 
     def __reduce__(self):
         return type(self), (self.arity, self.body, self.domain)
@@ -143,16 +142,28 @@ class Ivf:
             raise OutOfDomain("evaluation point outside the domain box")
         return self._lo_hi([xs[:, i] for i in range(self.arity)], xs.shape[:1])
 
+    # Each of these is built on first use and kept, not as a field.
+    @cached_property
+    def _lo_hi(self):
+        """The array closures of `expr.compile_lo_hi`."""
+        return compile_lo_hi(self.body)
+
     @cached_property
     def _tangents(self):
-        """The walker of `expr.compile_tangents`, compiled on first use; not a field."""
+        """The walker of `expr.compile_tangents`."""
         return compile_tangents(self.body)
 
     @cached_property
     def _proved_convex(self) -> bool:
         """Whether `expr.convexity` proves both endpoint functions convex over
-        the domain: proved on first use and kept, not as a field."""
+        the domain."""
         return convexity(self.body, self.domain).convex
+
+    @cached_property
+    def _exact_slopes(self) -> bool:
+        """Whether one walk's slopes give F's exact subdifferential: F is
+        proved convex, and of one variable or separable (`expr.reads`)."""
+        return self._proved_convex and (self.arity == 1 or separable(self.body))
 
     def eval(self, x) -> Interval:
         lo, hi = self.eval_many(x)
@@ -173,7 +184,9 @@ class Ivf:
 
 
 def _point(f: Ivf, x) -> List[float]:
-    """x as floats; OutOfDomain unless it is finite and in f's domain."""
+    """x as floats; OutOfDomain unless it is finite and in f's domain up to
+    _DOMAIN_TOL (ValueError for a finite x of another length).  Every
+    derivative and verdict at a point checks it here."""
     x = np.asarray(x, dtype=float).ravel()
     if not (np.isfinite(x).all() and f.contains(x)):
         raise OutOfDomain(f"{x.tolist()} is outside the domain")
@@ -301,37 +314,26 @@ def is_convex_sampled(f: Ivf, grid: Grid):
                         for v in f.eval_many(fine))
     fine_lo.flags.writeable = fine_hi.flags.writeable = False
     lo, hi = (v[(slice(None, None, 4),) * n] for v in (fine_lo, fine_hi))
-    # entry (a, b) of the k-th view is the refined value at k*a + (4 - k)*b
-    strides = [[k * s for s in fine_lo.strides] + [(4 - k) * s for s in fine_lo.strides]
-               for k in _MIX_QUARTERS]
-    mixes = [(np.ndarray(counts + counts, float, fine_lo, 0, st),
-              np.ndarray(counts + counts, float, fine_hi, 0, st)) for st in strides]
     slab = math.prod(counts[1:])
-    witness = [None] * len(_MIX_QUARTERS)
-    # a block pairs a run of first nodes with the second nodes from the
-    # run's first-axis index i0 on: the upper triangle and a few pairs more
-    for first, start in _runs(counts, max(1, _MIX_BLOCK // math.prod(counts))):
-        i0 = start // slab
-        rows, pairs = first + (None,) * n, first + (slice(i0, None),)
-        for m, k in enumerate(_MIX_QUARTERS):
-            if witness[m] is not None:
-                continue
-            lam, lam_p = k / 4, 1.0 - k / 4
-            mix_lo, mix_hi = mixes[m]
+    for k in _MIX_QUARTERS:
+        lam, lam_p = k / 4, 1.0 - k / 4
+        # entry (a, b) of the view is the refined value at k*a + (4 - k)*b
+        strides = [k * s for s in fine_lo.strides] + [(4 - k) * s for s in fine_lo.strides]
+        mix_lo, mix_hi = (np.ndarray(counts + counts, float, v, 0, strides)
+                          for v in (fine_lo, fine_hi))
+        # a block pairs a run of first nodes with the second nodes from the
+        # run's first-axis index i0 on: the upper triangle and a few pairs more
+        for first, start in _runs(counts, max(1, _MIX_BLOCK // math.prod(counts))):
+            i0 = start // slab
+            rows, pairs = first + (None,) * n, first + (slice(i0, None),)
             bad = ((mix_lo[pairs] > lam * lo[rows] + lam_p * lo[i0:] + 1e-10)
                    | (mix_hi[pairs] > lam * hi[rows] + lam_p * hi[i0:] + 1e-10))
-            if bad.any():
-                # drop the block's pairs B <= A before picking a witness
-                bad = np.triu(bad.reshape(-1, (counts[0] - i0) * slab), 1 + start - i0 * slab)
-                if bad.any():
-                    a, b = divmod(int(np.argmax(bad)), bad.shape[1])
-                    witness[m] = (start + a, i0 * slab + b)
-        if witness[0] is not None:
-            break
-    for k, pair in zip(_MIX_QUARTERS, witness):
-        if pair is not None:
-            a, b = (_node(grid.axes(), i) for i in pair)
-            return False, (a, b, k / 4)
+            # drop the block's pairs B <= A before picking a witness
+            if bad.any() and (bad := np.triu(bad.reshape(-1, (counts[0] - i0) * slab),
+                                             1 + start - i0 * slab)).any():
+                a, b = divmod(int(np.argmax(bad)), bad.shape[1])
+                x1, x2 = (_node(grid.axes(), i) for i in (start + a, i0 * slab + b))
+                return False, (x1, x2, lam)
     return True, None
 
 

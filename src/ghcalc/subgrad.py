@@ -35,10 +35,9 @@ from .errors import (
     LengthMismatch,
     MalformedNormIvf,
     NonFiniteDerivative,
-    OutOfDomain,
     UnresolvedScan,
 )
-from .expr import BinOp, Const, Norm, separable
+from .expr import BinOp, Const, Norm
 from .interval import Interval
 from .ivector import IVector, dot
 from .ivf import (
@@ -46,6 +45,7 @@ from .ivf import (
     Ivf,
     _lipschitz_max,
     _node,
+    _point,
     _walk_sides,
     directional_gh_derivative,
     gh_derivative_1d,
@@ -239,17 +239,18 @@ def _masked_quotient(extreme: np.ufunc, num: np.ndarray, den: np.ndarray,
 
 def _exact_sets(f: Ivf, x_bar: Sequence[float], grid: Optional[Grid] = None):
     """The subdifferentials A of f_lo and B of f_hi at x_bar, over the box, of
-    an F that `expr.convexity` proves convex and `expr.separable` separable,
-    from one walk (`ivf._walk_sides`): per axis A_i = [-f_lo'(x_bar; -e_i),
-    f_lo'(x_bar; e_i)] and B_i the same for f_hi, unbounded outward at a
-    domain bound.  None if F is not proved both, x_bar or the grid's nodes
-    leave the domain (the sampled path then raises), or the walk refuses."""
+    an F that `expr.convexity` proves convex and `expr.separable` separable
+    (`Ivf._exact_slopes`), from one walk (`ivf._walk_sides`): per axis A_i =
+    [-f_lo'(x_bar; -e_i), f_lo'(x_bar; e_i)] and B_i the same for f_hi,
+    unbounded outward at a domain bound.  None if F is not proved both,
+    x_bar or the grid's nodes leave the domain (the sampled path then
+    raises), or the walk refuses."""
+    if not f._exact_slopes:
+        return None
     x = [float(v) for v in x_bar]
     if len(x) != f.arity or not all(l <= v <= u for v, (l, u) in zip(x, f.domain)) or (
             grid is not None and (grid.dim != f.arity or any(
                 gl < l or gu > u for gl, gu, (l, u) in zip(grid.lower, grid.upper, f.domain)))):
-        return None
-    if not (f._proved_convex and (f.arity == 1 or separable(f.body))):
         return None
     try:
         sides, (_, _, dlo, dhi) = _walk_sides(f, x, range(f.arity))
@@ -292,9 +293,7 @@ def _in_exact(sets, g: IVector, tol: float) -> bool:
 
 def _evaluate(f: Ivf, cand: SubgradientCandidate, grid: Optional[Grid]):
     """F on the grid, F(x_bar) and the constraints at the candidate's base point."""
-    x_bar = np.asarray(cand.base_point, dtype=float)
-    if not f.contains(x_bar):
-        raise OutOfDomain(f"{cand.base_point} is outside the domain")
+    x_bar = np.array(_point(f, cand.base_point))
     values = _grid_values(f, grid)
     f0 = f.boundary(x_bar)
     return values, f0, _Constraints(values, x_bar, f0)
@@ -361,12 +360,10 @@ def subdiff_scan_1d(f: Ivf, x_bar: float,
     """
     if f.arity != 1:
         raise ValueError("subdiff_scan_1d needs a one-variable function")
-    if not f.contains([x_bar]):
-        raise OutOfDomain(f"{x_bar} is outside the domain")
+    x = np.array(_point(f, [x_bar]))
     steps = _scan_steps(steps, g_bounds)
-    sets = _exact_sets(f, [x_bar], grid)
+    sets = _exact_sets(f, x, grid)
     if sets is None:
-        x = np.array([float(x_bar)])
         box, widen = _Constraints(_grid_values(f, grid), x, f.boundary(x)).box(tol), 0.0
     else:
         # tol widens the raster only: the box, and the maximum read from it, stay exact

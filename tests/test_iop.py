@@ -468,3 +468,24 @@ def test_an_uncertified_iop_evaluates_the_refined_lattice_once(monkeypatch):
     monkeypatch.setattr(Ivf, "eval_many", counted)
     assert Iop(f).convexity_method == "sampled"
     assert calls == [4 * (21 - 1) + 1]
+
+
+NON_FINITE_ENTRY_POINTS = {
+    "is_subgradient": lambda f, x: subgrad.is_subgradient(f, SubgradientCandidate(
+        IVector.of(Interval(1.0, 2.0)), (x,))),
+    "strict_variant": lambda f, x: subgrad.is_subgradient_strict_variant(
+        f, SubgradientCandidate(IVector.of(Interval(1.0, 2.0)), (x,))),
+    "subdiff_scan_1d": lambda f, x: subgrad.subdiff_scan_1d(f, x),
+    "zero_condition": lambda f, x: optimality_zero_condition(Iop(f), [x]),
+    "nprec_condition": lambda f, x: optimality_nprec_condition(
+        Iop(f), [x], SubgradientCandidate(IVector.zero(1), (x,))),
+    "scalarized_descent": lambda f, x: scalarized_descent(Iop(f), [x]),
+}
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", sorted(NON_FINITE_ENTRY_POINTS))
+def test_a_non_finite_point_is_out_of_the_domain_at_every_entry_point(entry, x):
+    # f.contains counts a NaN coordinate as inside, so finiteness is checked apart
+    with pytest.raises(OutOfDomain, match=r"^\[(nan|inf|-inf)\] is outside the domain$"):
+        NON_FINITE_ENTRY_POINTS[entry](abs_slab_ivf(), x)

@@ -1,3 +1,4 @@
+import copy
 import pickle
 import warnings
 
@@ -132,6 +133,18 @@ def test_compiled_body_is_no_field():
     assert "_lo_hi" not in repr(f)
     h = pickle.loads(pickle.dumps(f))
     assert h == f and h.eval((1.0,)) == f.eval((1.0,))
+
+
+def test_an_ivf_with_its_walkers_and_gate_built_copies_as_a_fresh_one():
+    f = abs_slab_ivf()
+    value, slope = f.eval((1.0,)), gh_gradient(f, [1.0])
+    assert f._exact_slopes and {"_lo_hi", "_tangents", "_exact_slopes"} <= set(vars(f))
+    fresh = abs_slab_ivf()
+    for g in (pickle.loads(pickle.dumps(f)), copy.copy(f), copy.deepcopy(f)):
+        assert g == f == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)
+        assert "_lo_hi" not in vars(g)  # a copy builds its own on first use
+        assert g.eval((1.0,)) == value and gh_gradient(g, [1.0]) == slope
+        assert g._exact_slopes
 
 
 def test_eval_many_is_vectorized():

@@ -20,7 +20,8 @@ convexity check and against evaluation.  The exact one-variable box and
 its membership test are kept as written before the exact sets of
 separable objectives, in any number of variables, replaced them; those
 sets are checked against the sampled check both ways, in two and three
-variables.
+variables.  The per-class `arity_floor` methods and the walker inside
+`expr.separable` are kept as written before `expr.reads` replaced both.
 """
 
 import itertools
@@ -63,6 +64,9 @@ from ghcalc.expr import (
     compile_tangents,
     convexity,
     eval_lo_hi,
+    parse_expr,
+    reads,
+    separable,
 )
 from ghcalc.iop import (
     DescentResult,
@@ -1498,7 +1502,8 @@ def test_where_corners_tie_the_walker_keeps_the_first_signed_zero_and_numpy_the_
 
 def pareto_flags_lexsort_reference(lo, hi):
     """The efficiency flags as computed before, by one lexsort on (lo, hi)
-    and the running minimum of hi before each group of equal values."""
+    and the running minimum of hi before each group of equal values; the
+    first group has no value before it, whatever its hi."""
     nan = np.isnan(lo) | np.isnan(hi)
     if nan.any():
         flags = np.ones(lo.shape, dtype=bool)
@@ -1514,7 +1519,7 @@ def pareto_flags_lexsort_reference(lo, hi):
     min_before[:1] = np.inf
     min_before[1:] = np.minimum.accumulate(hi_s[:-1])
     flags = np.empty(n, dtype=bool)
-    flags[order] = min_before[group_start] > hi_s
+    flags[order] = (group_start == 0) | (min_before[group_start] > hi_s)
     return flags
 
 
@@ -1525,10 +1530,24 @@ PARETO_FLOATS = st.one_of(
 
 
 @settings(max_examples=500, deadline=None)
+@example([(0.0, math.inf)], 0)  # a least lo with hi = +inf: nothing comes before it
+@example([(1.0, math.inf), (0.0, math.inf), (0.0, 2.0)], 1)
 @given(st.lists(st.tuples(PARETO_FLOATS, PARETO_FLOATS), max_size=40), st.integers(0, 3))
 def test_pareto_flags_match_the_lexsort_sweep(values, copies):
     lo, hi = np.array(values * (copies + 1), dtype=float).reshape(-1, 2).T.copy()
-    assert np.array_equal(_pareto_flags(lo, hi), pareto_flags_lexsort_reference(lo, hi))
+    flags = _pareto_flags(lo, hi)
+    assert np.array_equal(flags, pareto_flags_lexsort_reference(lo, hi))
+    assert np.array_equal(flags, pareto_reference(lo, hi))
+
+
+def test_a_least_lo_whose_hi_overflows_is_efficient():
+    # no node has a smaller f_lo than -2, so its f_hi of +inf is dominated by none
+    f = Ivf.from_text(1, "x1 + [0,1e308]*pow4(x1)", ((-2.0, 2.0),))
+    with np.errstate(over="ignore"):
+        report = efficient_on_grid(Iop(f), f.grid(5))
+    assert report.f_hi.tolist() == [math.inf, 1e308, 0.0, 1e308, math.inf]
+    assert report.efficient.tolist() == [True, True, True, False, False]
+    assert np.array_equal(report.efficient, pareto_reference(report.f_lo, report.f_hi))
 
 
 def grid_cases():
@@ -1642,3 +1661,85 @@ def test_an_exact_3d_yes_evaluates_nothing(monkeypatch):
     monkeypatch.setattr(Ivf, "eval_many", lambda self, xs: calls.append(xs) or eval_many(self, xs))
     assert is_subgradient(f, cand, f.grid(41)) == (True, None)
     assert calls == []
+
+
+# --------------------------------------------------------------------------
+# What a tree reads against the two walkers it replaces
+# --------------------------------------------------------------------------
+
+
+def arity_floor_reference(node) -> int:
+    """The per-class `Expr.arity_floor` methods, as written before."""
+    if isinstance(node, (Const, Norm)):
+        return 0
+    if isinstance(node, Var):
+        return node.index + 1
+    if isinstance(node, BinOp):
+        return max(arity_floor_reference(node.left), arity_floor_reference(node.right))
+    if isinstance(node, (Abs, Pow)):
+        return arity_floor_reference(node.child)
+    floor = 0
+    for guard, body in node.pieces:
+        floor = max(floor, arity_floor_reference(body))
+        for comp in guard.comparisons:
+            floor = max(floor, comp.var_index + 1)
+    return floor
+
+
+def separable_reference(node) -> bool:
+    """`expr.separable` as written before."""
+    def axes(n):  # None past a node that breaks the rule, or a piecewise one
+        if isinstance(n, (Var, Const)):
+            return {n.index} if isinstance(n, Var) else set()
+        if isinstance(n, (Abs, Pow)):
+            child = axes(n.child)
+            return child if child is not None and len(child) < 2 else None
+        if isinstance(n, BinOp):
+            left, right = axes(n.left), axes(n.right)
+            return None if left is None or right is None else left | right
+        return None  # a norm or a piecewise node
+    return axes(node) is not None
+
+
+def assert_reads_as_before(node):
+    variables, sep = reads(node)
+    assert max(variables, default=-1) + 1 == node.arity_floor() == arity_floor_reference(node)
+    assert sep == separable(node) == separable_reference(node)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(trees(arity=3), composed_trees(arity=3)))
+def test_reads_agrees_with_the_walkers_it_replaces(node):
+    assert_reads_as_before(node)
+
+
+def reads_texts():
+    """The canned objectives, those the CI run writes, and benchmark-style
+    separable sums in one to three variables, by name."""
+    nodes = {path.stem: parse_problem_file(path).ivf.body for path in PROBLEMS.glob("*.prob")}
+    nodes.update((text, parse_expr(text)) for text in (
+        "abs(x1)*[1,3] + [1e9,1e9]", "abs(x1)*[1,3] + abs(x2)*[1,2]",
+        "abs(x1)*[1,3] + abs(x2)*[1,2] + [1e9,1e9]",
+        "[1,3]*abs(x1 - 0.25) + [0,1]*pow2(x2) + [1,2]*abs(x3 + 0.5) + [2,4]",
+        "[1,2]*pow2(x1) + [0,1]*abs(x2 - 0.25) + [3,4]", "[1,2]*pow2(x1) - pow2(x2)",
+        "[1e9,1e9] + abs(x1)", "x1 + [0,1e308]*pow4(x1)", LATE_WITNESS_TEXT,
+        "norm()*[1,2] + x1", "[1,2]*abs(x1 + x2)", "pow2(x3 - x1)*[0,1] + x2"))
+    nodes.update((f"seeded_{n}d_{seed}", seeded_objective(seed, n).body)
+                 for n in (1, 2, 3) for seed in range(3))
+    return nodes
+
+
+READS_TEXTS = reads_texts()
+
+
+@pytest.mark.parametrize("name", sorted(READS_TEXTS))
+def test_reads_agrees_on_the_canned_ci_and_benchmark_texts(name):
+    assert_reads_as_before(READS_TEXTS[name])
+
+
+def test_reads_names_the_variables_and_separability():
+    assert reads(parse_expr("[1,2]*abs(x1 - 0.5) + pow2(x3)")) == (frozenset({0, 2}), True)
+    assert reads(parse_expr("abs(x1 + x2)")) == (frozenset({0, 1}), False)
+    assert reads(parse_expr("norm()*[1,2]")) == (frozenset(), False)
+    pw = parse_expr("piecewise{ x2 <= 0 => x1; x2 >= 0 => x1; }")
+    assert reads(pw) == (frozenset({0, 1}), False)

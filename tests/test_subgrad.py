@@ -511,3 +511,21 @@ def test_the_vee_s_probe_evaluates_the_grid_once_and_walks_nothing(monkeypatch):
     calls = counted_calls(monkeypatch)
     union_boundedness_probe(piecewise_vee_ivf())
     assert calls == {"eval_many": 1, "walks": 0}
+
+
+def test_an_exact_verdict_compiles_no_array_closures(monkeypatch):
+    compiled, compile_lo_hi = [], ivf_module.compile_lo_hi
+    monkeypatch.setattr(ivf_module, "compile_lo_hi",
+                        lambda node: compiled.append(node) or compile_lo_hi(node))
+    f = abs_slab_ivf()
+    g = IVector.of(Interval(0.0, 0.5))
+    assert is_subgradient(f, SubgradientCandidate(g, (0.0,))) == (True, None)
+    region = subdiff_scan_1d(f, 0.0)
+    assert region.method == "exact" and region.box == (-3.0, 1.0, -1.0, 3.0)
+    assert directional_max_check(f, 0.0, 1.0, region) == (Interval(1.0, 3.0), True)
+    assert union_boundedness_probe(f) == 3.0
+    assert compiled == []
+    # a sampled verdict compiles them, once per function
+    assert not is_subgradient(f, SubgradientCandidate(IVector.of(Interval(2.0, 3.0)), (0.0,)))[0]
+    f.eval((1.0,))
+    assert compiled == [f.body]
