@@ -333,7 +333,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # an overflow to +-inf is a value the CSV prints, not a warning
+        with np.errstate(over="ignore"):
+            return args.func(args)
     except (GhcalcError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

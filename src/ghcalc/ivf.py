@@ -14,6 +14,7 @@ Where the slopes along e_i and -e_i disagree, there is no gH-derivative.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -129,18 +130,28 @@ class Ivf:
         array; OutOfDomain if one leaves an axis [l, u] of the box by more
         than _DOMAIN_TOL*(1 + |l| + |u|)."""
         if isinstance(xs, Grid):
-            if xs.dim != self.arity:
-                raise ValueError(f"expected points of dimension {self.arity}")
-            axes = xs.axes()
-            if any((a < l).any() or (a > u).any() for a, (l, u) in zip(axes, self._edges)):
-                raise OutOfDomain("evaluation point outside the domain box")
-            cols = [a.reshape([-1 if j == i else 1 for j in range(xs.dim)])
-                    for i, a in enumerate(axes)]
-            return tuple(v.reshape(-1) for v in self._lo_hi(cols, xs.counts))
+            return self._eval_run(self._grid_axes(xs), ())
         xs = self._as_points(xs)
         if not self._inside(xs):
             raise OutOfDomain("evaluation point outside the domain box")
         return self._lo_hi([xs[:, i] for i in range(self.arity)], xs.shape[:1])
+
+    def _grid_axes(self, grid: Grid) -> List[np.ndarray]:
+        """The axes of a grid, once eval_many's checks of it pass."""
+        if grid.dim != self.arity:
+            raise ValueError(f"expected points of dimension {self.arity}")
+        axes = grid.axes()
+        if any((a < l).any() or (a > u).any() for a, (l, u) in zip(axes, self._edges)):
+            raise OutOfDomain("evaluation point outside the domain box")
+        return axes
+
+    def _eval_run(self, axes: Sequence[np.ndarray], index) -> Tuple[np.ndarray, np.ndarray]:
+        """(f_lo, f_hi) at the nodes, in row-major order, of one run of the
+        grid with these axes (an index of `_runs`; () for all of them), from
+        the run's part of each axis, along its own dimension."""
+        parts = [a[k] for a, k in zip(axes, _run_slices(index, len(axes)))]
+        cols = [a.reshape(_dims(len(parts), {i: -1})) for i, a in enumerate(parts)]
+        return tuple(v.reshape(-1) for v in self._lo_hi(cols, tuple(len(a) for a in parts)))
 
     # Each of these is built on first use and kept, not as a field.
     @cached_property
@@ -276,6 +287,10 @@ _MIX_QUARTERS = (1, 2, 3)
 # pairs of one node, so its memory does not grow with the grid.
 _PAIR_BLOCK = 1 << 18
 
+# The Lipschitz quotient bounds whole tiles of this many nodes per axis
+# before it computes their pairs.
+_TILE = 3
+
 # The convexity check's blocks hold at most this many pairs, or the pairs of
 # one node; fewer than _PAIR_BLOCK, as it makes more passes over each block.
 _MIX_BLOCK = 1 << 16
@@ -294,6 +309,13 @@ def _runs(counts: Tuple[int, ...], budget: int):
         step = budget // unit
         for i in range(0, counts[0], step):
             yield (slice(i, i + step),) + (slice(None),) * (len(counts) - 1), i * unit
+
+
+def _run_slices(index, n: int) -> List[slice]:
+    """A run's index (`_runs`; () for the whole box) as n slices, an int as
+    a slice of one node, so the run keeps every dimension of the box."""
+    return [slice(k, k + 1) if isinstance(k, int) else k
+            for k in index + (slice(None),) * (n - len(index))]
 
 
 def is_convex_sampled(f: Ivf, grid: Grid):
@@ -385,41 +407,111 @@ def _lipschitz_max(axes: Sequence[np.ndarray], lo: np.ndarray, hi: np.ndarray) -
     gH-difference norm over the distance (0 if no pairs); lo and hi are F
     at the nodes in row-major order.  A squared distance sums, in axis
     order, entries of per-axis tables of squared coordinate differences.
-    The pairs go in blocks that pair a run of nodes with every node from
-    the run's index on axis 0 on, so a block's distances are sums of table
-    slices, broadcast; a block also pairs some nodes both ways, which gives
-    the same quotient, and each node with itself, which is no pair."""
+
+    The grid is cut into tiles of _TILE nodes per axis, the last tile on an
+    axis repeating that axis's last node, or into one tile if all pairs fit
+    in one _PAIR_BLOCK.  The pairs inside each tile are computed first.  A
+    pair of tiles is bounded by span / sqrt(gap): span is the wider range of
+    lo or of hi over both tiles, and gap sums, in axis order, each axis's
+    least table entry between the two.  Rounding is monotone, so no quotient
+    of the pair exceeds its bound, and the pair's quotients are computed
+    only where not (bound <= the max so far), which keeps a NaN bound.  So
+    the max is the all-pairs float, NaN once F is not finite.  A block
+    holds at most _PAIR_BLOCK quotients, or those of one pair of tiles, and
+    at most _PAIR_BLOCK bounds, or one tile's row of them.
+    """
     counts = tuple(len(a) for a in axes)
-    size, n, slab = math.prod(counts), len(counts), math.prod(counts[1:])
+    size, n = math.prod(counts), len(counts)
     if size < 2:
         return 0.0
-    tables = [(d := a[:, None] - a[None, :]) * d for a in axes]
-    # every block writes into the same three buffers
-    num_buf, diff_buf, den_buf = np.empty((3, min(size * size, max(_PAIR_BLOCK, size))))
-    block_max = []
-    for first, start in _runs(counts, max(1, _PAIR_BLOCK // size)):
-        i0 = start // slab
-        parts = []  # axis d's table slice, along dimension d for the run, n + d for the rest
-        for d, (table, run) in enumerate(zip(tables, first)):
-            run = slice(run, run + 1) if isinstance(run, int) else run
-            part = table[run, (i0 if d == 0 else 0):]
-            dims = [1] * (2 * n)
-            dims[d], dims[n + d] = part.shape
-            parts.append(part.reshape(dims))
-        shape = np.broadcast_shapes(*(part.shape for part in parts))
-        block = math.prod(shape)
-        den = den_buf[:block].reshape(shape)
-        np.copyto(den, parts[0])
-        for part in parts[1:]:
-            np.add(den, part, out=den)
-        den = den.reshape(-1, (counts[0] - i0) * slab)
-        rows, cols = slice(start, start + den.shape[0]), slice(i0 * slab, None)
-        num, diff = num_buf[:block].reshape(den.shape), diff_buf[:block].reshape(den.shape)
-        np.abs(np.subtract(lo[rows, None], lo[None, cols], out=num), out=num)
-        np.abs(np.subtract(hi[rows, None], hi[None, cols], out=diff), out=diff)
+    edges = counts if size * size <= _PAIR_BLOCK else tuple(min(_TILE, c) for c in counts)
+    tiles = tuple(-(-c // e) for c, e in zip(counts, edges))
+    # per axis, the node indices of each tile: (edge_d, tiles_d)
+    members = [np.minimum(np.arange(e)[:, None] + np.arange(t) * e, c - 1)
+               for c, e, t in zip(counts, edges, tiles)]
+    ends = [a[m] for a, m in zip(axes, members)]  # per axis, the tiles' coordinates
+    # the row-major index of each node of each tile, (E, T), built as (edges..., tiles...)
+    flat = sum((m * math.prod(counts[d + 1:])).reshape(_dims(2 * n, {d: e, n + d: t}))
+               for d, (m, t, e) in enumerate(zip(members, tiles, edges)))
+    flat = flat.reshape(math.prod(edges), -1)
+    edge, count = flat.shape
+    repeats = any(t * e > c for c, e, t in zip(counts, edges, tiles))
+    tile_lo, tile_hi = lo[flat], hi[flat]
+    place = np.indices(tiles).reshape(n, -1)  # each tile's index along each axis
+    per_block = max(1, _PAIR_BLOCK // (edge * edge))
+
+    def quotients(t: np.ndarray, u: np.ndarray, inside: bool) -> np.ndarray:
+        """The quotients of the nodes of tile t[k] with those of tile u[k],
+        (E, E, P), the pairs last so that numpy's inner loops run over them;
+        inside (u is t), a node with itself or its repeat gets the quotient
+        0, or NaN if F is not finite there."""
+        den, num, diff = np.empty((3, edge, edge, len(t)))
+        sums = den.reshape(edges + edges + (len(t),))
+        for d, c in enumerate(ends):
+            # axis d's table entries between the tiles, (edge_d, edge_d, P)
+            part = (step := c[:, place[d, t]][:, None] - c[:, place[d, u]][None]) * step
+            part = part.reshape(_dims(2 * n + 1, {d: edges[d], n + d: edges[d], 2 * n: len(t)}))
+            if d:
+                np.add(sums, part, out=sums)
+            else:
+                np.copyto(sums, part)
+        lo_t, lo_u, hi_t, hi_u = (v[:, k] for v in (tile_lo, tile_hi) for k in (t, u))
+        np.abs(np.subtract(lo_t[:, None], lo_u[None], out=num), out=num)
+        np.abs(np.subtract(hi_t[:, None], hi_u[None], out=diff), out=diff)
         np.maximum(num, diff, out=num)
         np.sqrt(den, out=den)
-        k = np.arange(den.shape[0])
-        den[k, start - i0 * slab + k] = 1.0  # each node with itself
-        block_max.append(np.max(np.divide(num, den, out=num)))
-    return float(np.max(block_max))
+        if inside:
+            den.reshape(edge * edge, -1)[::edge + 1] = 1.0
+            if repeats:
+                nodes = flat[:, t]
+                np.copyto(den, 1.0, where=nodes[:, None] == nodes[None])
+        return np.divide(num, den, out=num)
+
+    best = -math.inf
+    for start in range(0, count, per_block):
+        best = _nan_max(best, quotients(*(np.arange(start, min(start + per_block, count)),) * 2, True))
+    if count == 1 or best != best:
+        return float(best)
+    (lo_min, lo_max), (hi_min, hi_max) = ((v.min(axis=0), v.max(axis=0)) for v in (tile_lo, tile_hi))
+    gaps = [_tile_gaps(c) for c in ends]
+    rows = max(1, _PAIR_BLOCK // count)
+    for start in range(0, count - 1, rows):
+        t = np.arange(start, min(start + rows, count - 1))
+        gap = gaps[0][place[0, t]].reshape(_dims(n + 1, {0: len(t), 1: tiles[0]}))
+        for d in range(1, n):
+            gap = gap + gaps[d][place[d, t]].reshape(_dims(n + 1, {0: len(t), 1 + d: tiles[d]}))
+        span = np.maximum(np.maximum(lo_max[t, None], lo_max) - np.minimum(lo_min[t, None], lo_min),
+                          np.maximum(hi_max[t, None], hi_max) - np.minimum(hi_min[t, None], hi_min))
+        later = np.arange(count) > t[:, None]  # each pair of tiles once
+        bound = np.divide(span, np.sqrt(gap.reshape(len(t), count)), out=span, where=later)
+        i, j = np.nonzero(later & ~(bound <= best))
+        order = np.argsort(-bound[i, j])
+        t_k, u_k, b_k = t[i][order], j[order], bound[i, j][order]
+        while len(b_k):
+            best = _nan_max(best, quotients(t_k[:per_block], u_k[:per_block], False))
+            if best != best:
+                return float(best)
+            keep = ~(b_k[per_block:] <= best)
+            t_k, u_k, b_k = (v[per_block:][keep] for v in (t_k, u_k, b_k))
+    return float(best)
+
+
+def _tile_gaps(ends: np.ndarray) -> np.ndarray:
+    """(T, T): for two tiles of an axis, given as (edge, T) coordinates, the
+    least squared difference of a coordinate of one and one of the other."""
+    least, step = np.full((2, ends.shape[1], ends.shape[1]), np.inf)
+    for k, l in itertools.product(ends, repeat=2):
+        np.subtract(k[:, None], l[None], out=step)
+        np.minimum(least, np.multiply(step, step, out=step), out=least)
+    return least
+
+
+def _nan_max(best: float, values: np.ndarray) -> float:
+    """The greater of best and the max of values, NaN if either is."""
+    top = np.max(values)
+    return best if best != best or top <= best else top
+
+
+def _dims(length: int, sizes) -> List[int]:
+    """A shape of this length, 1 but at the dimensions that sizes maps."""
+    return [sizes.get(k, 1) for k in range(length)]

@@ -25,6 +25,7 @@ import io
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -46,6 +47,8 @@ from .ivf import (
     _lipschitz_max,
     _node,
     _point,
+    _run_slices,
+    _runs,
     _walk_sides,
     directional_gh_derivative,
     gh_derivative_1d,
@@ -54,6 +57,7 @@ from .ivf import (
 )
 
 _DOM_SLACK = 1e-10
+_CHECK_RUN = 1 << 14  # samples per run of the sampled check, which stops at the first failing run
 _MAX_ROWS = 64  # base points per K-row constraint set, so its (K, S) arrays stay small
 
 
@@ -134,6 +138,43 @@ class _GridValues:
     lo: np.ndarray
     hi: np.ndarray
 
+    def runs(self, budget: int):
+        """(index, start, f_lo, f_hi) for each run of at most `budget` nodes
+        of the grid (`ivf._runs`), in grid order."""
+        shape = tuple(len(a) for a in self.axes)
+        lo, hi = self.lo.reshape(shape), self.hi.reshape(shape)
+        for index, start in _runs(shape, budget):
+            yield index, start, lo[index].reshape(-1), hi[index].reshape(-1)
+
+
+class _ProvedValues:
+    """F at the nodes of a grid as `_GridValues` holds it, for an F that
+    `expr.convexity` proves convex and which so raises nowhere in its box
+    (`_exact_sets` relies on that too).  `runs` evaluates F on each run as
+    it comes, and keeps the values once every run has come; lo and hi are
+    read from those, or else from F evaluated on the whole grid.  The grid
+    is checked when these are built, as eval_many checks it."""
+
+    def __init__(self, f: Ivf, grid: Grid):
+        self._f, self.axes = f, tuple(f._grid_axes(grid))
+
+    @cached_property
+    def _whole(self) -> _GridValues:
+        return _GridValues(self.axes, *self._f._eval_run(self.axes, ()))
+
+    lo = property(lambda self: self._whole.lo)
+    hi = property(lambda self: self._whole.hi)
+
+    def runs(self, budget: int):
+        if "_whole" in self.__dict__:
+            yield from self._whole.runs(budget)
+            return
+        seen = []
+        for index, start in _runs(tuple(len(a) for a in self.axes), budget):
+            seen.append(self._f._eval_run(self.axes, index))
+            yield (index, start) + seen[-1]
+        self._whole = _GridValues(self.axes, *(np.concatenate(v) for v in zip(*seen)))
+
 
 def _grid_values(f: Ivf, grid: Optional[Grid]) -> _GridValues:
     grid = f.grid() if grid is None else grid
@@ -156,11 +197,11 @@ class _Constraints:
 
     with dpos_i = max(x_i - x_bar_i, 0), dneg_i = min(x_i - x_bar_i, 0)
     and [lo, hi] = F(x) gh- F(x_bar), as (S,) arrays over the grid's S
-    nodes.  dpos_i and dneg_i depend on the node's i-th coordinate only, so
-    they are kept per axis, along their own dimension of the grid's shape,
-    and the sums broadcast.  Every sampled check, box, scan and probe reads
-    the inequality from here; each check adds its slack tol to the right
-    side.  f0 is F(x_bar) as (lo, hi).
+    nodes (`lo_hi`, built on first use).  dpos_i and dneg_i depend on the
+    node's i-th coordinate only, so they are kept per axis, along their own
+    dimension of the grid's shape, and the sums broadcast.  Every sampled
+    check, box, scan and probe reads the inequality from here; each check
+    adds its slack tol to the right side.  f0 is F(x_bar) as (lo, hi).
 
     x_bar of shape (K, n), with f0 as two (K,) arrays, holds K base points
     at once: dpos_i and dneg_i then have a leading axis of K, lo and hi
@@ -172,6 +213,7 @@ class _Constraints:
         f0_lo, f0_hi = f0
         if x_bar.ndim == 2:
             f0_lo, f0_hi = f0_lo[:, None], f0_hi[:, None]
+        self.values, self.f0 = values, (f0_lo, f0_hi)
         self.axes = values.axes
         self.dpos, self.dneg = [], []
         n = len(values.axes)
@@ -180,32 +222,49 @@ class _Constraints:
             shape = dx.shape[:-1] + tuple(-1 if j == i else 1 for j in range(n))
             self.dpos.append(np.maximum(dx, 0.0).reshape(shape))
             self.dneg.append(np.minimum(dx, 0.0).reshape(shape))
-        d_lo = values.lo - f0_lo
-        d_hi = values.hi - f0_hi
-        self.lo, self.hi = np.minimum(d_lo, d_hi), np.maximum(d_lo, d_hi)
 
-    def pairing(self, p: np.ndarray, q: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Endpoints of (x - x_bar)^T (.) G at every sample for M candidates
+    def _gap(self, f_lo: np.ndarray, f_hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """F(x) gh- F(x_bar) as (lo, hi), from F at some samples."""
+        d_lo, d_hi = f_lo - self.f0[0], f_hi - self.f0[1]
+        return np.minimum(d_lo, d_hi), np.maximum(d_lo, d_hi)
+
+    @cached_property
+    def lo_hi(self) -> Tuple[np.ndarray, np.ndarray]:
+        """F(x) gh- F(x_bar) at every sample."""
+        return self._gap(self.values.lo, self.values.hi)
+
+    def pairing(self, p: np.ndarray, q: np.ndarray, index=()) -> Tuple[np.ndarray, np.ndarray]:
+        """Endpoints of (x - x_bar)^T (.) G at every sample, or at those of
+        one run of the grid (an index of `ivf._runs`), for M candidates
         given as (M, n) endpoint arrays: two (M, S) arrays, accumulated
         axis by axis in axis order.  With K base points M is K."""
         lo = hi = 0.0
-        lead = (-1,) + (1,) * len(self.dpos)
+        n = len(self.dpos)
+        lead = (-1,) + (1,) * n
+        runs = _run_slices(index, n)
         for i, (dpos, dneg) in enumerate(zip(self.dpos, self.dneg)):
+            along = (Ellipsis, runs[i]) + (slice(None),) * (n - 1 - i)
             p_i, q_i = p[:, i].reshape(lead), q[:, i].reshape(lead)
-            lo = lo + (p_i * dpos + q_i * dneg)
-            hi = hi + (q_i * dpos + p_i * dneg)
+            lo = lo + (p_i * dpos[along] + q_i * dneg[along])
+            hi = hi + (q_i * dpos[along] + p_i * dneg[along])
         return lo.reshape(p.shape[0], -1), hi.reshape(p.shape[0], -1)
 
     def violations(self, p: np.ndarray, q: np.ndarray, tol: float) -> np.ndarray:
         """(M, S) mask of the samples where each candidate breaks the
         inequality by more than tol."""
-        lhs_lo, lhs_hi = self.pairing(p, q)
-        return (lhs_lo > self.lo + tol) | (lhs_hi > self.hi + tol)
+        return _breaks(self.pairing(p, q), self.lo_hi, tol)
 
     def check(self, g: IVector, tol: float):
         """(True, None), or (False, witness) with the first violating
-        sample in grid order."""
-        return _verdict(self.axes, self.violations(*_endpoints(g), tol))
+        sample in grid order.  The samples go in runs of axis 0 of at most
+        _CHECK_RUN nodes, in grid order, and the check returns at the first
+        run that has a violation."""
+        p, q = _endpoints(g)
+        for index, start, f_lo, f_hi in self.values.runs(_CHECK_RUN):
+            bad = _breaks(self.pairing(p, q, index), self._gap(f_lo, f_hi), tol)
+            if bad.any():
+                return False, _node(self.axes, start + int(np.argmax(bad)))
+        return True, None
 
     def box(self, tol: float):
         """For one variable, the analytic (p_lb, p_ub, q_lb, q_ub) bounds on
@@ -217,7 +276,7 @@ class _Constraints:
         gives upper bounds from the samples with x > x_bar and lower bounds
         from those with x < x_bar; the sample at x_bar is void.
         """
-        rhs_lo, rhs_hi = self.lo + tol, self.hi + tol
+        rhs_lo, rhs_hi = (v + tol for v in self.lo_hi)
         (dpos,), (dneg,) = self.dpos, self.dneg
         pos = dpos > 0.0
         neg = dneg < 0.0
@@ -225,7 +284,13 @@ class _Constraints:
                _masked_quotient(np.minimum, rhs_lo, dpos, pos, math.inf),
                _masked_quotient(np.maximum, rhs_lo, dneg, neg, -math.inf),
                _masked_quotient(np.minimum, rhs_hi, dpos, pos, math.inf))
-        return box if self.lo.ndim == 2 else tuple(float(b) for b in box)
+        return box if rhs_lo.ndim == 2 else tuple(float(b) for b in box)
+
+
+def _breaks(lhs, gap, tol: float) -> np.ndarray:
+    """Where (x - x_bar)^T (.) G, as (lo, hi), exceeds F(x) gh- F(x_bar) by
+    more than tol at either end."""
+    return (lhs[0] > gap[0] + tol) | (lhs[1] > gap[1] + tol)
 
 
 def _masked_quotient(extreme: np.ufunc, num: np.ndarray, den: np.ndarray,
@@ -242,15 +307,15 @@ def _exact_sets(f: Ivf, x_bar: Sequence[float], grid: Optional[Grid] = None):
     an F that `expr.convexity` proves convex and `expr.separable` separable
     (`Ivf._exact_slopes`), from one walk (`ivf._walk_sides`): per axis A_i =
     [-f_lo'(x_bar; -e_i), f_lo'(x_bar; e_i)] and B_i the same for f_hi,
-    unbounded outward at a domain bound.  None if F is not proved both,
-    x_bar or the grid's nodes leave the domain (the sampled path then
-    raises), or the walk refuses."""
+    unbounded outward at a domain bound.  x_bar is checked as every verdict
+    at a point checks it (`ivf._point`), and read clamped to the box.  None
+    if F is not proved both, the grid's nodes leave the domain (the sampled
+    path then raises), or the walk refuses."""
     if not f._exact_slopes:
         return None
-    x = [float(v) for v in x_bar]
-    if len(x) != f.arity or not all(l <= v <= u for v, (l, u) in zip(x, f.domain)) or (
-            grid is not None and (grid.dim != f.arity or any(
-                gl < l or gu > u for gl, gu, (l, u) in zip(grid.lower, grid.upper, f.domain)))):
+    x = [min(max(v, l), u) for v, (l, u) in zip(_point(f, x_bar), f.domain)]
+    if grid is not None and (grid.dim != f.arity or any(
+            gl < l or gu > u for gl, gu, (l, u) in zip(grid.lower, grid.upper, f.domain))):
         return None
     try:
         sides, (_, _, dlo, dhi) = _walk_sides(f, x, range(f.arity))
@@ -292,9 +357,12 @@ def _in_exact(sets, g: IVector, tol: float) -> bool:
 
 
 def _evaluate(f: Ivf, cand: SubgradientCandidate, grid: Optional[Grid]):
-    """F on the grid, F(x_bar) and the constraints at the candidate's base point."""
+    """F on the grid, F(x_bar) and the constraints at the candidate's base
+    point.  For a proved-convex F the grid is evaluated as it is read
+    (`_ProvedValues`), so a check that stops early evaluates less of it."""
     x_bar = np.array(_point(f, cand.base_point))
-    values = _grid_values(f, grid)
+    grid = f.grid() if grid is None else grid
+    values = _ProvedValues(f, grid) if f._proved_convex else _grid_values(f, grid)
     f0 = f.boundary(x_bar)
     return values, f0, _Constraints(values, x_bar, f0)
 

@@ -1,3 +1,4 @@
+import warnings
 from pathlib import Path
 
 import pytest
@@ -222,6 +223,17 @@ def test_efficient(slab_file, capsys):
     assert lines[0] == "x1,f_lo,f_hi,efficient"
     flagged = [l for l in lines[1:] if l.endswith(",1")]
     assert flagged == ["0.0,0.0,0.0,1"]
+
+
+def test_an_overflow_to_inf_prints_no_warning(tmp_path, capsys):
+    path = tmp_path / "overflow_1d.prob"
+    path.write_text("arity=1\ndomain=[-2,2]\nobjective=x1 + [0,1e308]*pow4(x1)\n")
+    out = tmp_path / "efficient.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["efficient", str(path), "--grid", "5", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert out.read_text().splitlines()[1] == "-2.0,-2.0,inf,1"
 
 
 def test_descent(quartic_file, tmp_path, capsys):

@@ -38,9 +38,11 @@ from hypothesis import strategies as st
 
 from ghcalc import Grid, Interval, IVector, Ivf, WMapConfig
 from ghcalc import ivf as ivf_module
+from ghcalc import subgrad as subgrad_module
 from ghcalc.cli import parse_problem_file
 from ghcalc.errors import (
     EmptySubdifferentialEncountered,
+    GhcalcError,
     NonDegenerateRealNode,
     NonFiniteDerivative,
     OverlappingPieces,
@@ -79,6 +81,8 @@ from ghcalc.iop import (
 )
 from ghcalc.ivf import (
     _lipschitz_max,
+    _node,
+    _point,
     _runs,
     is_convex_sampled,
     lipschitz_estimate,
@@ -336,6 +340,38 @@ def test_lipschitz_estimate_matches_all_pairs_across_blocks():
     size = len(grid.points())
     assert len(list(_runs(grid.counts, ivf_module._PAIR_BLOCK // size))) > 1
     assert lipschitz_estimate(f, grid) == lipschitz_reference(f, grid)
+
+
+@pytest.mark.parametrize("n, count", [(1, 201), (1, 601), (2, 31), (2, 40), (3, 12)])
+def test_the_tiled_lipschitz_quotient_is_the_all_pairs_float(n, count):
+    f = seeded_objective(5, n)
+    grid = f.grid(count)
+    lo, hi = f.eval_many(grid.points())
+    # 201 nodes fill one block, the others several, so they are cut into
+    # tiles, and but for 12 nodes an axis ends in a tile that repeats a node
+    assert (count != 201) == (lo.size ** 2 > ivf_module._PAIR_BLOCK)
+    assert lipschitz_estimate(f, grid) == lipschitz_pair_block_reference(grid.points(), lo, hi)
+    # values with no order to them, whose greatest quotient is as likely to
+    # pair two tiles as to lie inside one
+    noise = np.random.default_rng(count).normal(size=(2, lo.size))
+    noisy = (np.minimum(*noise), np.maximum(*noise))
+    assert _lipschitz_max(grid.axes(), *noisy) == lipschitz_pair_block_reference(
+        grid.points(), *noisy)
+    # an axis fixed at its midpoint
+    if n > 1:
+        flat = Grid(grid.lower[:1] + (0.0,) + grid.lower[2:], grid.upper[:1] + (0.0,) + grid.upper[2:],
+                    grid.counts)
+        values = f.eval_many(flat.points())
+        assert _lipschitz_max(flat.axes(), *values) == lipschitz_pair_block_reference(
+            flat.points(), *values)
+    # a value that is not finite, at the last node, in a tile of its own
+    # repeats, or at the first: the node paired with itself gives NaN
+    for k, v in ((-1, math.inf), (0, -math.inf), (-1, math.nan)):
+        bad = lo.copy()
+        bad[k] = v
+        with np.errstate(invalid="ignore"):
+            assert math.isnan(_lipschitz_max(grid.axes(), bad, hi))
+            assert math.isnan(_lipschitz_max(grid.axes(), hi, bad))
 
 
 EFFICIENCY_CASES = {
@@ -882,47 +918,103 @@ def separable_ivf(fams) -> Ivf:
     return Ivf.from_text(len(fams), text, tuple(fam.domain for fam in fams))
 
 
-def local_values(f: Ivf, x, radius: float, count: int):
-    """F at the nodes of a grid of `count` nodes per axis around x, with
-    x_i +- radius at its ends, less the nodes outside the domain."""
-    axes = [np.unique(np.clip(v + radius * np.linspace(-1.0, 1.0, count), l, u))
-            for v, (l, u) in zip(x, f.domain)]
-    pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
-    return _GridValues(tuple(axes), *f.eval_many(pts))
+def support(sets, h) -> float:
+    """sigma_S(h) of a box S, given per axis as (lo, hi); an axis with
+    h_i = 0 adds nothing, so an unbounded side is read only where h leans
+    on it."""
+    return sum(v * (hi if v > 0.0 else lo) for v, (lo, hi) in zip(h, sets) if v != 0.0)
+
+
+def violating_direction(sets, g: IVector, tol: float):
+    """A direction h, with |h|_inf = 1, along which G breaks the limit of
+    the inequality of `_Constraints` as x -> x_bar by more than tol*|h|_1,
+    from the closed-form sets A and B of `_exact_sets`; None if none does.
+
+    The limit reads min over G of g.h <= min(sigma_A(h), sigma_B(h)) and
+    sigma_G(h) <= max(sigma_A(h), sigma_B(h)).  Widened by tol, the sets
+    add tol*|h|_1 to both sigmas.  If G fails `_in_exact` at tol, a failing
+    h lies along one axis or in the plane of two (Helly's theorem on the
+    intervals of lam that `_in_exact` intersects), and in that plane both
+    sides are linear between the axes and the ray, in each quadrant, where
+    sigma_A = sigma_B.  So those rays are all that is tried."""
+    a, b = ([(lo - tol, hi + tol) for lo, hi in s] for s in sets)
+    ends = [(c.lo, c.hi) for c in g]
+    n = len(ends)
+    rays = [[s if k == i else 0.0 for k in range(n)] for i in range(n) for s in (1.0, -1.0)]
+    for i, j in itertools.combinations(range(n), 2):
+        for s_i, s_j in itertools.product((1.0, -1.0), repeat=2):
+            # d_k: sigma_A - sigma_B per unit step along s_k e_k
+            d_i, d_j = (s * ((a[k][1] - b[k][1]) if s > 0.0 else (a[k][0] - b[k][0]))
+                        for k, s in ((i, s_i), (j, s_j)))
+            if math.isfinite(d_i) and math.isfinite(d_j) and d_i * d_j < 0.0:
+                h = [0.0] * n
+                h[i], h[j] = s_i * abs(d_j), s_j * abs(d_i)
+                top = max(abs(h[i]), abs(h[j]))
+                rays.append([v / top for v in h])
+    for h in rays:
+        lower = sum(min(v * p, v * q) for v, (p, q) in zip(h, ends) if v != 0.0)
+        upper = sum(max(v * p, v * q) for v, (p, q) in zip(h, ends) if v != 0.0)
+        sides = support(a, h), support(b, h)
+        if lower > min(sides) or upper > max(sides):
+            return h
+    return None
+
+
+def exact_law_holds(fams, x, g: IVector) -> str:
+    """An exact YES is a sampled YES on the default-spaced grid.  An exact
+    NO that stands with the sets widened by 1e-3 has a violating direction
+    h in closed form, and the sampled inequality, with no slack, fails at
+    x_bar + t*h for small t, where the curvature of f_lo and f_hi is far
+    below the margin.  Returns the branch taken: "yes", "no" or "close"."""
+    f = separable_ivf(fams)
+    sets = _exact_sets(f, x)
+    assert sets is not None
+    xs = np.array(x)
+    if _in_exact(sets, g, 1e-10):
+        values = _grid_values(f, f.grid(41 if len(x) == 2 else 17))
+        assert _Constraints(values, xs, f.boundary(xs)).check(g, 1e-10) == (True, None)
+        return "yes"
+    if _in_exact(sets, g, 1e-3):
+        return "close"  # a NO this near the sets is left to finer arithmetic
+    h = violating_direction(sets, g, 1e-3)
+    assert h is not None
+    for t in (1e-7, 1e-6, 1e-5):
+        point = xs + t * np.array(h)
+        values = _GridValues(tuple(point[:, None]), *f.eval_many([point]))
+        assert not _Constraints(values, xs, f.boundary(xs)).check(g, 0.0)[0]
+    return "no"
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from([2, 3]), st.data())
 def test_the_exact_subdifferential_law_holds_both_ways_in_two_and_three_variables(n, data):
-    """An exact YES is a sampled YES on the default-spaced grid; an exact NO
-    is a sampled NO, with no slack, on a grid of radius 1e-4 around x_bar,
-    where the curvature of f_lo and f_hi is far below the slopes' gap."""
     fams = [data.draw(families()) for _ in range(n)]
-    f = separable_ivf(fams)
     # each axis at its kink, its quadratic's centre, a domain bound or inside
     x = [data.draw(st.just(fam.c) | st.sampled_from([fam.e, *fam.domain]) | st.floats(*fam.domain))
          for fam in fams]
-    # off a kink or a bound, the local grid must not reach it
+    # off a kink or a bound, the points along h must not reach it
     assume(all(v in (fam.c, *fam.domain) or min(abs(v - fam.c), *(abs(v - b) for b in fam.domain))
                >= 1e-3 for v, fam in zip(x, fams)))
-    sets = _exact_sets(f, x)
-    assert sets is not None
     comps = []
     for fam, v in zip(fams, x):
         # ends on the bounds of A_i and B_i, between them, or anywhere
         bounds = [b for b in fam.box(v) if math.isfinite(b)]
         end = st.sampled_from(bounds) | st.floats(min(bounds), max(bounds)) | st.floats(-6.0, 6.0)
         comps.append(Interval(*sorted((data.draw(end), data.draw(end)))))
-    g = IVector.of(*comps)
-    xs = np.array(x)
-    if _in_exact(sets, g, 1e-10):
-        values = _grid_values(f, f.grid(41 if n == 2 else 17))
-        assert _Constraints(values, xs, f.boundary(xs)).check(g, 1e-10) == (True, None)
-    elif not _in_exact(sets, g, 1e-3):
-        # a NO that stands with the slopes 1e-3 apart, which the local
-        # grid resolves; a closer one needs a finer grid closer to x_bar
-        values = local_values(f, x, 1e-4, 41 if n == 2 else 21)
-        assert not _Constraints(values, xs, f.boundary(xs)).check(g, 0.0)[0]
+    exact_law_holds(fams, x, IVector.of(*comps))
+
+
+def test_the_exact_law_holds_where_no_grid_node_falls_in_the_violating_cone():
+    """The vertex (0, -1.0625) of G needs lam >= 1/4 on axis 1 and lam <= 0
+    on axis 2, so G is no subgradient.  The directions (-eps, -1) that show
+    it, eps < 1/24, form a cone of about 2.4 degrees, which holds no node of
+    a 41^2 grid of radius 1e-4 around x_bar."""
+    fams = [Family(a=1.5, b=1.5, al=0, be=1, c=0, e=-1, u=0, v=0, domain=(-3, 2)),
+            Family(a=1, b=1.0625, al=0.5, be=0.5, c=0, e=0, u=0, v=0, domain=(-2, 2))]
+    g = IVector.of(Interval(0.0, 1.5), Interval(-1.0625, 1.0))
+    assert exact_law_holds(fams, [0.0, 0.0], g) == "no"
+    h = violating_direction(_exact_sets(separable_ivf(fams), [0.0, 0.0]), g, 1e-3)
+    assert h[1] == -1.0 and -1.0 / 24.0 < h[0] < 0.0
 
 
 @pytest.mark.parametrize("f", [piecewise_vee_ivf(), KINKED_1D, quartic_ivf()])
@@ -1612,11 +1704,25 @@ def test_an_error_on_the_grid_keeps_its_type_and_point(n, text):
     assert raised(lambda: f.eval_many(grid)) == raised(lambda: f.eval_many(grid.points())) == expected
 
 
+def test_a_pair_of_tiles_whose_bound_is_its_quotient_is_kept():
+    """F steps by 1 between the first two tiles of 3 nodes, and is constant
+    on each, so their bound equals the quotient of nodes 2 and 3; the third
+    tile rises by 0.995 inside, a quotient just below it."""
+    axis = np.linspace(-1.0, 1.0, 601)
+    lo = np.full(601, 1.995)
+    lo[:3], lo[3:8] = 0.0, 1.0
+    step = axis[3] - axis[2]
+    assert _lipschitz_max([axis], lo, lo) == 1.0 / np.sqrt(step * step)
+    assert _lipschitz_max([axis], lo, lo) == lipschitz_pair_block_reference(axis[:, None], lo, lo)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 3), st.data(), st.sampled_from([1 << 18, 300, 37, 1]))
 def test_the_lipschitz_tables_give_the_pair_block_float(n, data, budget):
     f = separable_ivf([data.draw(families()) for _ in range(n)])
-    counts = tuple(data.draw(st.integers(2, 12 if n < 3 else 6)) for _ in range(n))
+    # up to 40^2 and 12^3 nodes, whose pairs fill several default blocks, so
+    # that the grid is cut into tiles whatever the budget
+    counts = tuple(data.draw(st.integers(2, (40, 40, 12)[n - 1])) for _ in range(n))
     # in two or three variables, an axis may be fixed at its midpoint
     fixed = [n > 1 and data.draw(st.booleans()) for _ in range(n)]
     lower, upper = zip(*(((l + u) / 2.0,) * 2 if k else (l, u)
@@ -1624,13 +1730,20 @@ def test_the_lipschitz_tables_give_the_pair_block_float(n, data, budget):
     grid = Grid(lower, upper, counts)
     lo, hi = f.eval_many(grid.points())
     expected = lipschitz_pair_block_reference(grid.points(), lo, hi)
+    # a value F's overflow, or an undefined F, would give; where there are
+    # pairs, each node is also paired with itself, which turns such a value into NaN
+    for k, v, ends in data.draw(st.lists(st.tuples(
+            st.integers(0, lo.size - 1), st.sampled_from([math.inf, -math.inf, math.nan]),
+            st.sampled_from([lo, hi])), max_size=2 if lo.size > 1 else 0)):
+        ends[k], expected = v, math.nan
     old = ivf_module._PAIR_BLOCK
-    try:
-        ivf_module._PAIR_BLOCK = budget
-        got = _lipschitz_max(grid.axes(), lo, hi)
-    finally:
-        ivf_module._PAIR_BLOCK = old
-    assert got == expected
+    with np.errstate(invalid="ignore"):
+        try:
+            ivf_module._PAIR_BLOCK = budget
+            got = _lipschitz_max(grid.axes(), lo, hi)
+        finally:
+            ivf_module._PAIR_BLOCK = old
+    assert got == expected or math.isnan(got) and math.isnan(expected)
 
 
 NO_3D = (Ivf.from_text(3, "[1,3]*abs(x1 - 0.25) + [0,1]*pow2(x2) + [1,2]*abs(x3 + 0.5) + [2,4]",
@@ -1662,6 +1775,152 @@ def test_an_exact_3d_yes_evaluates_nothing(monkeypatch):
     assert is_subgradient(f, cand, f.grid(41)) == (True, None)
     assert calls == []
 
+
+class OnePassConstraints:
+    """The sampled check as it ran in one pass over the grid, verbatim: F
+    evaluated on all of it first, the inequality of `_Constraints` at every
+    node, then its first violation (`_verdict`)."""
+
+    def __init__(self, values, x_bar, f0):
+        f0_lo, f0_hi = f0
+        self.axes = values.axes
+        self.dpos, self.dneg = [], []
+        n = len(values.axes)
+        for i, axis in enumerate(values.axes):
+            dx = axis - x_bar[..., i, None]
+            shape = dx.shape[:-1] + tuple(-1 if j == i else 1 for j in range(n))
+            self.dpos.append(np.maximum(dx, 0.0).reshape(shape))
+            self.dneg.append(np.minimum(dx, 0.0).reshape(shape))
+        d_lo = values.lo - f0_lo
+        d_hi = values.hi - f0_hi
+        self.lo, self.hi = np.minimum(d_lo, d_hi), np.maximum(d_lo, d_hi)
+
+    def pairing(self, p, q):
+        lo = hi = 0.0
+        lead = (-1,) + (1,) * len(self.dpos)
+        for i, (dpos, dneg) in enumerate(zip(self.dpos, self.dneg)):
+            p_i, q_i = p[:, i].reshape(lead), q[:, i].reshape(lead)
+            lo = lo + (p_i * dpos + q_i * dneg)
+            hi = hi + (q_i * dpos + p_i * dneg)
+        return lo.reshape(p.shape[0], -1), hi.reshape(p.shape[0], -1)
+
+    def violations(self, p, q, tol):
+        lhs_lo, lhs_hi = self.pairing(p, q)
+        return (lhs_lo > self.lo + tol) | (lhs_hi > self.hi + tol)
+
+    def check(self, g, tol):
+        bad = self.violations(np.array([[c.lo for c in g]]), np.array([[c.hi for c in g]]), tol)
+        if bad.any():
+            return False, _node(self.axes, int(np.argmax(bad)) % bad.shape[1])
+        return True, None
+
+
+def one_pass_check(f, cand, grid, tol):
+    """The sampled path of is_subgradient in one pass over the grid."""
+    x_bar = np.array(_point(f, cand.base_point))
+    values = _grid_values(f, grid)
+    return OnePassConstraints(values, x_bar, f.boundary(x_bar)).check(cand.g, tol)
+
+
+def check_by_runs(f, cand, grid, tol, budget):
+    """The sampled path of is_subgradient, in runs of at most budget nodes;
+    its outcome, or the type and message of what it raises."""
+    old = subgrad_module._CHECK_RUN
+    try:
+        subgrad_module._CHECK_RUN = budget
+        return check_outcome(lambda: subgrad_module._evaluate(f, cand, grid)[2].check(cand.g, tol))
+    finally:
+        subgrad_module._CHECK_RUN = old
+
+
+def check_outcome(call):
+    try:
+        return call()
+    except GhcalcError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3), st.data(), st.sampled_from([1, 2, 7, 64, 1 << 14]))
+def test_the_check_run_by_run_gives_the_one_pass_verdict_witness_and_error(n, data, budget):
+    fams = [data.draw(families()) for _ in range(n)]
+    text = " + ".join(fam.text(f"x{i + 1}") for i, fam in enumerate(fams))
+    domain = tuple(fam.domain for fam in fams)
+    counts = tuple(data.draw(st.integers(2, (30, 12, 7)[n - 1])) for _ in range(n))
+    grid = Grid(*zip(*domain), counts)
+    kind = data.draw(st.sampled_from(["proved", "unproved", "outside"]))
+    if kind == "unproved":
+        # not proved convex, F plus 0 where defined, raising at one node of
+        # axis 0 (after an earlier violating run, wherever the draws put
+        # one), or at none if the pole lies between nodes
+        r = float(grid.axes()[0][data.draw(st.integers(0, counts[0] - 1))])
+        text += f" + [0,0]/(x1 - ({r + data.draw(st.sampled_from([0.0, 1e-3]))!r}))"
+    elif kind == "outside":
+        # a proved-convex F on a grid that leaves its box
+        grid = Grid((domain[0][0] - 1.0,) + grid.lower[1:], grid.upper, counts)
+    f = Ivf.from_text(n, text, domain)
+    assert f._proved_convex == (kind != "unproved")
+    # the base point at a node or anywhere in the box, G near its exact sets
+    x = [data.draw(st.sampled_from(grid.axes()[i].tolist()) | st.floats(*fam.domain))
+         for i, fam in enumerate(fams)]
+    assume(kind != "outside" or x[0] >= domain[0][0])
+    comps = []
+    for fam, v in zip(fams, x):
+        bounds = [b for b in fam.box(v) if math.isfinite(b)]
+        end = st.sampled_from(bounds) | st.floats(min(bounds) - 1.0, max(bounds) + 1.0)
+        comps.append(Interval(*sorted((data.draw(end), data.draw(end)))))
+    cand = SubgradientCandidate(IVector.of(*comps), tuple(x))
+    tol = data.draw(st.sampled_from([0.0, 1e-10]))
+    expected = check_outcome(lambda: one_pass_check(f, cand, grid, tol))
+    assert check_by_runs(f, cand, grid, tol, budget) == expected
+
+
+def test_an_error_past_the_first_violating_run_still_raises():
+    grid = Grid((-1.0,), (1.0,), (21,))
+    pole = float(grid.axes()[0][19])
+    cand = SubgradientCandidate(IVector.of(Interval(5.0, 5.0)), (0.0,))
+    # G breaks the inequality first at 0.1, which is no pole
+    assert is_subgradient(Ivf.from_text(1, "abs(x1)*[1,3]", ((-1.0, 1.0),)), cand, grid) == (
+        False, [0.10000000000000009])
+    f = Ivf.from_text(1, f"abs(x1)*[1,3] + [0,0]/(x1 - {pole!r})", ((-1.0, 1.0),))
+    expected = check_outcome(lambda: one_pass_check(f, cand, grid, 1e-10))
+    assert expected == (ZeroInDenominator, f"denominator contains 0 at point [{pole!r}]")
+    for budget in (1, 5, 1 << 14):
+        assert check_by_runs(f, cand, grid, 1e-10, budget) == expected
+
+
+def run_size(axes, index) -> int:
+    """The number of nodes in a run of the grid with these axes."""
+    index = index + (slice(None),) * (len(axes) - len(index))
+    return math.prod(len(a[k]) if isinstance(k, slice) else 1 for a, k in zip(axes, index))
+
+
+SLAB = 41 * 41  # the nodes of one slice of axis 0 of a 41^3 grid
+
+
+@pytest.mark.parametrize("budget, evaluated", [
+    (9, 26 * SLAB + 18), (41, 26 * SLAB + 41), (SLAB, 27 * SLAB), (9 * SLAB, 27 * SLAB),
+    (26 * SLAB, 41 * SLAB), (27 * SLAB, 27 * SLAB), (41 * SLAB, 41 * SLAB)])
+def test_the_3d_no_stops_at_its_first_violating_run(monkeypatch, budget, evaluated):
+    """The witness is node 26 * SLAB + 9, on slice 26 of axis 0: the first
+    node of a run of 9 nodes, on the last slice of a run of 9 or 27
+    slices, on the first of a run that starts at slice 26.  F is evaluated
+    up to the end of that run, and no further."""
+    f, cand = NO_3D
+    grid = f.grid(41)
+    sizes, eval_run = [], Ivf._eval_run
+    monkeypatch.setattr(Ivf, "_eval_run", lambda self, axes, index: sizes.append(
+        run_size(axes, index)) or eval_run(self, axes, index))
+    monkeypatch.setattr(subgrad_module, "_CHECK_RUN", budget)
+    assert is_subgradient(f, cand, grid) == (False, [0.30000000000000004, -1.0, -0.55])
+    assert sum(sizes) == evaluated
+    # a check that reads every run keeps the values, so F is evaluated once
+    sizes.clear()
+    yes = IVector.of(Interval(-3.0, 1.0), Interval(0.0, 0.0), Interval(-1.0, 1.0))
+    values, _, cons = subgrad_module._evaluate(f, SubgradientCandidate(yes, cand.base_point), grid)
+    assert cons.check(yes, 1e-10) == (True, None)
+    assert values.lo.tobytes() == f.eval_many(grid.points())[0].tobytes()
+    assert sum(sizes) == 41 * SLAB
 
 # --------------------------------------------------------------------------
 # What a tree reads against the two walkers it replaces

@@ -460,6 +460,19 @@ def test_a_sampled_region_keeps_the_marked_cells_maximum():
     assert (maximum.lo, maximum.hi, match) == (2.0, 4.050000000000001, True)
 
 
+def test_a_base_point_within_the_domain_tolerance_reads_the_exact_sets_of_the_bound():
+    # every point check accepts 2 + 1e-12 on [-2, 2]; the exact path reads it as 2
+    f = Ivf.from_text(1, "abs(x1 - 2)*[1,3]", ((-2.0, 2.0),))
+    for x in (2.0 + 1e-12, 2.0):
+        region = subdiff_scan_1d(f, x)
+        assert (region.method, region.box) == ("exact", (-3.0, np.inf, -1.0, np.inf))
+    assert _exact_sets(f, [-2.0 - 1e-12]) == _exact_sets(f, [-2.0])
+    g = Ivf.from_text(2, "abs(x1)*[1,3] + pow2(x2)", ((-1.0, 1.0), (0.0, 1.0)))
+    assert _exact_sets(g, (0.0, -1e-12)) == _exact_sets(g, (0.0, 0.0))
+    with pytest.raises(OutOfDomain):
+        _exact_sets(f, [2.1])
+
+
 def test_a_zero_in_the_exact_box_needs_no_sampled_check(monkeypatch):
     p = Iop(Ivf.from_text(1, "abs(x1)*[1,3] + [1e9,1e9]", ((-1.0, 1.0),)))
 
