@@ -39,7 +39,6 @@ from .subgrad import (
     _endpoints,
     _evaluate,
     _exact_sets,
-    _grid_values,
     _in_exact,
 )
 
@@ -117,7 +116,7 @@ def efficient_on_grid(p: Iop, grid: Optional[Grid] = None) -> EfficiencyReport:
     """Flag each grid point no other grid point strictly dominates."""
     if grid is None:
         grid = p.objective.grid()
-    return _efficiency(_grid_values(p.objective, grid), grid)
+    return _efficiency(_GridValues(p.objective, grid), grid)
 
 
 def _efficiency(values: _GridValues, grid: Grid) -> EfficiencyReport:
@@ -170,10 +169,10 @@ def optimality_zero_condition(p: Iop, x_bar, grid: Optional[Grid] = None) -> boo
     f = p.objective
     x = np.asarray(x_bar, dtype=float).ravel()
     cand = SubgradientCandidate(IVector.zero(f.arity), tuple(x))
-    values, _, cons = _evaluate(f, cand, grid)
+    cons = _evaluate(f, cand, grid)
     ok = (_in_exact(_exact_sets(f, cand.base_point, grid), cand.g, _DOM_SLACK)
           or cons.check(cand.g, _DOM_SLACK)[0])
-    if ok and not _efficiency(values, grid or f.grid()).is_flagged_near(x):
+    if ok and not _efficiency(cons.values, grid or f.grid()).is_flagged_near(x):
         raise GhcalcError(
             "zero-subgradient point was not flagged efficient; "
             "sufficiency violated at grid resolution")
@@ -193,7 +192,7 @@ def optimality_nprec_condition(p: Iop, x_bar, cand: SubgradientCandidate,
     if tuple(x) != cand.base_point:
         raise ValueError(f"x_bar {x} differs from the candidate's "
                          f"base point {list(cand.base_point)}")
-    values, _, cons = _evaluate(f, cand, grid)
+    cons = _evaluate(f, cand, grid)
     ok, witness = cons.check(cand.g, _DOM_SLACK)
     if not ok:
         raise CandidateNotSubgradient(
@@ -201,7 +200,7 @@ def optimality_nprec_condition(p: Iop, x_bar, cand: SubgradientCandidate,
     lhs_lo, lhs_hi = cons.pairing(*_endpoints(cand.g))
     precedes_zero = (lhs_lo <= 0.0) & (lhs_hi <= 0.0) & ((lhs_lo < 0.0) | (lhs_hi < 0.0))
     holds = not bool(precedes_zero.any())
-    if holds and not _efficiency(values, grid or f.grid()).is_flagged_near(x):
+    if holds and not _efficiency(cons.values, grid or f.grid()).is_flagged_near(x):
         raise GhcalcError(
             "nonpreceding-product point was not flagged efficient; "
             "sufficiency violated at grid resolution")
@@ -285,7 +284,7 @@ def scalarized_descent(p: Iop, x0, cfg: WMapConfig = WMapConfig(),
     x = tuple(_point(f, x0))
     n = f.arity
     w, w_prime = float(cfg.w), float(cfg.w_prime)  # a float32 weight widens, as in arrays
-    grid_values = _grid_values(f, grid)
+    grid_values = _GridValues(f, grid)
     level = float(np.min(w * grid_values.lo + w_prime * grid_values.hi))
     record = delta = None  # set once an iterate reaches the grid's least phi_w
     trace: List[TraceRecord] = []

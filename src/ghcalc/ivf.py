@@ -140,10 +140,13 @@ class Ivf:
         """The axes of a grid, once eval_many's checks of it pass."""
         if grid.dim != self.arity:
             raise ValueError(f"expected points of dimension {self.arity}")
-        axes = grid.axes()
-        if any((a < l).any() or (a > u).any() for a, (l, u) in zip(axes, self._edges)):
+        if not self._holds(grid):
             raise OutOfDomain("evaluation point outside the domain box")
-        return axes
+        return grid.axes()
+
+    def _holds(self, grid: Grid) -> bool:
+        """Whether the bounds of a grid of this arity, so all its nodes, are in the box."""
+        return self._inside(np.array([grid.lower, grid.upper]))
 
     def _eval_run(self, axes: Sequence[np.ndarray], index) -> Tuple[np.ndarray, np.ndarray]:
         """(f_lo, f_hi) at the nodes, in row-major order, of one run of the

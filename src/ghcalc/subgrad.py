@@ -129,56 +129,42 @@ class SubdiffRegion1D:
         return out.getvalue()
 
 
-@dataclass(frozen=True)
 class _GridValues:
-    """F evaluated once at the nodes of a grid, given by its axes, in
-    row-major order, shared by every base point."""
+    """F at the nodes of a grid, given by its axes, in row-major order,
+    shared by every base point.  F is evaluated once: run by run as `runs`
+    reaches each run, keeping the values once every run has come, or on the
+    whole grid when lo or hi is read first.  The grid is checked here, as
+    eval_many checks it.  An F that `expr.convexity` does not prove convex
+    is evaluated on the whole grid here, so an error anywhere on it raises
+    before any verdict; a proved F raises nowhere in its box (`_exact_sets`
+    relies on that too)."""
 
-    axes: Tuple[np.ndarray, ...]
-    lo: np.ndarray
-    hi: np.ndarray
+    def __init__(self, f: Ivf, grid: Optional[Grid]):
+        self._f, self.axes = f, tuple(f._grid_axes(f.grid() if grid is None else grid))
+        if not f._proved_convex:
+            self._lo_hi
+
+    @cached_property
+    def _lo_hi(self) -> Tuple[np.ndarray, np.ndarray]:
+        return self._f._eval_run(self.axes, ())
+
+    lo = property(lambda self: self._lo_hi[0])
+    hi = property(lambda self: self._lo_hi[1])
 
     def runs(self, budget: int):
         """(index, start, f_lo, f_hi) for each run of at most `budget` nodes
         of the grid (`ivf._runs`), in grid order."""
         shape = tuple(len(a) for a in self.axes)
-        lo, hi = self.lo.reshape(shape), self.hi.reshape(shape)
-        for index, start in _runs(shape, budget):
-            yield index, start, lo[index].reshape(-1), hi[index].reshape(-1)
-
-
-class _ProvedValues:
-    """F at the nodes of a grid as `_GridValues` holds it, for an F that
-    `expr.convexity` proves convex and which so raises nowhere in its box
-    (`_exact_sets` relies on that too).  `runs` evaluates F on each run as
-    it comes, and keeps the values once every run has come; lo and hi are
-    read from those, or else from F evaluated on the whole grid.  The grid
-    is checked when these are built, as eval_many checks it."""
-
-    def __init__(self, f: Ivf, grid: Grid):
-        self._f, self.axes = f, tuple(f._grid_axes(grid))
-
-    @cached_property
-    def _whole(self) -> _GridValues:
-        return _GridValues(self.axes, *self._f._eval_run(self.axes, ()))
-
-    lo = property(lambda self: self._whole.lo)
-    hi = property(lambda self: self._whole.hi)
-
-    def runs(self, budget: int):
-        if "_whole" in self.__dict__:
-            yield from self._whole.runs(budget)
+        if "_lo_hi" in self.__dict__:
+            lo, hi = (v.reshape(shape) for v in self._lo_hi)
+            for index, start in _runs(shape, budget):
+                yield index, start, lo[index].reshape(-1), hi[index].reshape(-1)
             return
         seen = []
-        for index, start in _runs(tuple(len(a) for a in self.axes), budget):
+        for index, start in _runs(shape, budget):
             seen.append(self._f._eval_run(self.axes, index))
             yield (index, start) + seen[-1]
-        self._whole = _GridValues(self.axes, *(np.concatenate(v) for v in zip(*seen)))
-
-
-def _grid_values(f: Ivf, grid: Optional[Grid]) -> _GridValues:
-    grid = f.grid() if grid is None else grid
-    return _GridValues(tuple(grid.axes()), *f.eval_many(grid))
+        self._lo_hi = tuple(np.concatenate(v) for v in zip(*seen))
 
 
 def _endpoints(g: IVector) -> Tuple[np.ndarray, np.ndarray]:
@@ -214,7 +200,6 @@ class _Constraints:
         if x_bar.ndim == 2:
             f0_lo, f0_hi = f0_lo[:, None], f0_hi[:, None]
         self.values, self.f0 = values, (f0_lo, f0_hi)
-        self.axes = values.axes
         self.dpos, self.dneg = [], []
         n = len(values.axes)
         for i, axis in enumerate(values.axes):
@@ -249,11 +234,6 @@ class _Constraints:
             hi = hi + (q_i * dpos[along] + p_i * dneg[along])
         return lo.reshape(p.shape[0], -1), hi.reshape(p.shape[0], -1)
 
-    def violations(self, p: np.ndarray, q: np.ndarray, tol: float) -> np.ndarray:
-        """(M, S) mask of the samples where each candidate breaks the
-        inequality by more than tol."""
-        return _breaks(self.pairing(p, q), self.lo_hi, tol)
-
     def check(self, g: IVector, tol: float):
         """(True, None), or (False, witness) with the first violating
         sample in grid order.  The samples go in runs of axis 0 of at most
@@ -263,7 +243,7 @@ class _Constraints:
         for index, start, f_lo, f_hi in self.values.runs(_CHECK_RUN):
             bad = _breaks(self.pairing(p, q, index), self._gap(f_lo, f_hi), tol)
             if bad.any():
-                return False, _node(self.axes, start + int(np.argmax(bad)))
+                return False, _node(self.values.axes, start + int(np.argmax(bad)))
         return True, None
 
     def box(self, tol: float):
@@ -309,13 +289,12 @@ def _exact_sets(f: Ivf, x_bar: Sequence[float], grid: Optional[Grid] = None):
     [-f_lo'(x_bar; -e_i), f_lo'(x_bar; e_i)] and B_i the same for f_hi,
     unbounded outward at a domain bound.  x_bar is checked as every verdict
     at a point checks it (`ivf._point`), and read clamped to the box.  None
-    if F is not proved both, the grid's nodes leave the domain (the sampled
+    if F is not proved both, eval_many would refuse the grid (the sampled
     path then raises), or the walk refuses."""
     if not f._exact_slopes:
         return None
     x = [min(max(v, l), u) for v, (l, u) in zip(_point(f, x_bar), f.domain)]
-    if grid is not None and (grid.dim != f.arity or any(
-            gl < l or gu > u for gl, gu, (l, u) in zip(grid.lower, grid.upper, f.domain))):
+    if grid is not None and (grid.dim != f.arity or not f._holds(grid)):
         return None
     try:
         sides, (_, _, dlo, dhi) = _walk_sides(f, x, range(f.arity))
@@ -356,24 +335,12 @@ def _in_exact(sets, g: IVector, tol: float) -> bool:
                for vertex in itertools.product(*lams))
 
 
-def _evaluate(f: Ivf, cand: SubgradientCandidate, grid: Optional[Grid]):
-    """F on the grid, F(x_bar) and the constraints at the candidate's base
-    point.  For a proved-convex F the grid is evaluated as it is read
-    (`_ProvedValues`), so a check that stops early evaluates less of it."""
+def _evaluate(f: Ivf, cand: SubgradientCandidate, grid: Optional[Grid]) -> _Constraints:
+    """The constraints at the candidate's base point, over F on the grid
+    (`_GridValues`).  For a proved-convex F the grid is evaluated as it is
+    read, so a check that stops early evaluates less of it."""
     x_bar = np.array(_point(f, cand.base_point))
-    grid = f.grid() if grid is None else grid
-    values = _ProvedValues(f, grid) if f._proved_convex else _grid_values(f, grid)
-    f0 = f.boundary(x_bar)
-    return values, f0, _Constraints(values, x_bar, f0)
-
-
-def _verdict(axes: Sequence[np.ndarray], bad: np.ndarray):
-    """(True, None), or (False, witness): the first violating sample of the
-    first failing candidate, for an (M, S) mask over M candidates and the
-    nodes of the grid with these axes."""
-    if bad.any():
-        return False, _node(axes, int(np.argmax(bad)) % bad.shape[1])
-    return True, None
+    return _Constraints(_GridValues(f, grid), x_bar, f.boundary(x_bar))
 
 
 def is_subgradient(f: Ivf, cand: SubgradientCandidate,
@@ -388,7 +355,7 @@ def is_subgradient(f: Ivf, cand: SubgradientCandidate,
     """
     if _in_exact(_exact_sets(f, cand.base_point, grid), cand.g, tol):
         return True, None
-    return _evaluate(f, cand, grid)[2].check(cand.g, tol)
+    return _evaluate(f, cand, grid).check(cand.g, tol)
 
 
 def is_subgradient_strict_variant(f: Ivf, cand: SubgradientCandidate,
@@ -399,10 +366,13 @@ def is_subgradient_strict_variant(f: Ivf, cand: SubgradientCandidate,
     Far more restrictive than the gh-difference form; returns (bool,
     witness) the same way as is_subgradient.
     """
-    values, (f0_lo, f0_hi), cons = _evaluate(f, cand, grid)
-    lhs_lo, lhs_hi = cons.pairing(*_endpoints(cand.g))
-    return _verdict(values.axes, (lhs_lo + f0_lo > values.lo + tol)
-                    | (lhs_hi + f0_hi > values.hi + tol))
+    cons = _evaluate(f, cand, grid)
+    (lhs_lo,), (lhs_hi,) = cons.pairing(*_endpoints(cand.g))
+    bad = ((lhs_lo + cons.f0[0] > cons.values.lo + tol)
+           | (lhs_hi + cons.f0[1] > cons.values.hi + tol))
+    if bad.any():
+        return False, _node(cons.values.axes, int(np.argmax(bad)))
+    return True, None
 
 
 # --------------------------------------------------------------------------
@@ -432,7 +402,7 @@ def subdiff_scan_1d(f: Ivf, x_bar: float,
     steps = _scan_steps(steps, g_bounds)
     sets = _exact_sets(f, x, grid)
     if sets is None:
-        box, widen = _Constraints(_grid_values(f, grid), x, f.boundary(x)).box(tol), 0.0
+        box, widen = _Constraints(_GridValues(f, grid), x, f.boundary(x)).box(tol), 0.0
     else:
         # tol widens the raster only: the box, and the maximum read from it, stay exact
         (a,), (b,) = sets
@@ -538,20 +508,15 @@ def directional_max_check(f: Ivf, x_bar: float, h: float,
 
 
 def operator_norm(l: LinearIvf) -> float:
-    """sup of ||L(x)|| over the unit sphere, sampled.
+    """sup of ||L(x)|| over the unit sphere, sqrt(sum_i max(a_i^2, b_i^2))
+    for L(x) = sum_i x_i (.) [a_i, b_i].
 
-    Exact for one variable (the sphere is {-1, +1}).  In higher
-    dimensions the estimate takes the coordinate directions and 512 unit
-    vectors of a fixed pseudorandom stream, so it is a deterministic lower
-    bound.
+    hi(x) = sum_i max(a_i x_i, b_i x_i) is the largest v.x over the vertices
+    v of prod_i {a_i, b_i}, and -lo(x) the largest -v.x, so the sup is the
+    largest |v|, attained at v*/|v*| where v* takes each endpoint of larger
+    magnitude.
     """
-    n = len(l.coeffs)
-    if n == 1:
-        return max(l((1.0,)).norm, l((-1.0,)).norm)
-    dirs = [np.eye(n)[i] * s for i in range(n) for s in (1.0, -1.0)]
-    raw = np.random.default_rng(0).normal(size=(512, n))
-    dirs.extend(raw / np.linalg.norm(raw, axis=1, keepdims=True))
-    return max(l(tuple(d)).norm for d in dirs)
+    return math.hypot(*(c.norm for c in l.coeffs))
 
 
 def _norm_shape_constant(f: Ivf) -> Interval:
@@ -643,7 +608,7 @@ def union_boundedness_probe(f: Ivf, grid: Optional[Grid] = None) -> float:
         sup = _slope_sup(f, grid, {interior[0], interior[-1]})
         if sup is not None:
             return sup
-    return _sampled_sup(_grid_values(f, grid))
+    return _sampled_sup(_GridValues(f, grid))
 
 
 def _probe_grid(f: Ivf, grid: Optional[Grid]) -> Grid:
@@ -668,16 +633,21 @@ def _slope_sup(f: Ivf, grid: Grid, xs) -> Optional[float]:
 def _sampled_sup(values: _GridValues, raise_empty: bool = False) -> float:
     """The probe's sampled sup, from F at the nodes of a one-variable grid.
 
-    At each interior base point the sampled box (slack _DOM_SLACK) is cut
-    by {p <= q}; its candidates are the four corners kept when p <= q, then
-    the ends of the diagonal segment.  A base point with none adds nothing,
-    or raises EmptySubdifferentialEncountered if `raise_empty`.  Every
-    candidate is re-verified against all samples: the region is closed, so
-    its frontier must pass.  Base points go in array passes over blocks of
-    _MAX_ROWS, and the first one in grid order that would raise on its own
-    raises.
+    At each interior base point the sampled box (p_lb, p_ub, q_lb, q_ub),
+    slack _DOM_SLACK, is cut by {p <= q}.  Each sample bounds p alone or q
+    alone, so the region's p spans [p_lb, min(p_ub, q_ub)] and its q
+    [max(q_lb, p_lb), q_ub], and the sup is the largest |end|.  A base point
+    with no candidate adds nothing, or raises EmptySubdifferentialEncountered
+    if `raise_empty`.  The region is closed, so each end is re-verified
+    (slack _DOM_SLACK + 1e-12) against the samples that bound it: p*dx,
+    dx = x - x_bar, against the lo end of F(x) gh- F(x_bar) where dx > 0 and
+    its hi end where dx < 0, q*dx the other way round.  Rounded products are
+    monotone, so a candidate fails only if an end does.  Base points go in
+    array passes over blocks of _MAX_ROWS, and the first one in grid order
+    that would raise on its own raises.
     """
-    x_bar = values.axes[0][1:-1, None]
+    axis, tol = values.axes[0], _DOM_SLACK + 1e-12
+    x_bar = axis[1:-1, None]
     f0_lo, f0_hi = values.lo[1:-1], values.hi[1:-1]
     # base points before the first whose F(x_bar) is no interval; that one
     # raises below as f.eval would
@@ -688,32 +658,36 @@ def _sampled_sup(values: _GridValues, raise_empty: bool = False) -> float:
         block = slice(start, min(start + _MAX_ROWS, rows))
         cons = _Constraints(values, x_bar[block], (f0_lo[block], f0_hi[block]))
         p_lb, p_ub, q_lb, q_ub = cons.box(_DOM_SLACK)
-        diag_lo = np.where(q_lb > p_lb, q_lb, p_lb)
-        diag_hi = np.where(q_ub < p_ub, q_ub, p_ub)
-        vp = np.stack([p_lb, p_lb, p_ub, p_ub, diag_lo, diag_hi], axis=1)
-        vq = np.stack([q_lb, q_ub, q_lb, q_ub, diag_lo, diag_hi], axis=1)
-        on_diag = (diag_lo <= diag_hi)[:, None]
-        keep = np.concatenate([vp[:, :4] <= vq[:, :4], on_diag, on_diag], axis=1)
-        keep &= ~((p_lb > p_ub) | (q_lb > q_ub) | (p_lb > q_ub))[:, None]
-        # frontier points must pass too: the region is closed
-        bad = np.stack([cons.violations(vp[:, v, None], vq[:, v, None], _DOM_SLACK + 1e-12)
-                        .any(axis=1) for v in range(vp.shape[1])], axis=1)
-        failing = (bad & keep).any(axis=1)
-        if raise_empty:
-            failing |= ~keep.any(axis=1)
-        if failing.any():
-            j = int(np.argmax(failing))
-            k = start + j
-            if keep[j].any():  # a vertex the rounding of its box left outside
-                row = _Constraints(values, x_bar[k], (f0_lo[k], f0_hi[k]))
-                _, witness = _verdict(values.axes, row.violations(
-                    vp[j, keep[j], None], vq[j, keep[j], None], _DOM_SLACK + 1e-12))
+        # a NaN sample makes both bounds of its side NaN, which no candidate
+        # meets: the region shrinks onto the other side's corner
+        p_lb, q_lb = np.where(np.isnan(p_lb), p_ub, p_lb), np.where(np.isnan(q_lb), q_ub, q_lb)
+        p_ub, q_ub = np.where(np.isnan(p_ub), p_lb, p_ub), np.where(np.isnan(q_ub), q_lb, q_ub)
+        ends = p_lb, np.minimum(p_ub, q_ub), np.maximum(q_lb, p_lb), q_ub
+        found = (ends[0] <= ends[1]) & (ends[2] <= ends[3])
+        dx = axis - x_bar[block]
+        gap_lo, gap_hi = (g + tol for g in cons.lo_hi)
+        p_gap, q_gap = np.where(dx > 0.0, gap_lo, gap_hi), np.where(dx > 0.0, gap_hi, gap_lo)
+        over = [e[:, None] * dx > gap for e, gap in zip(ends, (p_gap, p_gap, q_gap, q_gap))]
+        failing = (found & np.any(over, axis=(0, 2))) | (~found & raise_empty)
+        for j in np.flatnonzero(failing):
+            if not found[j]:
                 raise EmptySubdifferentialEncountered(
-                    f"frontier candidate failed re-verification at {witness}")
-            raise EmptySubdifferentialEncountered(
-                f"no feasible candidate at base point {x_bar[k, 0]}")
-        norms = np.where(keep, np.maximum(np.abs(vp), np.abs(vq)), -math.inf)
-        sup = max(sup, float(np.max(norms, initial=0.0)))
+                    f"no feasible candidate at base point {x_bar[start + j, 0]}")
+            # the candidates, the corners kept where p <= q, then the ends of
+            # the diagonal, re-verified as `_Constraints` pairs them; there an
+            # end paired with an infinite one meets a zero displacement, which
+            # gives NaN, so a failing end may fail no candidate
+            a, b, c, d = (v[j] for v in (p_lb, p_ub, q_lb, q_ub))
+            lo, hi = ends[2][j], ends[1][j]
+            for p, q, kept in ((a, c, a <= c), (a, d, True), (b, c, b <= c), (b, d, b <= d),
+                               (lo, lo, lo <= hi), (hi, hi, lo <= hi)):
+                bad = ((p * dx[j] > p_gap[j]) & math.isfinite(q)
+                       | (q * dx[j] > q_gap[j]) & math.isfinite(p))
+                if kept and bad.any():
+                    witness = _node(values.axes, int(np.argmax(bad)))
+                    raise EmptySubdifferentialEncountered(
+                        f"frontier candidate failed re-verification at {witness}")
+        sup = max(sup, float(np.max(np.abs(ends), where=found, initial=0.0)))
     if rows < x_bar.shape[0]:
         Interval(f0_lo[rows], f0_hi[rows])
     return sup
@@ -732,7 +706,7 @@ def lipschitz_from_subgradients_check(f: Ivf, grid: Optional[Grid] = None) -> bo
     shares.
     """
     grid = _probe_grid(f, grid)
-    values = _grid_values(f, grid)
+    values = _GridValues(f, grid)
     sup = _slope_sup(f, grid, f.domain[0])
     if sup is None:
         sup = _sampled_sup(values, raise_empty=True)

@@ -162,11 +162,19 @@ def test_descent_respects_the_weight_config():
 
 @pytest.mark.parametrize("call", ["descent", "probe"])
 def test_one_full_grid_evaluation_per_call(monkeypatch, call):
+    # the sizes of point and grid evaluations: the grid goes through
+    # Ivf._eval_run once, not through eval_many
     calls, walks = [], []
-    eval_many, compile_tangents = Ivf.eval_many, ivf_module.compile_tangents
+    eval_many, eval_run = Ivf.eval_many, Ivf._eval_run
+    compile_tangents = ivf_module.compile_tangents
 
     def counted(self, xs):
         lo_hi = eval_many(self, xs)
+        calls.append(len(lo_hi[0]))
+        return lo_hi
+
+    def counted_run(self, axes, index):
+        lo_hi = eval_run(self, axes, index)
         calls.append(len(lo_hi[0]))
         return lo_hi
 
@@ -175,6 +183,7 @@ def test_one_full_grid_evaluation_per_call(monkeypatch, call):
         return lambda x, dirs: walks.append(len(dirs)) or walk(x, dirs)
 
     monkeypatch.setattr(Ivf, "eval_many", counted)
+    monkeypatch.setattr(Ivf, "_eval_run", counted_run)
     monkeypatch.setattr(ivf_module, "compile_tangents", counted_walker)
     f = piecewise_vee_ivf()
     p, grid = Iop(f), f.grid(201)

@@ -43,6 +43,7 @@ from ghcalc.cli import parse_problem_file
 from ghcalc.errors import (
     EmptySubdifferentialEncountered,
     GhcalcError,
+    InvalidInterval,
     NonDegenerateRealNode,
     NonFiniteDerivative,
     OverlappingPieces,
@@ -97,8 +98,8 @@ from ghcalc.subgrad import (
     SubgradientCandidate,
     _Constraints,
     _GridValues,
+    _breaks,
     _exact_sets,
-    _grid_values,
     _in_exact,
     _sampled_sup,
     is_subgradient,
@@ -691,7 +692,7 @@ def test_probe_and_lipschitz_check_match_the_per_vertex_probe(name):
     # test_the_exact_probe_and_lipschitz_bound_read_the_closed_form_slopes checks
     f = PROBE_CASES[name]
     grid = f.grid(101)
-    values = _grid_values(f, grid)
+    values = _GridValues(f, grid)
     assert _sampled_sup(values) == probe_reference(f, grid)
     expected = outcome(lambda: lipschitz_estimate(f, grid)
                        <= probe_reference(f, grid, on_empty="raise") + 1e-6)
@@ -712,7 +713,125 @@ def test_probe_names_the_frontier_point_the_per_vertex_probe_names():
     grid = f.grid(31)
     expected = outcome(lambda: probe_reference(f, grid))
     assert expected.startswith("raised: frontier candidate failed re-verification")
-    assert outcome(lambda: _sampled_sup(_grid_values(f, grid))) == expected
+    assert outcome(lambda: _sampled_sup(_GridValues(f, grid))) == expected
+
+
+def probe_piece(draw, scale: float) -> str:
+    """[a,b]*abs(x1 - c) + [al,be]*pow2(x1 - e) + [u,v], each coefficient
+    scaled by scale; a or al may be negative, so a piece need not be
+    convex."""
+    a, al = (draw(st.floats(-1.0, 2.0)) for _ in range(2))
+    b, be = a + draw(st.floats(0.0, 1.0)), al + draw(st.floats(0.0, 1.0))
+    c, e, u = (draw(st.floats(-3.0, 3.0)) for _ in range(3))
+    v = u + draw(st.floats(0.0, 2.0))
+    return (f"[{a * scale!r},{b * scale!r}]*abs(x1 - ({c!r})) "
+            f"+ [{al * scale!r},{be * scale!r}]*pow2(x1 - ({e!r})) + [{u * scale!r},{v * scale!r}]")
+
+
+# terms that make F non-finite where a piece adds them; the products
+# overflow, so the tests that evaluate them ignore that under np.errstate
+NONFINITE_TERMS = {"+inf": "[1e308,1e308]*[2,2]", "-inf": "[-1e308,-1e308]*[2,2]",
+                   "both": "[-1e308,1e308]*[2,2]", "nan": "[1e308,1e308]*[2,2] - [1e308,1e308]*[2,2]",
+                   "huge": "[1.7e308,1.7e308]"}
+
+
+def piecewise_text(cuts, bodies) -> str:
+    """A piecewise objective in x1 with bodies[i] between cuts[i - 1] and
+    cuts[i], the first and the last piece unbounded on their outer side."""
+    guards = [" and ".join([f"x1 >= {lo!r}"] * (lo is not None) + [f"x1 <= {hi!r}"] * (hi is not None))
+              for lo, hi in zip([None] + cuts, cuts + [None])]
+    return "piecewise{ " + " ".join(f"{g} => {b};" for g, b in zip(guards, bodies)) + " }"
+
+
+@st.composite
+def piecewise_probes(draw):
+    """A piecewise objective in one variable, which `expr.convexity` does not
+    prove convex, and a grid of 3 to 151 nodes: two pieces of `probe_piece`
+    that meet between two nodes, where they may jump, scaled by 1 to 1e300,
+    and at most one node where F is +inf, -inf or [-inf, inf]."""
+    n = draw(st.sampled_from([3, 4, 66, 67, 131, 151]) | st.integers(3, 151))
+    lower = draw(st.floats(-3.0, 0.0))
+    grid = Grid((lower,), (lower + draw(st.floats(0.5, 6.0)),), (n,))
+    axis = grid.axes()[0]
+    scale = 10.0 ** draw(st.integers(0, 300))
+    left, right = probe_piece(draw, scale), probe_piece(draw, scale)
+    k = draw(st.integers(0, n - 2))
+    # cuts between nodes, so no node meets two guards; the pieces meet at the first
+    jump = float(axis[k] + axis[k + 1]) / 2.0
+    terms = {jump: ""}
+    # at an interior node: at an end, where it is the one sample on its side of
+    # the base point next to it, +inf leaves that box unbounded, which the
+    # per-vertex probe cannot name (see the test after this one)
+    node = draw(st.none() | st.tuples(st.integers(1, n - 2), st.sampled_from(["+inf", "-inf", "both"])))
+    if node is not None:
+        x, quarter = float(axis[node[0]]), float(axis[1] - axis[0]) / 4.0
+        terms.update({x - quarter: f" + {NONFINITE_TERMS[node[1]]}", x + quarter: ""})
+    cuts = sorted(terms)
+    bodies = [(left if hi <= jump else right) + terms.get(lo, "")
+              for lo, hi in zip([-math.inf] + cuts, cuts + [math.inf])]
+    return Ivf.from_text(1, piecewise_text(cuts, bodies), ((grid.lower[0], grid.upper[0]),)), grid
+
+
+def probe_outcome(call):
+    """The float a probe returns, or the type and message of its error."""
+    try:
+        return repr(call())
+    except GhcalcError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(piecewise_probes())
+# a vertex on the diagonal fails its re-verification where p_lb and q_ub pass
+@example((Ivf.from_text(1, "piecewise{ x1 <= 0.1 => [1e6,3e6]*pow2(x1 + 0.45); "
+                           "x1 >= 0.1 => [1e6,3e6]*pow2(x1 + 0.45); }", ((-1.0, 1.0),)),
+          Grid((-1.0,), (1.0,), (11,))))
+def test_the_probe_reads_the_per_vertex_probe_s_float_or_error(case):
+    f, grid = case
+    assert not f._proved_convex
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = _GridValues(f, grid)
+        for raise_empty in (False, True):
+            expected = probe_outcome(lambda: probe_reference(
+                f, grid, on_empty="raise" if raise_empty else "skip"))
+            assert probe_outcome(lambda: _sampled_sup(values, raise_empty)) == expected
+
+
+@pytest.mark.parametrize("terms, nodes, expected", [
+    # +inf at an end: the one sample below (above) the base point next to it
+    # bounds nothing, so that box is unbounded and the sup infinite
+    ({0: "+inf"}, 3, ("inf", "inf")),
+    ({6: "+inf"}, 7, ("inf", "inf")),
+    # NaN at an end gives NaN bounds on one side of every base point: each
+    # region is the other side's corner, (p_lb, q_lb) or (p_ub, q_ub)
+    ({8: "nan"}, 9, ("4.7500000004", "4.7500000004")),
+    ({0: "nan"}, 9, ("4.7500000004", "4.7500000004")),
+    # every box is empty
+    ({0: "both"}, 5, ("0.0", (EmptySubdifferentialEncountered,
+                              "no feasible candidate at base point -0.5"))),
+    # at -0.75, F(x_bar) is so large that the quotients overflow: the region
+    # there is the one corner (inf, inf), whose ends each meet a zero
+    # displacement in the pairing, so nothing is re-verified
+    ({1: "huge", 8: "nan"}, 9, ("inf", "inf")),
+])
+def test_the_probe_keeps_its_outcome_where_f_is_not_finite(terms, nodes, expected):
+    """F on [-1, 1] plus the terms of NONFINITE_TERMS at some nodes; the
+    floats and errors are those of the probe that re-verified six vertices
+    per base point.  The per-vertex probe cannot build a candidate with an
+    infinite end."""
+    body, quarter = "[1,3]*abs(x1 - 0.25) + [0,1]*pow2(x1) + [1,2]", 0.5 / (nodes - 1)
+    cuts, bodies = [], [body]
+    for j in sorted(terms):
+        x = -1.0 + 2.0 * j / (nodes - 1)
+        cuts += [x - quarter, x + quarter]
+        bodies += [f"{body} + {NONFINITE_TERMS[terms[j]]}", body]
+    f = Ivf.from_text(1, piecewise_text(cuts, bodies), ((-1.0, 1.0),))
+    grid = Grid((-1.0,), (1.0,), (nodes,))
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = _GridValues(f, grid)
+        assert tuple(probe_outcome(lambda: _sampled_sup(values, e)) for e in (False, True)) == expected
+        if "+inf" in terms.values():
+            assert probe_outcome(lambda: probe_reference(f, grid))[0] is InvalidInterval
 
 
 class Family(NamedTuple):
@@ -867,7 +986,7 @@ def test_the_exact_box_lies_in_the_sampled_box_within_the_sampling_slack(fam, k,
     exact = exact_box(f, x)
     assert exact == pytest.approx(fam.box(x), rel=1e-15, abs=1e-15)
     xs = np.array([x])
-    sampled = _Constraints(_grid_values(f, grid), xs, f.boundary(xs)).box(1e-10)
+    sampled = _Constraints(_GridValues(f, grid), xs, f.boundary(xs)).box(1e-10)
     # the curvature over one step, the box's own tol over the nearest
     # displacement, and rounding
     slack = 2.0 * max(fam.al, fam.be) * step + 1e-10 / step + 1e-9
@@ -971,7 +1090,7 @@ def exact_law_holds(fams, x, g: IVector) -> str:
     assert sets is not None
     xs = np.array(x)
     if _in_exact(sets, g, 1e-10):
-        values = _grid_values(f, f.grid(41 if len(x) == 2 else 17))
+        values = _GridValues(f, f.grid(41 if len(x) == 2 else 17))
         assert _Constraints(values, xs, f.boundary(xs)).check(g, 1e-10) == (True, None)
         return "yes"
     if _in_exact(sets, g, 1e-3):
@@ -980,7 +1099,7 @@ def exact_law_holds(fams, x, g: IVector) -> str:
     assert h is not None
     for t in (1e-7, 1e-6, 1e-5):
         point = xs + t * np.array(h)
-        values = _GridValues(tuple(point[:, None]), *f.eval_many([point]))
+        values = _GridValues(f, Grid(tuple(point), tuple(point), (1,) * len(point)))
         assert not _Constraints(values, xs, f.boundary(xs)).check(g, 0.0)[0]
     return "no"
 
@@ -1020,7 +1139,7 @@ def test_the_exact_law_holds_where_no_grid_node_falls_in_the_violating_cone():
 @pytest.mark.parametrize("f", [piecewise_vee_ivf(), KINKED_1D, quartic_ivf()])
 def test_feasible_box_matches_at_every_interior_node(f):
     grid = f.grid(101)
-    values = _grid_values(f, grid)
+    values = _GridValues(f, grid)
     for x_bar in grid.axes()[0][1:-1]:
         x = np.array([float(x_bar)])
         assert (_Constraints(values, x, f.boundary(x)).box(1e-10)
@@ -1030,7 +1149,7 @@ def test_feasible_box_matches_at_every_interior_node(f):
 @pytest.mark.parametrize("f", [piecewise_vee_ivf(), KINKED_1D, quartic_ivf()])
 def test_k_row_constraints_match_single_point_builds(f):
     grid = f.grid(101)
-    values = _grid_values(f, grid)
+    values = _GridValues(f, grid)
     x_bar = grid.axes()[0][1:-1, None]
     f0_lo, f0_hi = values.lo[1:-1], values.hi[1:-1]
     many = _Constraints(values, x_bar, (f0_lo, f0_hi))
@@ -1040,14 +1159,15 @@ def test_k_row_constraints_match_single_point_builds(f):
     shift = np.where(np.arange(len(x_bar)) % 2 == 0, 0.0, 0.5)[:, None]
     p = (box[0] + box[1])[:, None] / 2.0 + shift
     q = np.maximum(p, (box[2] + box[3])[:, None] / 2.0 + shift)
-    bad = many.violations(p, q, 1e-10)
     lhs = many.pairing(p, q)
+    bad = _breaks(lhs, many.lo_hi, 1e-10)
     assert bad.any(axis=1).any() and not bad.any(axis=1).all()
     for k, x in enumerate(x_bar):
         one = _Constraints(values, x, (f0_lo[k], f0_hi[k]))
         assert (np.array(one.box(1e-10)).tobytes()
                 == np.array([b[k] for b in box]).tobytes())
-        assert np.array_equal(one.violations(p[k:k + 1], q[k:k + 1], 1e-10), bad[k:k + 1])
+        assert np.array_equal(_breaks(one.pairing(p[k:k + 1], q[k:k + 1]), one.lo_hi, 1e-10),
+                              bad[k:k + 1])
         for a, b in zip(one.pairing(p[k:k + 1], q[k:k + 1]), lhs):
             assert a.tobytes() == b[k:k + 1].tobytes()
 
@@ -1100,7 +1220,7 @@ def test_witnesses_match_on_a_2d_no_case():
     for f, samples, cand in WITNESS_CASES.values():
         grid = f.grid(samples)
         x_bar = np.asarray(cand.base_point)
-        cons = _Constraints(_grid_values(f, grid), x_bar, f.boundary(x_bar))
+        cons = _Constraints(_GridValues(f, grid), x_bar, f.boundary(x_bar))
         lhs = cons.pairing(np.array([[c.lo for c in cand.g]]),
                            np.array([[c.hi for c in cand.g]]))
         reference = pairing_reference(grid.points() - x_bar[None, :], cand.g)
@@ -1779,7 +1899,7 @@ def test_an_exact_3d_yes_evaluates_nothing(monkeypatch):
 class OnePassConstraints:
     """The sampled check as it ran in one pass over the grid, verbatim: F
     evaluated on all of it first, the inequality of `_Constraints` at every
-    node, then its first violation (`_verdict`)."""
+    node, then its first violation."""
 
     def __init__(self, values, x_bar, f0):
         f0_lo, f0_hi = f0
@@ -1818,7 +1938,7 @@ class OnePassConstraints:
 def one_pass_check(f, cand, grid, tol):
     """The sampled path of is_subgradient in one pass over the grid."""
     x_bar = np.array(_point(f, cand.base_point))
-    values = _grid_values(f, grid)
+    values = _GridValues(f, grid)
     return OnePassConstraints(values, x_bar, f.boundary(x_bar)).check(cand.g, tol)
 
 
@@ -1828,7 +1948,7 @@ def check_by_runs(f, cand, grid, tol, budget):
     old = subgrad_module._CHECK_RUN
     try:
         subgrad_module._CHECK_RUN = budget
-        return check_outcome(lambda: subgrad_module._evaluate(f, cand, grid)[2].check(cand.g, tol))
+        return check_outcome(lambda: subgrad_module._evaluate(f, cand, grid).check(cand.g, tol))
     finally:
         subgrad_module._CHECK_RUN = old
 
@@ -1917,9 +2037,9 @@ def test_the_3d_no_stops_at_its_first_violating_run(monkeypatch, budget, evaluat
     # a check that reads every run keeps the values, so F is evaluated once
     sizes.clear()
     yes = IVector.of(Interval(-3.0, 1.0), Interval(0.0, 0.0), Interval(-1.0, 1.0))
-    values, _, cons = subgrad_module._evaluate(f, SubgradientCandidate(yes, cand.base_point), grid)
+    cons = subgrad_module._evaluate(f, SubgradientCandidate(yes, cand.base_point), grid)
     assert cons.check(yes, 1e-10) == (True, None)
-    assert values.lo.tobytes() == f.eval_many(grid.points())[0].tobytes()
+    assert cons.values.lo.tobytes() == f.eval_many(grid.points())[0].tobytes()
     assert sum(sizes) == 41 * SLAB
 
 # --------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghcalc import Interval, IVector, Ivf, subgrad
 from ghcalc import ivf as ivf_module
@@ -13,6 +16,7 @@ from ghcalc.errors import (
     NonFiniteDerivative,
     OutOfDomain,
     UnresolvedScan,
+    ZeroInDenominator,
 )
 from ghcalc.ivf import Grid, gh_derivative_1d, gh_gradient
 from ghcalc.iop import Iop, optimality_zero_condition
@@ -21,8 +25,8 @@ from ghcalc.subgrad import (
     LinearIvf,
     SubgradientCandidate,
     _Constraints,
+    _GridValues,
     _exact_sets,
-    _grid_values,
     _in_exact,
     chain_rule_transport,
     check_singleton_at_differentiable,
@@ -190,7 +194,7 @@ def test_singleton_check_fails_when_the_region_is_empty_in_2d(monkeypatch):
     assert not ok
     calls = counted_calls(monkeypatch)
     assert not check_singleton_at_differentiable(f, (0.5, 0.3), f.grid(21))
-    assert calls["eval_many"] == 0
+    assert calls["eval_many"] == calls["grid"] == 0
 
 
 def test_2d_singleton_check_reads_the_exact_sets_without_the_grid(monkeypatch):
@@ -198,7 +202,7 @@ def test_2d_singleton_check_reads_the_exact_sets_without_the_grid(monkeypatch):
     calls = counted_calls(monkeypatch)
     f = Ivf.from_text(2, "[1,2]*pow2(x1) + pow2(x2) + [0,1]", ((-1, 1), (-1, 1)))
     assert check_singleton_at_differentiable(f, (0.5, 0.5), f.grid(81))
-    assert calls == {"eval_many": 0, "walks": 2}
+    assert calls == {"eval_many": 0, "grid": 0, "walks": 2}
 
 
 def test_the_singleton_check_decides_in_three_variables_and_refuses_uncertified_2d():
@@ -219,7 +223,7 @@ def test_2d_exact_test_accepts_exactly_the_candidates_the_sampled_check_accepts(
     grid, x_bar = f.grid(11), (0.0, 0.2)
     sets = _exact_sets(f, x_bar, grid)
     x = np.array(x_bar)
-    cons = _Constraints(_grid_values(f, grid), x, f.boundary(x))
+    cons = _Constraints(_GridValues(f, grid), x, f.boundary(x))
     # lattice nodes fall on the edges of the region, where a slack decides
     bounds = ((-5.0, 3.0), (-3.0, 5.0), (-3.0, 1.0), (-1.0, 3.0))
     axes = [np.linspace(lo, hi, 5) for lo, hi in bounds]
@@ -246,7 +250,7 @@ def test_a_constant_shift_leaves_a_2d_verdict_unchanged(monkeypatch):
     for shift in ("", " + [1e9,1e9]"):
         f = Ivf.from_text(2, "abs(x1)*[1,3] + abs(x2)*[1,2]" + shift, ((-1, 1), (-1, 1)))
         assert is_subgradient(f, SubgradientCandidate(g, (0.0, 0.0)), f.grid(41)) == (True, None)
-    assert calls["eval_many"] == 0
+    assert calls["eval_many"] == calls["grid"] == 0
 
 
 def test_an_exact_3d_yes_evaluates_nothing_and_a_no_keeps_its_sampled_witness(monkeypatch):
@@ -255,7 +259,7 @@ def test_an_exact_3d_yes_evaluates_nothing_and_a_no_keeps_its_sampled_witness(mo
                       ((-1, 1),) * 3)
     yes = IVector.of(Interval(-1, 2), Interval(-0.5, 0.5), Interval(0, 0))
     assert is_subgradient(f, SubgradientCandidate(yes, (0.0, 0.5, 0.0)), f.grid(17)) == (True, None)
-    assert calls == {"eval_many": 0, "walks": 1}
+    assert calls == {"eval_many": 0, "grid": 0, "walks": 1}
     no = IVector.of(Interval(-1, 2), Interval(-0.5, 0.5), Interval(0.5, 0.5))
     ok, witness = is_subgradient(f, SubgradientCandidate(no, (0.0, 0.5, 0.0)), f.grid(17))
     assert not ok and witness[2] > 0.0
@@ -283,7 +287,28 @@ def test_operator_norm():
     assert operator_norm(LinearIvf(IVector.of(Interval(1, 3)))) == 3.0
     assert operator_norm(LinearIvf(IVector.of(Interval(0, 0)))) == 0.0
     l2 = LinearIvf(IVector.of(Interval(1, 1), Interval(1, 1)))
-    assert operator_norm(l2) == pytest.approx(np.sqrt(2.0), abs=1e-3)
+    assert operator_norm(l2) == math.sqrt(2.0)
+
+
+ENDPOINT = st.floats(-1e3, 1e3, allow_subnormal=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(ENDPOINT, ENDPOINT).map(sorted), min_size=1, max_size=4),
+       st.lists(st.lists(st.floats(-1.0, 1.0, allow_subnormal=False), min_size=4, max_size=4),
+                max_size=20))
+def test_the_operator_norm_is_attained_and_no_direction_exceeds_it(ends, directions):
+    l = LinearIvf(IVector.of(*(Interval(a, b) for a, b in ends)))
+    norm = operator_norm(l)
+    # v* takes each endpoint of larger magnitude; |v*| is the closed form
+    v = [b if abs(b) >= abs(a) else a for a, b in ends]
+    if norm > 0.0:
+        assert l([c / norm for c in v]).norm == pytest.approx(norm, rel=1e-12, abs=0.0)
+    for d in directions:
+        d = d[:len(ends)]
+        if math.hypot(*d) > 0.0:
+            # a sampled direction, within the rounding of the two sides
+            assert l([c / math.hypot(*d) for c in d]).norm <= norm * (1.0 + 1e-12)
 
 
 def test_norm_ball_membership():
@@ -354,12 +379,56 @@ def test_lipschitz_bound_from_subgradients():
     assert lipschitz_from_subgradients_check(abs_slab_ivf())
 
 
+def test_a_grid_eval_many_accepts_keeps_the_exact_verdicts():
+    # past the domain by less than 1e-9*(1 + |l| + |u|), which eval_many
+    # accepts, the grid took the sampled path, whose shifted differences
+    # lose their digits: NO at 0.010000000000504938, a sampled scan box,
+    # and a probe of 3.000000121707788
+    f = Ivf.from_text(1, "abs(x1)*[1,3] + [1e9,1e9]", ((-1.0, 1.0),))
+    g = cand(Interval(1, 1), (0.0,))
+    f2 = Ivf.from_text(2, "abs(x1)*[1,3] + [1e9,1e9] + abs(x2)*[1,2] + [1e9,1e9]",
+                       ((-1.0, 1.0), (-1.0, 1.0)))
+    g2 = SubgradientCandidate(IVector.of(Interval(1, 1), Interval(1, 1)), (0.0, 0.0))
+    for upper in (1.0, 1.0 + 1e-12):
+        grid = Grid((-1.0,), (upper,), (201,))
+        assert is_subgradient(f, g, grid) == (True, None)
+        assert subdiff_scan_1d(f, 0.0, grid=grid).method == "exact"
+        assert union_boundedness_probe(f, grid) == 3.0
+        # in two variables, past the domain on one axis or on both
+        for lower in ((-1.0, -1.0), (-1.0 - 1e-12, -1.0)):
+            for uppers in ((upper, 1.0), (1.0, upper)):
+                assert is_subgradient(f2, g2, Grid(lower, uppers, (41, 41))) == (True, None)
+    # further out the sampled path refuses the grid, as eval_many does
+    with pytest.raises(OutOfDomain, match="evaluation point outside the domain box"):
+        is_subgradient(f, g, Grid((-1.0,), (1.0 + 1e-6,), (201,)))
+
+
+def test_grid_values_evaluate_a_proved_f_as_read_and_any_other_f_at_once(monkeypatch):
+    runs, eval_run = [], Ivf._eval_run
+    monkeypatch.setattr(Ivf, "_eval_run", lambda self, axes, index: runs.append(
+        len(axes[0][index[0]]) if index else "grid") or eval_run(self, axes, index))
+    monkeypatch.setattr(subgrad, "_CHECK_RUN", 5)
+    grid, g = Grid((-1.0,), (1.0,), (21,)), cand(Interval(5, 5), (0.0,))
+    # proved convex: the runs of 5 nodes up to the witness's, at node 11
+    f = Ivf.from_text(1, "abs(x1)*[1,3]", ((-1.0, 1.0),))
+    assert is_subgradient(f, g, grid) == (False, [0.10000000000000009])
+    assert runs == [5, 5, 5]
+    # not proved: the whole grid when the values are built, so a pole at
+    # node 19 raises before the check reads its first run
+    runs.clear()
+    pole = float(grid.axes()[0][19])
+    f = Ivf.from_text(1, f"abs(x1)*[1,3] + [0,0]/(x1 - {pole!r})", ((-1.0, 1.0),))
+    with pytest.raises(ZeroInDenominator):
+        is_subgradient(f, g, grid)
+    assert runs == ["grid"]
+
+
 def test_a_constant_shift_keeps_a_subgradient_of_a_proved_convex_objective():
     # sampled, the shifted differences lose their digits and G = [1,1]
     # fails at 0.01; the exact box of the slopes does not see the shift
     f = Ivf.from_text(1, "abs(x1)*[1,3] + [1e9,1e9]", ((-1.0, 1.0),))
     assert is_subgradient(f, cand(Interval(1, 1), (0.0,))) == (True, None)
-    sampled = subgrad._evaluate(f, cand(Interval(1, 1), (0.0,)), None)[2]
+    sampled = subgrad._evaluate(f, cand(Interval(1, 1), (0.0,)), None)
     assert sampled.check(IVector.of(Interval(1, 1)), 1e-10) == (False, [0.010000000000000009])
     # outside the box the samples decide, and name their witness
     ok, witness = is_subgradient(f, cand(Interval(2, 2), (0.0,)))
@@ -487,14 +556,20 @@ def test_a_zero_in_the_exact_box_needs_no_sampled_check(monkeypatch):
 
 
 def counted_calls(monkeypatch):
-    """Count Ivf.eval_many calls and the walks of the trees of Ivfs built
-    from here on."""
-    calls = {"eval_many": 0, "walks": 0}
-    eval_many, compile_tangents = Ivf.eval_many, ivf_module.compile_tangents
+    """Count Ivf.eval_many calls, grid evaluations (Ivf._eval_run, which
+    eval_many of a Grid also goes through, on the whole grid or one run of
+    it) and the walks of the trees of Ivfs built from here on."""
+    calls = {"eval_many": 0, "grid": 0, "walks": 0}
+    eval_many, eval_run = Ivf.eval_many, Ivf._eval_run
+    compile_tangents = ivf_module.compile_tangents
 
     def counted_eval(self, xs):
         calls["eval_many"] += 1
         return eval_many(self, xs)
+
+    def counted_run(self, axes, index):
+        calls["grid"] += 1
+        return eval_run(self, axes, index)
 
     def counted_walker(node):
         walk = compile_tangents(node)
@@ -505,6 +580,7 @@ def counted_calls(monkeypatch):
         return counted_walk
 
     monkeypatch.setattr(Ivf, "eval_many", counted_eval)
+    monkeypatch.setattr(Ivf, "_eval_run", counted_run)
     monkeypatch.setattr(ivf_module, "compile_tangents", counted_walker)
     return calls
 
@@ -517,13 +593,13 @@ def test_a_proved_convex_probe_walks_twice(monkeypatch, call, evaluations, walks
     calls = counted_calls(monkeypatch)
     f = Ivf.from_text(1, "[0.5,2]*abs(x1 - 0.3) + [0.2,1]*pow2(x1) + [1,2]", ((-1.0, 2.0),))
     call(f)
-    assert calls == {"eval_many": evaluations, "walks": walks}
+    assert calls == {"eval_many": 0, "grid": evaluations, "walks": walks}
 
 
 def test_the_vee_s_probe_evaluates_the_grid_once_and_walks_nothing(monkeypatch):
     calls = counted_calls(monkeypatch)
     union_boundedness_probe(piecewise_vee_ivf())
-    assert calls == {"eval_many": 1, "walks": 0}
+    assert calls == {"eval_many": 0, "grid": 1, "walks": 0}
 
 
 def test_an_exact_verdict_compiles_no_array_closures(monkeypatch):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from ghcalc import Interval, Ivf
 from ghcalc.ivf import directional_gh_derivative
-from ghcalc.subgrad import _DOM_SLACK, _Constraints, _grid_values
+from ghcalc.subgrad import _DOM_SLACK, _Constraints, _GridValues
 
 DOMAIN = (-3.0, 3.0)
 
@@ -97,6 +97,6 @@ def test_the_box_from_four_one_sided_slopes_is_the_sampled_box_at_a_kink():
         box = (min(left), min(right), max(left), max(right))
         grid = f.grid(201)
         x = np.array([c])
-        sampled = _Constraints(_grid_values(f, grid), x, f.boundary(x)).box(_DOM_SLACK)
+        sampled = _Constraints(_GridValues(f, grid), x, f.boundary(x)).box(_DOM_SLACK)
         bound = 2.0 * max(al, be) * grid.step[0] + 1e-9
         assert max(abs(p - q) for p, q in zip(box, sampled)) <= bound, (f.body, box, sampled)
